@@ -117,8 +117,10 @@ obs-smoke:
 # tracer-to-metrics adapter, the span-attribution charge path (enabled
 # AND nil-span disabled) and the flight recorder's Emit must all report
 # 0 allocs/op (the matching Test*ZeroAlloc funcs assert the 0; the
-# benchmarks report it).
+# benchmarks report it). Serial recovery must allocate the same at 25%
+# and 95% PUB fill: nothing per replayed entry.
 bench-alloc:
+	$(GO) test ./internal/recovery -run TestRecoverZeroAllocPerEntry -count=1
 	$(GO) test ./internal/core -run 'TestTracerDisabledZeroAlloc|TestReadHitZeroAlloc' -bench 'BenchmarkTracerDisabled|BenchmarkReadHit' -benchtime 10000x
 	$(GO) test ./internal/metrics -run 'TestObserveZeroAlloc|TestFromTracerZeroAlloc' -bench 'BenchmarkHistogramObserve|BenchmarkFromTracer' -benchtime 100000x
 	$(GO) test ./internal/loadgen -run TestGenOpZeroAlloc -bench BenchmarkGenOp -benchtime 100000x
@@ -135,9 +137,11 @@ else
 	$(GO) run ./cmd/benchjson -compare BENCH.json
 endif
 
-# Short coverage-guided fuzz session over the checked-in corpus.
+# Short coverage-guided fuzz session over the checked-in corpus, plus
+# the word-level bit-field codec against its bit-at-a-time reference.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/crashfuzz
+	$(GO) test -run=NONE -fuzz=FuzzBitpack -fuzztime=5s ./internal/bitpack
 
 # Same, against the serial-vs-parallel recovery differential oracle.
 fuzz-parallel-smoke:

@@ -41,11 +41,11 @@ func (c *Controller) VerifyCrashConsistency() error {
 		mac2  uint64
 	}
 	live := make(map[uint32]update)
-	for _, blk := range c.ring.PeekAll() {
-		for _, e := range pub.UnpackBlock(c.cfg.BlockSize, blk) {
+	c.ring.Scan(func(entries []pub.Entry) {
+		for _, e := range entries {
 			live[e.BlockIndex] = update{minor: e.Minor, mac2: e.MAC2}
 		}
-	}
+	})
 	for _, e := range c.pcb.UnpostedEntries() {
 		live[e.BlockIndex] = update{minor: e.Minor, mac2: e.MAC2}
 	}

@@ -229,7 +229,7 @@ func (d *Device) lockFor(idx int64) *sync.Mutex {
 }
 
 // Shard returns a concurrency-safe handle on the device for parallel
-// recovery workers. Peek and WriteBlock through a Shard serialize on
+// recovery workers. PeekInto and WriteBlock through a Shard serialize on
 // striped per-page locks — blocks sharing a storage page share a stripe
 // — so first-touch page allocation and the written-bitmap/wear updates
 // never race; TotalWrites is maintained atomically. The handle makes
@@ -240,20 +240,23 @@ func (d *Device) Shard() Shard { return Shard{d} }
 // Shard is the concurrent device view returned by Device.Shard.
 type Shard struct{ d *Device }
 
-// Peek returns a copy of the block at addr without touching the read
-// counter, like Device.Peek, but safe against concurrent Shard writes to
-// other blocks of the same page.
-func (s Shard) Peek(addr int64) []byte {
+// PeekInto copies the block at addr into dst (exactly one block long)
+// without touching the read counter, like Device.PeekInto, but safe
+// against concurrent Shard writes to other blocks of the same page.
+func (s Shard) PeekInto(dst []byte, addr int64) {
 	d := s.d
+	if len(dst) != d.blockSize {
+		panic(fmt.Sprintf("nvm: peek into %d bytes, block size is %d", len(dst), d.blockSize))
+	}
 	idx := d.index(addr)
-	out := make([]byte, d.blockSize)
 	mu := d.lockFor(idx)
 	mu.Lock()
 	if p := d.pageOf(idx); p != nil {
-		copy(out, p.blockSlice(idx, d.blockSize))
+		copy(dst, p.blockSlice(idx, d.blockSize))
+	} else {
+		clear(dst)
 	}
 	mu.Unlock()
-	return out
 }
 
 // WriteBlock stores data (exactly one block) at addr with the same

@@ -35,10 +35,11 @@ func TestShardConcurrentSamePage(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			sh := dev.Shard()
+			scratch := make([]byte, bs)
 			for i := w; i < blocks; i += workers {
 				// Peek an unrelated block of the same page mid-write
 				// traffic, then write our own.
-				sh.Peek(int64((i ^ 1) % blocks * bs))
+				sh.PeekInto(scratch, int64((i^1)%blocks*bs))
 				sh.WriteBlock(int64(i*bs), payload(i))
 			}
 		}(w)
@@ -63,7 +64,8 @@ func TestShardConcurrentSamePage(t *testing.T) {
 }
 
 // TestShardPeekMatchesPeek checks the shard view reads exactly what the
-// plain device API reads, including never-written zeros.
+// plain device API reads, including never-written zeros over a dirty
+// destination, without counting a read.
 func TestShardPeekMatchesPeek(t *testing.T) {
 	dev := New(1<<16, 64)
 	blk := make([]byte, 64)
@@ -72,10 +74,22 @@ func TestShardPeekMatchesPeek(t *testing.T) {
 	}
 	dev.WriteBlock(128, blk)
 	sh := dev.Shard()
-	if !bytes.Equal(sh.Peek(128), dev.Peek(128)) {
-		t.Fatal("shard Peek diverges from device Peek on a written block")
+	got := make([]byte, 64)
+	sh.PeekInto(got, 128)
+	if !bytes.Equal(got, dev.Peek(128)) {
+		t.Fatal("shard PeekInto diverges from device Peek on a written block")
 	}
-	if !bytes.Equal(sh.Peek(0), make([]byte, 64)) {
-		t.Fatal("shard Peek of a never-written block is not zero")
+	sh.PeekInto(got, 0)
+	if !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatal("shard PeekInto of a never-written block is not zero")
 	}
+	if dev.TotalReads() != 0 {
+		t.Fatalf("shard PeekInto counted %d device reads, want 0", dev.TotalReads())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("shard PeekInto into a short buffer must panic")
+		}
+	}()
+	sh.PeekInto(got[:8], 0)
 }

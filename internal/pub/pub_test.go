@@ -284,13 +284,22 @@ func TestRingWrapAroundSustained(t *testing.T) {
 		t.Fatalf("restored Len = %d, want %d", r2.Len(), r.Len())
 	}
 	merged := map[uint32]Entry{}
-	for _, blk := range r2.PeekAll() {
-		for _, e := range UnpackBlock(128, blk) {
+	reads := dev.TotalReads()
+	seq := popSeq
+	r2.Scan(func(entries []Entry) {
+		if entries[0].BlockIndex != uint32(seq)*64 {
+			t.Fatalf("Scan visited seq %d out of order: %+v", seq, entries[0])
+		}
+		seq++
+		for _, e := range entries {
 			merged[e.BlockIndex] = e
 		}
-	}
+	})
 	if len(merged) != int(r2.Len())*n {
 		t.Fatalf("merged %d entries, want %d", len(merged), int(r2.Len())*n)
+	}
+	if got := dev.TotalReads() - reads; got != r2.Len() {
+		t.Fatalf("Scan counted %d device reads over %d blocks, want one per block", got, r2.Len())
 	}
 
 	// Draining the restored ring continues the same FIFO sequence.

@@ -1,6 +1,7 @@
 package pub
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -93,16 +94,35 @@ func (r *Ring) PopInto(dst []byte) (addr int64) {
 	return addr
 }
 
-// PeekAll returns the live blocks oldest-first without consuming them.
-// Recovery scans the ring this way (Section IV-D: "scan through the
-// partial updates in PUB in a reverse order (i.e., oldest entry to
-// youngest entry)").
+// Scan visits the live blocks oldest-first without consuming them, the
+// order recovery merges in (Section IV-D: "scan through the partial
+// updates in PUB in a reverse order (i.e., oldest entry to youngest
+// entry)"). Each block costs one counted device read into a single
+// scratch block and is unpacked into a reused entry slice, so the walk
+// allocates nothing per block; fn must not retain the slice.
+func (r *Ring) Scan(fn func(entries []Entry)) {
+	var entries []Entry
+	r.scanBlocks(func(blk []byte) {
+		entries = UnpackBlockAppend(entries[:0], len(blk), blk)
+		fn(entries)
+	})
+}
+
+// PeekAll returns copies of the live blocks oldest-first without
+// consuming them, with the same device reads as Scan.
 func (r *Ring) PeekAll() [][]byte {
 	out := make([][]byte, 0, r.Len())
-	for seq := r.head; seq < r.tail; seq++ {
-		out = append(out, r.dev.ReadBlock(r.lay.PUBBlockAddr(seq)))
-	}
+	r.scanBlocks(func(blk []byte) { out = append(out, bytes.Clone(blk)) })
 	return out
+}
+
+// scanBlocks reads the live blocks head to tail into one scratch block.
+func (r *Ring) scanBlocks(fn func(blk []byte)) {
+	blk := make([]byte, r.lay.BlockSize)
+	for seq := r.head; seq < r.tail; seq++ {
+		r.dev.ReadBlockInto(blk, r.lay.PUBBlockAddr(seq))
+		fn(blk)
+	}
 }
 
 // ctl block layout: magic, head, tail.

@@ -156,31 +156,22 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 		// the serial pass, stamping each entry with its serial-model
 		// cycle, and queue it on the shard owning its metadata group.
 		scanStart := time.Now()
-		ring := pub.NewRing(lay, dev)
-		if err := ring.LoadCtl(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoControlState, err)
-		}
-		rep.PUBBlocks = ring.Len()
-		perEntry := 3*read + 2*hash + 2*cfg.WriteLatencyCycles()
 		group := shardGroupBlocks(cfg)
 		shards := make([][]shardTask, workers)
-		cyc := int64(0)
-		for _, blk := range ring.PeekAll() {
-			cyc += read
-			for _, e := range pub.UnpackBlock(cfg.BlockSize, blk) {
-				rep.PUBEntries++
-				cyc += perEntry
-				s := shardOf(int64(e.BlockIndex)/group, workers)
-				shards[s] = append(shards[s], shardTask{e, cyc})
-			}
+		err := scanPUB(cfg, lay, dev, rep, func(e pub.Entry, cyc int64) {
+			s := shardOf(int64(e.BlockIndex)/group, workers)
+			shards[s] = append(shards[s], shardTask{e, cyc})
+		})
+		if err != nil {
+			return nil, err
 		}
 		rep.ScanCycles = rep.PUBBlocks * read
 		rep.ScanWallNS = time.Since(scanStart).Nanoseconds()
 		emitPhase(cfg, obs.PhaseScan, 0, 0, rep.ScanCycles)
 
 		// Phase 2 — merge: one goroutine per shard, each with its own
-		// crypto engine (engines carry scratch and are not
-		// concurrency-safe) and a locked shard view of the device.
+		// merger (crypto engine and scratch) over a locked shard view of
+		// the device.
 		mergeStart := time.Now()
 		mcfg := cfg
 		if cfg.Tracer != nil {
@@ -194,10 +185,9 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 			go func(s int) {
 				defer wg.Done()
 				t0 := time.Now()
-				eng := crypt.NewEngine(cfg.Seed)
-				store := dev.Shard()
+				m := newMerger(mcfg, lay, crypt.NewEngine(cfg.Seed), dev.Shard(), &shardReps[s])
 				for _, tk := range shards[s] {
-					mergeEntry(mcfg, lay, eng, store, tk.e, &shardReps[s], tk.cyc)
+					m.mergeEntry(tk.e, tk.cyc)
 				}
 				shardWall[s] = time.Since(t0).Nanoseconds()
 			}(s)
@@ -213,7 +203,7 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 			sr.MergedCtr = shardReps[s].MergedCtr
 			sr.MergedMAC = shardReps[s].MergedMAC
 			sr.SkippedStale = shardReps[s].SkippedStale
-			sr.MergeCycles = sr.Entries * perEntry
+			sr.MergeCycles = sr.Entries * entryCycles(cfg)
 			sr.WallNS = shardWall[s]
 			rep.MergedCtr += sr.MergedCtr
 			rep.MergedMAC += sr.MergedMAC

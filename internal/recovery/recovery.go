@@ -56,7 +56,7 @@ var ErrNoControlState = errors.New("recovery: control region holds no usable sta
 // path passes the *nvm.Device directly; the parallel path passes
 // per-worker nvm.Shard handles, so both run the exact same mergeEntry.
 type blockStore interface {
-	Peek(addr int64) []byte
+	PeekInto(dst []byte, addr int64)
 	WriteBlock(addr int64, data []byte)
 }
 
@@ -188,25 +188,9 @@ func Recover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 	}
 
 	if sch.UsesPUB() {
-		ring := pub.NewRing(lay, dev)
-		if err := ring.LoadCtl(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoControlState, err)
-		}
-		rep.PUBBlocks = ring.Len()
-		// Per-entry cost along the Section IV-D model (EstimateCycles):
-		// one block read per PUB block, then reads + MACs + writes per
-		// entry. cyc stamps the emitted KindRecoveryMerge events so a
-		// traced recovery renders as a timeline.
-		read := cfg.ReadLatencyCycles()
-		perEntry := 3*read + 2*int64(cfg.HashLatencyCycles) + 2*cfg.WriteLatencyCycles()
-		cyc := int64(0)
-		for _, blk := range ring.PeekAll() {
-			cyc += read
-			for _, e := range pub.UnpackBlock(cfg.BlockSize, blk) {
-				rep.PUBEntries++
-				cyc += perEntry
-				mergeEntry(cfg, lay, eng, dev, e, rep, cyc)
-			}
+		m := newMerger(cfg, lay, eng, dev, rep)
+		if err := scanPUB(cfg, lay, dev, rep, m.mergeEntry); err != nil {
+			return nil, err
 		}
 	}
 
@@ -257,77 +241,138 @@ func estimateShadow(cfg config.Config, lay *layout.Layout, dev *nvm.Device, rep 
 	rep.FullRebuildSeconds = float64(full) / (cfg.CPUFreqGHz * 1e9)
 }
 
+// entryCycles is the modeled verify-then-merge cost of one PUB entry
+// (Section IV-D, EstimateCycles): reads of the counter block, ciphertext
+// and MAC block, two MAC computations, and writes of the counter and MAC
+// blocks.
+func entryCycles(cfg config.Config) int64 {
+	return 3*cfg.ReadLatencyCycles() + 2*int64(cfg.HashLatencyCycles) + 2*cfg.WriteLatencyCycles()
+}
+
+// scanPUB restores the PUB ring bounds from the control region, records
+// the ring size in rep, and walks the ring oldest-to-youngest, handing fn
+// every entry with the cycle the serial Section IV-D model reaches after
+// it: one block read per PUB block, then entryCycles per entry. The cycle
+// stamps the emitted KindRecoveryMerge events, so a traced recovery
+// renders as a timeline, identically on the serial and parallel paths.
+func scanPUB(cfg config.Config, lay *layout.Layout, dev *nvm.Device, rep *Report, fn func(e pub.Entry, cyc int64)) error {
+	ring := pub.NewRing(lay, dev)
+	if err := ring.LoadCtl(); err != nil {
+		return fmt.Errorf("%w: %v", ErrNoControlState, err)
+	}
+	rep.PUBBlocks = ring.Len()
+	read := cfg.ReadLatencyCycles()
+	perEntry := entryCycles(cfg)
+	cyc := int64(0)
+	ring.Scan(func(entries []pub.Entry) {
+		cyc += read
+		for _, e := range entries {
+			rep.PUBEntries++
+			cyc += perEntry
+			fn(e, cyc)
+		}
+	})
+	return nil
+}
+
+// merger is one goroutine's verify-then-merge state: the device view it
+// merges through, its crypto engine (engines carry scratch and are not
+// concurrency-safe), the report it counts into, and block scratch reused
+// across entries, so merging allocates nothing per entry.
+type merger struct {
+	cfg config.Config
+	lay *layout.Layout
+	eng *crypt.Engine
+	dev blockStore
+	rep *Report
+
+	ctrBlk, data, macBlk, mac1 []byte
+}
+
+func newMerger(cfg config.Config, lay *layout.Layout, eng *crypt.Engine, dev blockStore, rep *Report) *merger {
+	return &merger{
+		cfg: cfg, lay: lay, eng: eng, dev: dev, rep: rep,
+		ctrBlk: make([]byte, cfg.BlockSize),
+		data:   make([]byte, cfg.BlockSize),
+		macBlk: make([]byte, cfg.BlockSize),
+		mac1:   make([]byte, cfg.MACSize()),
+	}
+}
+
 // mergeEntry applies one partial update if it proves fresh against the
 // in-place ciphertext. cyc is the modeled recovery cycle stamped on the
-// emitted KindRecoveryMerge event. dev is a blockStore so the serial
-// device and the parallel per-worker shard handles share this code:
-// parallel determinism rests on every read and write here targeting
-// blocks owned by the entry's shard group (the data ciphertext is
-// read-only during merging, and the counter/MAC home blocks define the
-// group).
-func mergeEntry(cfg config.Config, lay *layout.Layout, eng *crypt.Engine, dev blockStore, e pub.Entry, rep *Report, cyc int64) {
-	dataAddr := int64(e.BlockIndex) * int64(cfg.BlockSize)
-	emit := func(detail string) {
-		if cfg.Tracer == nil {
-			return
-		}
-		cfg.Tracer.Emit(obs.Event{
-			Kind:   obs.KindRecoveryMerge,
-			Cycle:  cyc,
-			Addr:   dataAddr,
-			Scheme: cfg.Scheme.String(),
-			Detail: detail,
-		})
-	}
+// emitted KindRecoveryMerge event. The device is a blockStore so the
+// serial device and the parallel per-worker shard handles share this
+// code: parallel determinism rests on every read and write here
+// targeting blocks owned by the entry's shard group (the data ciphertext
+// is read-only during merging, and the counter/MAC home blocks define
+// the group).
+func (m *merger) mergeEntry(e pub.Entry, cyc int64) {
+	lay, dev, rep := m.lay, m.dev, m.rep
+	dataAddr := int64(e.BlockIndex) * int64(m.cfg.BlockSize)
 	if dataAddr < lay.DataBase || dataAddr >= lay.DataBase+lay.DataBytes {
 		// A corrupted entry; the root check will catch real damage, but
 		// never dereference a bogus address.
 		rep.SkippedStale++
-		emit("out-of-range")
+		m.emit(cyc, dataAddr, "out-of-range")
 		return
 	}
 	ca := lay.CtrBlockAddr(dataAddr)
 	cslot := lay.CtrSlot(dataAddr)
-	ctrBlk := dev.Peek(ca)
+	dev.PeekInto(m.ctrBlk, ca)
 
-	candidate := crypt.Counter{Major: ctr.Major(ctrBlk), Minor: e.Minor}
-	ciphertext := dev.Peek(dataAddr)
-	mac1 := eng.MAC(ciphertext, dataAddr, candidate, cfg.MACSize())
-	if eng.MAC2(mac1) != e.MAC2 {
+	candidate := crypt.Counter{Major: ctr.Major(m.ctrBlk), Minor: e.Minor}
+	dev.PeekInto(m.data, dataAddr)
+	m.eng.MACInto(m.mac1, m.data, dataAddr, candidate)
+	if m.eng.MAC2(m.mac1) != e.MAC2 {
 		rep.SkippedStale++
-		emit("stale")
+		m.emit(cyc, dataAddr, "stale")
 		return
 	}
 
 	// The entry matches the newest ciphertext: merge counter and MAC
 	// into their home blocks.
 	mergedCtr := false
-	if ctr.Minor(ctrBlk, cslot) != e.Minor {
-		ctr.SetMinor(ctrBlk, cslot, e.Minor)
-		dev.WriteBlock(ca, ctrBlk)
+	if ctr.Minor(m.ctrBlk, cslot) != e.Minor {
+		ctr.SetMinor(m.ctrBlk, cslot, e.Minor)
+		dev.WriteBlock(ca, m.ctrBlk)
 		rep.MergedCtr++
 		mergedCtr = true
 	}
 	ma := lay.MACBlockAddr(dataAddr)
 	mslot := lay.MACSlot(dataAddr)
-	macBlk := dev.Peek(ma)
+	dev.PeekInto(m.macBlk, ma)
 	mergedMAC := false
-	if !macs.Equal(macBlk, mslot, cfg.MACSize(), mac1) {
-		macs.Set(macBlk, mslot, cfg.MACSize(), mac1)
-		dev.WriteBlock(ma, macBlk)
+	if !macs.Equal(m.macBlk, mslot, len(m.mac1), m.mac1) {
+		macs.Set(m.macBlk, mslot, len(m.mac1), m.mac1)
+		dev.WriteBlock(ma, m.macBlk)
 		rep.MergedMAC++
 		mergedMAC = true
 	}
 	switch {
 	case mergedCtr && mergedMAC:
-		emit("ctr+mac")
+		m.emit(cyc, dataAddr, "ctr+mac")
 	case mergedCtr:
-		emit("ctr")
+		m.emit(cyc, dataAddr, "ctr")
 	case mergedMAC:
-		emit("mac")
+		m.emit(cyc, dataAddr, "mac")
 	default:
-		emit("noop")
+		m.emit(cyc, dataAddr, "noop")
 	}
+}
+
+// emit reports one merge outcome as a KindRecoveryMerge event.
+func (m *merger) emit(cyc, dataAddr int64, detail string) {
+	if m.cfg.Tracer == nil {
+		return
+	}
+	m.cfg.Tracer.Emit(obs.Event{
+		Kind:   obs.KindRecoveryMerge,
+		Cycle:  cyc,
+		Addr:   dataAddr,
+		Scheme: m.cfg.Scheme.String(),
+		Detail: detail,
+	})
 }
 
 // EstimateCycles models the PUB-merge recovery cost (footnote 5 of the
@@ -353,13 +398,9 @@ func EstimateCyclesParallel(cfg config.Config, pubBlocks int64, workers int) int
 	if workers <= 1 {
 		return EstimateCycles(cfg, pubBlocks)
 	}
-	read := cfg.ReadLatencyCycles()
-	write := cfg.WriteLatencyCycles()
-	hash := int64(cfg.HashLatencyCycles)
-	perEntry := 3*read + 2*hash + 2*write
 	entries := pubBlocks * int64(cfg.PartialsPerBlock())
-	merge := (entries*perEntry + int64(workers) - 1) / int64(workers)
-	return pubBlocks*read + merge
+	merge := (entries*entryCycles(cfg) + int64(workers) - 1) / int64(workers)
+	return pubBlocks*cfg.ReadLatencyCycles() + merge
 }
 
 // EstimateSecondsParallel converts EstimateCyclesParallel to seconds.
