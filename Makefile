@@ -23,6 +23,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run TestPoolConcurrentClients .
 
 # Randomized crash-injection sweep (deterministic per seed; failures
 # print `crashfuzz.Replay(seed)` for one-line reproduction).
@@ -67,11 +68,15 @@ persist-diff:
 # every crashed shard recovers in parallel, and the merged image must
 # match both the plaintext oracle and a single-controller run; (3) the
 # root-level Pool API suite (one-shard equivalence, concurrent clients,
-# crash-subset recovery, stats pooling).
+# crash-subset recovery, stats pooling); (4) the lock-discipline hammer
+# (clients, stats/verify pollers and a racing CrashShards) ten times
+# under the race detector. The engine suite also makes one shard's
+# service panic and requires an error, never a hang.
 pool-diff:
 	$(GO) test ./internal/engine -count=1
 	$(GO) run ./cmd/crashfuzz -seeds $(SWEEP_SEEDS) -shards mixed
 	$(GO) test . -run TestPool -count=1
+	$(GO) test -race -count=10 -run TestPoolConcurrentClients .
 
 # Trace a quick workload and validate the emitted JSONL event stream
 # against the schema (cmd/tracecheck exits non-zero on any violation).
@@ -118,9 +123,13 @@ obs-smoke:
 # AND nil-span disabled) and the flight recorder's Emit must all report
 # 0 allocs/op (the matching Test*ZeroAlloc funcs assert the 0; the
 # benchmarks report it). Serial recovery must allocate the same at 25%
-# and 95% PUB fill: nothing per replayed entry.
+# and 95% PUB fill: nothing per replayed entry. A tree-node hash, and a
+# single-block timed pool write or read (attributed or not), allocate
+# nothing either.
 bench-alloc:
 	$(GO) test ./internal/recovery -run TestRecoverZeroAllocPerEntry -count=1
+	$(GO) test ./internal/bmt -run TestNodeHashZeroAlloc -count=1
+	$(GO) test ./internal/engine -run TestPoolArriveZeroAlloc -count=1
 	$(GO) test ./internal/core -run 'TestTracerDisabledZeroAlloc|TestReadHitZeroAlloc' -bench 'BenchmarkTracerDisabled|BenchmarkReadHit' -benchtime 10000x
 	$(GO) test ./internal/metrics -run 'TestObserveZeroAlloc|TestFromTracerZeroAlloc' -bench 'BenchmarkHistogramObserve|BenchmarkFromTracer' -benchtime 100000x
 	$(GO) test ./internal/loadgen -run TestGenOpZeroAlloc -bench BenchmarkGenOp -benchtime 100000x

@@ -362,13 +362,13 @@ func benchPersistParallel(workers int) func(*testing.B) {
 // benchPool measures the sharded engine's aggregate persist throughput:
 // one op is a 256-request batch of distinct hot blocks scattered across
 // every shard's groups (same geometry as persist_parallel, so
-// pool_1shard vs persist_parallel_serial isolates the mailbox overhead
-// and pool_4shard vs pool_1shard isolates multi-controller scaling).
-// On a multi-core host the 4-shard pool should sustain >= 2x the
-// 1-shard ops/sec; even time-slicing a single CPU the family shows an
-// aggregate-capacity gain (full-size caches and PUB per shard over a
-// fraction of the working set) — EXPERIMENTS "Sharded pool" records
-// the breakdown.
+// pool_1shard vs persist_parallel_serial is the pool front-end plus the
+// GOMAXPROCS-worker persist pipeline against plain serial persists, and
+// pool_4shard vs pool_1shard isolates multi-controller scaling). The
+// scaling stacks two effects: aggregate capacity (full-size caches and
+// PUB per shard over a fraction of the working set) and PersistBatch's
+// fan-out, which persists the busy shards' shares concurrently —
+// EXPERIMENTS "Sharded pool" records the breakdown.
 func benchPool(shards int) func(*testing.B) {
 	return func(b *testing.B) {
 		cfg := config.Default().WithScheme(config.ThothWTSC).WithBlockSize(256)
@@ -505,10 +505,10 @@ func compare(baseline, fresh File) []string {
 			continue
 		}
 		// Benchmarks that spawn worker goroutines (the workers-variant
-		// recovery and persist pipeline, and the sharded pool) are exempt
-		// from the exact allocation gate: allocs/op moves with b.N
-		// (goroutine-stack reuse, mailbox request objects) rather than
-		// with the code under test.
+		// recovery and persist pipeline, and the sharded pool's
+		// PersistBatch fan-out) are exempt from the exact allocation
+		// gate: allocs/op moves with b.N (goroutine-stack reuse) rather
+		// than with the code under test.
 		spawns := strings.HasSuffix(name, "_workers4") || strings.HasPrefix(name, "micro/pool_")
 		allocLimit := base.AllocsPerOp
 		if strings.HasPrefix(name, "figure/") || strings.HasPrefix(name, "recovery/") {
@@ -525,8 +525,8 @@ func compare(baseline, fresh File) []string {
 				name, base.AllocsPerOp, got.AllocsPerOp, allocLimit))
 		}
 		tol := nsTolerance
-		// The pool family rides the scheduler (per-shard goroutines), so
-		// it gets the wider bound too.
+		// The pool family rides the scheduler (one goroutine per busy
+		// shard in PersistBatch), so it gets the wider bound too.
 		if strings.HasPrefix(name, "figure/") || strings.HasPrefix(name, "recovery/") ||
 			strings.HasPrefix(name, "micro/pool_") {
 			tol = figureNsTolerance

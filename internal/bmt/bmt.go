@@ -115,27 +115,16 @@ func hashCtrBlock(lay *layout.Layout, eng *crypt.Engine, ctrIdx int64, data []by
 // hashNodeBlock computes the hash of a node's packed child hashes, with
 // the zero default for all-zero nodes.
 func hashNodeBlock(lay *layout.Layout, eng *crypt.Engine, level int, idx int64, n *[layout.TreeArity]uint64) uint64 {
-	if n == nil {
+	if n == nil || *n == [layout.TreeArity]uint64{} {
 		return 0
 	}
-	zero := true
-	var buf [layout.TreeArity * layout.HashBytes]byte
-	for i, h := range n {
-		if h != 0 {
-			zero = false
-		}
-		binary.LittleEndian.PutUint64(buf[i*8:], h)
-	}
-	if zero {
-		return 0
-	}
-	return eng.TreeHash(lay.TreeNodeAddr(level, idx), buf[:])
+	return eng.TreeHashWords(lay.TreeNodeAddr(level, idx), n[:])
 }
 
 // Update records new contents for counter block ctrIdx (copying data into
 // tree-owned scratch) and returns the number of tree levels the change
 // touches (for latency accounting: one hash per level plus the leaf
-// hash). The rehash itself is deferred to the next Root or NodeBytes.
+// hash). The rehash itself is deferred to the next Root or NodeBytesInto.
 func (t *Tree) Update(ctrIdx int64, data []byte) int {
 	if ctrIdx < 0 || ctrIdx >= t.lay.CtrBytes/int64(t.lay.BlockSize) {
 		panic(fmt.Sprintf("bmt: counter index %d out of range", ctrIdx))
@@ -201,19 +190,18 @@ func (t *Tree) flush() {
 	t.pendA, t.pendB = pend, next
 }
 
-// NodeBytes returns the persistable contents of a tree node as a full
-// cache block (child hashes in the first 64 bytes, zero padding after),
-// rehashing any buffered updates first. The MT cache writes this to NVM
-// on lazy eviction.
-func (t *Tree) NodeBytes(level int, idx int64) []byte {
+// NodeBytesInto writes the persistable contents of a tree node into
+// dst, a full cache block (child hashes in the first 64 bytes, zero
+// padding after), rehashing any buffered updates first. The MT cache
+// writes this to NVM on lazy eviction.
+func (t *Tree) NodeBytesInto(dst []byte, level int, idx int64) {
 	t.flush()
-	out := make([]byte, t.lay.BlockSize)
+	clear(dst)
 	if n := t.nodes[level][idx]; n != nil {
 		for i, h := range n {
-			binary.LittleEndian.PutUint64(out[i*8:], h)
+			binary.LittleEndian.PutUint64(dst[i*8:], h)
 		}
 	}
-	return out
 }
 
 // Path returns the (level, nodeIndex) pairs from the leaf level to the

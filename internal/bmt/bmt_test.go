@@ -1,6 +1,7 @@
 package bmt
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -127,14 +128,19 @@ func TestPathGeometry(t *testing.T) {
 func TestNodeBytesReflectChildHashes(t *testing.T) {
 	lay, eng, _ := setup(t)
 	tr := New(lay, eng)
-	empty := tr.NodeBytes(0, 0)
+	empty := make([]byte, lay.BlockSize)
+	for i := range empty {
+		empty[i] = 0xff // stale scratch must be overwritten
+	}
+	tr.NodeBytesInto(empty, 0, 0)
 	for _, b := range empty {
 		if b != 0 {
 			t.Fatal("empty node must serialize to zeros")
 		}
 	}
 	tr.Update(3, ctrBlock(lay, 7))
-	nb := tr.NodeBytes(0, 0)
+	nb := make([]byte, lay.BlockSize)
+	tr.NodeBytesInto(nb, 0, 0)
 	zero := true
 	for _, b := range nb[3*8 : 4*8] {
 		if b != 0 {
@@ -218,5 +224,35 @@ func TestEagerEqualsRebuildProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNodeHashZeroAlloc pins the tree's hot path: hashing a node packs
+// its child hashes into engine scratch and persisting one fills a
+// caller buffer, so neither allocates. The hash keeps its input bytes:
+// the node's child hashes as 64 little-endian bytes.
+func TestNodeHashZeroAlloc(t *testing.T) {
+	lay, eng, _ := setup(t)
+	var n [layout.TreeArity]uint64
+	var packed [layout.TreeArity * layout.HashBytes]byte
+	for i := range n {
+		n[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+		binary.LittleEndian.PutUint64(packed[i*8:], n[i])
+	}
+	want := eng.TreeHash(lay.TreeNodeAddr(1, 3), packed[:])
+	if got := hashNodeBlock(lay, eng, 1, 3, &n); got != want {
+		t.Fatalf("node hash %#x, want %#x over the packed child hashes", got, want)
+	}
+	if a := testing.AllocsPerRun(1000, func() { hashNodeBlock(lay, eng, 1, 3, &n) }); a != 0 {
+		t.Errorf("node hash: %.2f allocs, want 0", a)
+	}
+	tr := New(lay, eng)
+	ctr, node := ctrBlock(lay, 0), make([]byte, lay.BlockSize)
+	if a := testing.AllocsPerRun(1000, func() {
+		ctr[0]++
+		tr.Update(3, ctr)
+		tr.NodeBytesInto(node, 0, 0)
+	}); a != 0 {
+		t.Errorf("update + node bytes: %.2f allocs, want 0", a)
 	}
 }

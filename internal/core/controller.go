@@ -119,13 +119,15 @@ type Controller struct {
 	// single-threaded). readBuf is the plaintext staging area ReadBlock
 	// returns a borrow of; ctBuf stages ciphertext for PersistBlock;
 	// macBuf holds the first-level MAC; pubBuf and entryBuf stage packed
-	// PUB blocks and their unpacked entries; onPUBRetire is the channel
+	// PUB blocks and their unpacked entries; treeBuf stages a tree node
+	// persisted on MT-cache eviction; onPUBRetire is the channel
 	// completion callback, built once.
 	readBuf     []byte
 	ctBuf       []byte
 	macBuf      [32]byte
 	pubBuf      []byte
 	entryBuf    []pub.Entry
+	treeBuf     []byte
 	onPUBRetire func(int64)
 
 	// Page-overflow scratch for reencryptPage: its own block buffer,
@@ -215,6 +217,7 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) (*Controller
 		readBuf: make([]byte, cfg.BlockSize),
 		ctBuf:   make([]byte, cfg.BlockSize),
 		pubBuf:  make([]byte, cfg.BlockSize),
+		treeBuf: make([]byte, cfg.BlockSize),
 
 		reencBuf:    make([]byte, cfg.BlockSize),
 		reencMinors: make([]uint8, cfg.BlocksPerPage()),
@@ -499,7 +502,8 @@ func (c *Controller) persistMACLine(addr int64, data []byte) {
 func (c *Controller) persistTreeNode(addr int64) {
 	level, idx := c.treeNodeAt(addr)
 	c.emit(obs.KindTreeUpdate, c.nowCycle, addr, int64(level), "", "")
-	c.dev.WriteBlock(addr, c.tree.NodeBytes(level, idx))
+	c.tree.NodeBytesInto(c.treeBuf, level, idx)
+	c.dev.WriteBlock(addr, c.treeBuf)
 	c.mem.Post(addr, sim.Item{Ready: c.nowCycle, Dur: c.cfg.WriteLatencyCycles()})
 	c.st.AddWrite(stats.WriteTree)
 }

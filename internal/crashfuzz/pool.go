@@ -101,7 +101,7 @@ func runPoolScheme(c Case, sch config.Scheme, shards int, mask []bool, golden ma
 	if err != nil {
 		return nil, append(viols, Violation{VExecError, sch, "pool new: " + err.Error()})
 	}
-	// Reap the shard workers on every exit path; after a successful
+	// Power the shards down on every exit path; after a successful
 	// CrashShards this is a no-op error.
 	defer pool.Shutdown()
 	for i, op := range c.Trace[:c.CrashIdx] {

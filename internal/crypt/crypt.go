@@ -62,9 +62,10 @@ type Engine struct {
 	// Per-op scratch. These live on the engine (not the stack) because
 	// arguments passed through the cipher.Block / hash.Hash interfaces
 	// escape: stack arrays would heap-allocate on every call.
-	ivBuf  [16]byte
-	xorBuf [16]byte
-	hdrBuf [17]byte
+	ivBuf   [16]byte
+	xorBuf  [16]byte
+	hdrBuf  [17]byte
+	nodeBuf [TreeNodeWords * 8]byte
 }
 
 // NewEngine derives a deterministic engine from a seed so experiments are
@@ -284,4 +285,22 @@ func (e *Engine) TreeHash(addr int64, node []byte) uint64 {
 	var out [8]byte
 	e.keyedSum(out[:], e.stTree, e.hdrBuf[:8], node)
 	return binary.LittleEndian.Uint64(out[:])
+}
+
+// TreeNodeWords bounds TreeHashWords' input: the child hashes of one
+// Merkle-tree node.
+const TreeNodeWords = 8
+
+// TreeHashWords is TreeHash over words packed little-endian in order —
+// a tree node's child hashes. The packing is staged in engine scratch,
+// so hashing a node does not allocate.
+func (e *Engine) TreeHashWords(addr int64, words []uint64) uint64 {
+	if len(words) > TreeNodeWords {
+		panic(fmt.Sprintf("crypt: %d tree-node words, at most %d", len(words), TreeNodeWords))
+	}
+	buf := e.nodeBuf[:8*len(words)]
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(buf[i*8:], w)
+	}
+	return e.TreeHash(addr, buf)
 }

@@ -13,12 +13,15 @@
 // identity — a one-shard Pool is byte-identical to a plain single
 // controller, the property the differential tests pin.
 //
-// Each shard runs one goroutine owning its controller, fed by a bounded
-// mailbox; front-end calls split a request at group boundaries, dispatch
-// the segments to their shards, and wait. The Pool is safe for
-// concurrent use by multiple goroutines (unlike a single System): the
-// mailboxes serialize each shard's stream while distinct shards proceed
-// in parallel.
+// Each shard is a controller and its modeled clock behind one mutex.
+// Front-end calls run on the caller's goroutine: they split a request at
+// group boundaries and serve the segments one by one, each under its
+// shard's lock, never holding two shard locks at once. The Pool is safe
+// for concurrent use by multiple goroutines (unlike a single System):
+// the lock serializes each shard's stream while callers on distinct
+// shards proceed in parallel. The shards' modeled concurrency lives in
+// their independent cycle clocks, not in host threads; only PersistBatch
+// fans out, one goroutine per busy shard.
 package engine
 
 import (
@@ -52,11 +55,6 @@ var (
 // footprint (caches, PUB) dwarfs any modeled parallelism.
 const MaxShards = 64
 
-// mailboxDepth is the bounded per-shard request queue. Deep enough to
-// keep a shard busy while the front-end fans out, shallow enough that a
-// stalled shard backpressures its producers quickly.
-const mailboxDepth = 64
-
 // WriteReq is one full-block write of a PersistBatch: a block-aligned
 // offset into the protected data region and exactly BlockSize bytes of
 // data. The slice is only read during the call.
@@ -65,67 +63,20 @@ type WriteReq struct {
 	Data []byte
 }
 
-// opKind selects a shard worker operation.
-type opKind uint8
-
-const (
-	opWrite opKind = iota
-	opRead
-	opBatch
-	opStats
-	opVerify
-	opCrash
-	opShutdown
-	opTimedWrite // opWrite with an arrival cycle and a completion result
-	opTimedRead  // opRead with an arrival cycle and a completion result
-)
-
-// req is one unit of work mailed to a shard worker. The worker fills the
-// result fields and calls wg.Done; the Done/Wait pair publishes them to
-// the dispatcher (happens-before), so no further locking is needed.
-type req struct {
-	kind  opKind
-	shard int
-
-	addr int64  // local data-region offset on the shard
-	data []byte // write payload or read destination (caller-owned)
-
-	batch []core.WriteReq // opBatch: translated, DataBase-rebased requests
-
-	arrival int64 // opTimed*: modeled arrival cycle of the op
-
-	// span, when non-nil on an opTimed* request, receives the segment's
-	// per-stage latency attribution: the shard charges the mailbox wait
-	// (arrival → service start) to SpanQueue and installs the span on
-	// its controller for the service itself, so the segment's stage
-	// cycles sum exactly to done − arrival.
-	span *obs.Span
-
-	wg *sync.WaitGroup
-
-	// Results.
-	err    error
-	done   int64           // opTimed*: completion cycle of the segment
-	stats  stats.Stats     // opStats
-	dev    *nvm.Device     // opCrash / opShutdown
-	flight obs.FlightRecord // opCrash / opShutdown: the shard's black box
-}
-
-// shard is one controller partition: a goroutine owning ctl and now,
-// reading requests from mail until it is closed.
+// shard is one controller partition: mu guards ctl and the modeled
+// clock now, and every service runs on its caller's goroutine between
+// acquire and release.
 type shard struct {
-	idx  int
-	ctl  *core.Controller
-	now  int64
-	mail chan *req
-	done chan struct{}
+	mu  sync.Mutex
+	idx int
+	ctl *core.Controller
+	now int64
 
 	// Per-shard observability, nil when the pool config carries no
 	// metrics registry.
 	mOps    *metrics.Counter
 	mBlocks *metrics.Counter
 	mCycles *metrics.Gauge
-	mMail   *metrics.Gauge
 }
 
 // Pool is the sharded multi-controller system over one logical data
@@ -166,16 +117,16 @@ func shardConfig(cfg config.Config, shards int) (config.Config, error) {
 	return scfg, nil
 }
 
-// newPool builds the pool skeleton and spins the shard workers; attach
-// constructs each shard's controller (fresh for New, image-attached for
-// Open).
+// newPool builds the pool and its shards; attach constructs each shard's
+// controller (fresh for New, image-attached for Open).
 func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i int) (*core.Controller, error)) (*Pool, error) {
 	scfg, err := shardConfig(cfg, shards)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Tracer != nil {
-		// Shard workers emit concurrently; serialize for plain tracers.
+		// Callers on distinct shards emit concurrently; serialize for
+		// plain tracers.
 		lt := &lockedTracer{t: cfg.Tracer}
 		cfg.Tracer = lt
 		scfg.Tracer = lt
@@ -204,12 +155,7 @@ func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i in
 		if err != nil {
 			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		sh := &shard{
-			idx:  i,
-			ctl:  ctl,
-			mail: make(chan *req, mailboxDepth),
-			done: make(chan struct{}),
-		}
+		sh := &shard{idx: i, ctl: ctl}
 		if cfg.Metrics != nil {
 			lbl := metrics.Label{Key: "shard", Value: strconv.Itoa(i)}
 			sh.mOps = cfg.Metrics.Counter("thoth_pool_shard_ops_total",
@@ -218,11 +164,8 @@ func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i in
 				"Data blocks persisted by this pool shard.", lbl)
 			sh.mCycles = cfg.Metrics.Gauge("thoth_pool_shard_cycles",
 				"Modeled cycle clock of this pool shard.", lbl)
-			sh.mMail = cfg.Metrics.Gauge("thoth_pool_shard_mailbox_depth",
-				"Requests waiting in this pool shard's mailbox.", lbl)
 		}
 		p.shards[i] = sh
-		go sh.run()
 	}
 	return p, nil
 }
@@ -283,56 +226,14 @@ func (p *Pool) checkRange(addr int64, n int) error {
 	return nil
 }
 
-// dispatch mails the requests to their shards and waits for all of them,
-// joining errors in request order.
-func (p *Pool) dispatch(rs []*req) error {
-	var wg sync.WaitGroup
-	wg.Add(len(rs))
-	for _, r := range rs {
-		r.wg = &wg
-		p.shards[r.shard].mail <- r
-	}
-	wg.Wait()
-	var errs []error
-	for _, r := range rs {
-		if r.err != nil {
-			errs = append(errs, r.err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// segment splits the byte range [addr, addr+n) at group boundaries and
-// calls fn(shard, local, off, length) for each piece, where off is the
-// piece's offset within the range.
-func (p *Pool) segment(addr int64, n int, fn func(shard int, local, off, length int64)) {
-	for off := int64(0); off < int64(n); {
-		cur := addr + off
-		take := p.groupBytes - cur%p.groupBytes
-		if rem := int64(n) - off; take > rem {
-			take = rem
-		}
-		sh := int(cur / p.groupBytes % int64(p.n))
-		fn(sh, p.localOf(cur), off, take)
-		off += take
-	}
-}
-
 // Write persists data at the given pool offset: encrypted, MACed, bound
 // into the owning shard's integrity tree, crash-consistent per the
-// configured scheme. Segments on distinct shards persist concurrently;
-// each shard applies its segments in submission order.
+// configured scheme. Each shard applies its segments in submission
+// order. It is WriteArrive at cycle 0: a shard clock never runs behind
+// cycle 0, so no segment waits for its arrival.
 func (p *Pool) Write(addr int64, data []byte) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if err := p.checkRange(addr, len(data)); err != nil {
-		return err
-	}
-	var rs []*req
-	p.segment(addr, len(data), func(sh int, local, off, length int64) {
-		rs = append(rs, &req{kind: opWrite, shard: sh, addr: local, data: data[off : off+length]})
-	})
-	return p.dispatch(rs)
+	_, err := p.arrive(true, 0, addr, data, nil)
+	return err
 }
 
 // Read returns n bytes from the given pool offset, decrypting and
@@ -344,11 +245,7 @@ func (p *Pool) Read(addr int64, n int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	var rs []*req
-	p.segment(addr, n, func(sh int, local, off, length int64) {
-		rs = append(rs, &req{kind: opRead, shard: sh, addr: local, data: out[off : off+length]})
-	})
-	if err := p.dispatch(rs); err != nil {
+	if _, err := p.serveRange(false, 0, addr, out, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -357,7 +254,9 @@ func (p *Pool) Read(addr int64, n int) ([]byte, error) {
 // PersistBatch persists a batch of full-block writes, scattering the
 // requests to their owning shards (each shard preserves the submission
 // order of its share and runs the batched parallel pipeline of
-// Config.PersistWorkers). The batch is validated before any request
+// Config.PersistWorkers). Busy shards persist their shares concurrently:
+// the caller runs one share and one goroutine runs each other share,
+// all joined before return. The batch is validated before any request
 // commits, so an invalid request leaves the pool untouched.
 func (p *Pool) PersistBatch(reqs []WriteReq) error {
 	p.mu.RLock()
@@ -383,22 +282,25 @@ func (p *Pool) PersistBatch(reqs []WriteReq) error {
 			Data: reqs[i].Data,
 		})
 	}
-	var rs []*req
+	errs := make([]error, p.n)
+	var wg sync.WaitGroup
+	inline := -1
 	for sh, creqs := range perShard {
-		if len(creqs) > 0 {
-			rs = append(rs, &req{kind: opBatch, shard: sh, batch: creqs})
+		switch {
+		case len(creqs) == 0:
+		case inline < 0:
+			inline = sh
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[sh] = p.shards[sh].persistBatch(creqs)
+			}()
 		}
 	}
-	return p.dispatch(rs)
-}
-
-// all builds one request of the given kind per shard.
-func (p *Pool) all(kind opKind) []*req {
-	rs := make([]*req, p.n)
-	for i := range rs {
-		rs[i] = &req{kind: kind, shard: i}
-	}
-	return rs
+	errs[inline] = p.shards[inline].persistBatch(perShard[inline])
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // Stats returns the pooled statistics: the counter-wise sum of every
@@ -410,17 +312,15 @@ func (p *Pool) Stats() (stats.Stats, error) {
 	if p.crashed {
 		return stats.Stats{}, ErrCrashed
 	}
-	rs := p.all(opStats)
-	if err := p.dispatch(rs); err != nil {
-		return stats.Stats{}, err
-	}
 	var pooled stats.Stats
 	var makespan int64
-	for _, r := range rs {
-		if r.stats.Cycles > makespan {
-			makespan = r.stats.Cycles
+	for _, s := range p.shards {
+		st, err := s.stats()
+		if err != nil {
+			return stats.Stats{}, err
 		}
-		pooled = pooled.Add(r.stats)
+		makespan = max(makespan, st.Cycles)
+		pooled = pooled.Add(st)
 	}
 	pooled.Cycles = makespan
 	return pooled, nil
@@ -437,11 +337,7 @@ func (p *Pool) ShardStats(i int) (stats.Stats, error) {
 	if i < 0 || i >= p.n {
 		return stats.Stats{}, fmt.Errorf("engine: shard %d not in [0,%d)", i, p.n)
 	}
-	r := &req{kind: opStats, shard: i}
-	if err := p.dispatch([]*req{r}); err != nil {
-		return stats.Stats{}, err
-	}
-	return r.stats, nil
+	return p.shards[i].stats()
 }
 
 // Elapsed returns the pool's modeled makespan in cycles: the maximum
@@ -468,7 +364,13 @@ func (p *Pool) VerifyCrashConsistency() error {
 	if p.crashed {
 		return ErrCrashed
 	}
-	return p.dispatch(p.all(opVerify))
+	var errs []error
+	for _, s := range p.shards {
+		if err := s.verify(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // CrashShards models a partial power failure: shards with crash[i] true
@@ -486,21 +388,7 @@ func (p *Pool) CrashShards(crash []bool) (*PoolImage, error) {
 	if p.crashed {
 		return nil, ErrCrashed
 	}
-	rs := make([]*req, p.n)
-	for i := range rs {
-		kind := opShutdown
-		if crash[i] {
-			kind = opCrash
-		}
-		rs[i] = &req{kind: kind, shard: i}
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(rs))
-	for _, r := range rs {
-		r.wg = &wg
-		p.shards[r.shard].mail <- r
-	}
-	wg.Wait()
+	p.crashed = true
 	img := &PoolImage{
 		Shards:  p.n,
 		Crashed: append([]bool(nil), crash...),
@@ -508,14 +396,13 @@ func (p *Pool) CrashShards(crash []bool) (*PoolImage, error) {
 		Flights: make([]obs.FlightRecord, p.n),
 	}
 	var errs []error
-	for i, r := range rs {
-		img.Devices[i] = r.dev
-		img.Flights[i] = r.flight
-		if r.err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, r.err))
+	for i, s := range p.shards {
+		var err error
+		img.Devices[i], img.Flights[i], err = s.powerDown(crash[i])
+		if err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}
 	}
-	p.stop()
 	return img, errors.Join(errs...)
 }
 
@@ -534,113 +421,98 @@ func (p *Pool) Shutdown() (*PoolImage, error) {
 	return p.CrashShards(make([]bool, p.n))
 }
 
-// stop closes the mailboxes and joins the workers. Callers hold p.mu.
-func (p *Pool) stop() {
-	p.crashed = true
-	for _, sh := range p.shards {
-		close(sh.mail)
-	}
-	for _, sh := range p.shards {
-		<-sh.done
-	}
-}
-
-// run is the shard worker loop: it owns the controller and the modeled
-// clock exclusively, so the op handlers below need no locking.
-func (s *shard) run() {
-	defer close(s.done)
-	for r := range s.mail {
-		s.handle(r)
-	}
-}
-
-// handle executes one request, converting panics (bad geometry, device
-// range violations) into errors so one poisoned request cannot take the
-// whole pool down.
-func (s *shard) handle(r *req) {
-	defer r.wg.Done()
-	defer func() {
-		if v := recover(); v != nil {
-			r.err = fmt.Errorf("engine: shard %d: panic: %v", s.idx, v)
-			// A panic mid-service may leave a request span installed on
-			// the controller; never let it leak into later ops.
-			s.ctl.SetSpan(nil)
-		}
-	}()
+// acquire begins a service on the shard: it takes the lock and counts
+// the request. Defer release right after.
+func (s *shard) acquire() {
+	s.mu.Lock()
 	if s.mOps != nil {
 		s.mOps.Inc()
 	}
-	if s.mMail != nil {
-		s.mMail.Set(int64(len(s.mail)))
+}
+
+// release ends a service begun by acquire. It converts a panic in the
+// service (bad geometry, a device range violation) into an error, so one
+// poisoned request cannot take the pool down; uninstalls any request
+// span, which a panic mid-service may have left on the controller; and
+// unlocks the shard.
+func (s *shard) release(err *error) {
+	if v := recover(); v != nil {
+		*err = fmt.Errorf("engine: shard %d: panic: %v", s.idx, v)
 	}
-	switch r.kind {
-	case opWrite:
-		s.write(r.addr, r.data)
-	case opRead:
-		s.read(r.addr, r.data)
-	case opTimedWrite:
-		// An idle shard's clock advances to the arrival; a backlogged
-		// shard queues the op behind the work already accepted.
-		if r.arrival > s.now {
-			s.now = r.arrival
-		}
-		s.beginSpan(r)
-		s.write(r.addr, r.data)
-		s.endSpan(r)
-		r.done = s.now
-	case opTimedRead:
-		if r.arrival > s.now {
-			s.now = r.arrival
-		}
-		s.beginSpan(r)
-		s.read(r.addr, r.data)
-		s.endSpan(r)
-		r.done = s.now
-	case opBatch:
-		s.now = s.ctl.PersistBatch(s.now, r.batch)
-		if s.mBlocks != nil {
-			s.mBlocks.Add(int64(len(r.batch)))
-		}
-	case opStats:
-		s.ctl.SyncStats()
-		snap := *s.ctl.Stats()
-		snap.Cycles = s.now
-		r.stats = snap
-	case opVerify:
-		r.err = s.ctl.VerifyCrashConsistency()
-	case opCrash:
-		r.err = s.ctl.Crash(s.now)
-		r.dev = s.ctl.Device()
-		// Snapshot after the crash so the black box includes the ADR
-		// flush events of the crash sequence itself.
-		r.flight = s.ctl.FlightRecord()
-	case opShutdown:
-		s.now, r.err = s.ctl.Shutdown(s.now)
-		r.dev = s.ctl.Device()
-		r.flight = s.ctl.FlightRecord()
-	}
+	s.ctl.SetSpan(nil)
 	if s.mCycles != nil {
 		s.mCycles.Set(s.now)
 	}
+	s.mu.Unlock()
 }
 
-// beginSpan charges an opTimed* request's mailbox wait (arrival →
-// service start) to SpanQueue and installs its span on the controller
-// for the service; endSpan uninstalls it. Both are no-ops without a
-// span, so the disabled path costs one branch.
-func (s *shard) beginSpan(r *req) {
-	if r.span == nil {
-		return
+// serve runs one segment (confined to a single metadata group) of an op
+// arriving at the given cycle and returns the shard clock at its
+// completion. An idle shard's clock advances to the arrival; a
+// backlogged shard queues the segment behind the work already accepted.
+// A non-nil span is charged that wait as SpanQueue and is installed on
+// the controller for the service itself, so its stage cycles sum exactly
+// to the completion − arrival.
+func (s *shard) serve(write bool, arrival, addr int64, buf []byte, span *obs.Span) (done int64, err error) {
+	s.acquire()
+	defer s.release(&err)
+	if arrival > s.now {
+		s.now = arrival
 	}
-	r.span.Add(obs.SpanQueue, s.now-r.arrival)
-	s.ctl.SetSpan(r.span)
+	if span != nil {
+		span.Add(obs.SpanQueue, s.now-arrival)
+		s.ctl.SetSpan(span)
+	}
+	if write {
+		s.write(addr, buf)
+	} else {
+		s.read(addr, buf)
+	}
+	return s.now, nil
 }
 
-func (s *shard) endSpan(r *req) {
-	if r.span == nil {
-		return
+// persistBatch persists the shard's share of a PersistBatch.
+func (s *shard) persistBatch(reqs []core.WriteReq) (err error) {
+	s.acquire()
+	defer s.release(&err)
+	s.now = s.ctl.PersistBatch(s.now, reqs)
+	if s.mBlocks != nil {
+		s.mBlocks.Add(int64(len(reqs)))
 	}
-	s.ctl.SetSpan(nil)
+	return nil
+}
+
+// stats returns the shard's statistics snapshot, Cycles stamped to its
+// clock.
+func (s *shard) stats() (snap stats.Stats, err error) {
+	s.acquire()
+	defer s.release(&err)
+	s.ctl.SyncStats()
+	snap = *s.ctl.Stats()
+	snap.Cycles = s.now
+	return snap, nil
+}
+
+// verify checks the shard's crash-recoverability invariant.
+func (s *shard) verify() (err error) {
+	s.acquire()
+	defer s.release(&err)
+	return s.ctl.VerifyCrashConsistency()
+}
+
+// powerDown crashes the shard (only the ADR domain survives) or shuts it
+// down cleanly, and returns its device and flight record. The snapshot
+// is taken after the power-down so the black box includes the ADR flush
+// events of the crash sequence itself.
+func (s *shard) powerDown(crash bool) (dev *nvm.Device, flight obs.FlightRecord, err error) {
+	s.acquire()
+	defer s.release(&err)
+	if crash {
+		err = s.ctl.Crash(s.now)
+	} else {
+		s.now, err = s.ctl.Shutdown(s.now)
+	}
+	return s.ctl.Device(), s.ctl.FlightRecord(), err
 }
 
 // write applies one segment (confined to a single metadata group) with
@@ -694,8 +566,9 @@ func (s *shard) read(addr int64, dst []byte) {
 	}
 }
 
-// lockedTracer serializes Emit calls issued by concurrent shard workers
-// so plain (non-concurrency-safe) tracers can observe a pool.
+// lockedTracer serializes Emit calls issued concurrently by callers on
+// distinct shards (and by RecoverPool's per-shard recoveries) so plain,
+// non-concurrency-safe tracers can observe a pool.
 type lockedTracer struct {
 	mu sync.Mutex
 	t  obs.Tracer

@@ -11,6 +11,7 @@ package engine
 // multiple metadata groups complete when their last segment does.
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/obs"
@@ -21,7 +22,7 @@ import (
 // latest completion across its shard segments, each serviced no earlier
 // than the arrival and no earlier than the shard's prior backlog.
 func (p *Pool) WriteArrive(arrival, addr int64, data []byte) (int64, error) {
-	return p.WriteArriveSpan(arrival, addr, data, nil)
+	return p.arrive(true, arrival, addr, data, nil)
 }
 
 // WriteArriveSpan is WriteArrive with per-stage latency attribution:
@@ -30,100 +31,69 @@ func (p *Pool) WriteArrive(arrival, addr int64, data []byte) (int64, error) {
 // stage cycles sum exactly to completion − arrival. A nil span is
 // exactly WriteArrive (no charging, no allocation).
 func (p *Pool) WriteArriveSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
-	if arrival < 0 {
-		return 0, fmt.Errorf("engine: negative arrival cycle %d", arrival)
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if err := p.checkRange(addr, len(data)); err != nil {
-		return 0, err
-	}
-	var rs []*req
-	p.segment(addr, len(data), func(sh int, local, off, length int64) {
-		rs = append(rs, &req{kind: opTimedWrite, shard: sh, arrival: arrival,
-			addr: local, data: data[off : off+length]})
-	})
-	attachSpans(rs, span)
-	if err := p.dispatch(rs); err != nil {
-		return 0, err
-	}
-	return settleSpans(rs, span), nil
+	return p.arrive(true, arrival, addr, data, span)
 }
 
 // ReadArrive fills dst from the given pool offset, modeling the op as
 // arriving at the given cycle; see WriteArrive for the completion
 // semantics.
 func (p *Pool) ReadArrive(arrival, addr int64, dst []byte) (int64, error) {
-	return p.ReadArriveSpan(arrival, addr, dst, nil)
+	return p.arrive(false, arrival, addr, dst, nil)
 }
 
 // ReadArriveSpan is ReadArrive with per-stage latency attribution; see
 // WriteArriveSpan.
 func (p *Pool) ReadArriveSpan(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
+	return p.arrive(false, arrival, addr, dst, span)
+}
+
+// arrive validates and serves one timed write (or read into buf).
+func (p *Pool) arrive(write bool, arrival, addr int64, buf []byte, span *obs.Span) (int64, error) {
 	if arrival < 0 {
 		return 0, fmt.Errorf("engine: negative arrival cycle %d", arrival)
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if err := p.checkRange(addr, len(dst)); err != nil {
+	if err := p.checkRange(addr, len(buf)); err != nil {
 		return 0, err
 	}
-	var rs []*req
-	p.segment(addr, len(dst), func(sh int, local, off, length int64) {
-		rs = append(rs, &req{kind: opTimedRead, shard: sh, arrival: arrival,
-			addr: local, data: dst[off : off+length]})
-	})
-	attachSpans(rs, span)
-	if err := p.dispatch(rs); err != nil {
+	return p.serveRange(write, arrival, addr, buf, span)
+}
+
+// serveRange runs a validated op on the caller's goroutine, split at
+// group boundaries into segments served one by one in address order,
+// each on its owning shard; a failed segment does not stop the rest. It
+// returns the latest segment completion. With attribution the caller's
+// span doubles as each segment's scratch, and it ends holding the first
+// latest-finishing segment's decomposition (all zero for an empty op).
+// Callers hold p.mu.RLock.
+func (p *Pool) serveRange(write bool, arrival, addr int64, buf []byte, span *obs.Span) (int64, error) {
+	var (
+		done int64
+		crit obs.Span
+		errs []error
+	)
+	for off := int64(0); off < int64(len(buf)); {
+		sh, local := p.locate(addr + off)
+		n := min(p.groupBytes-local%p.groupBytes, int64(len(buf))-off)
+		span.Reset()
+		d, err := p.shards[sh].serve(write, arrival, local, buf[off:off+n], span)
+		switch {
+		case err != nil:
+			errs = append(errs, err)
+		case off == 0 || d > done:
+			done = d
+			if span != nil {
+				crit = *span
+			}
+		}
+		off += n
+	}
+	if err := errors.Join(errs...); err != nil {
 		return 0, err
 	}
-	return settleSpans(rs, span), nil
-}
-
-// attachSpans wires the caller's span into a dispatched request set. A
-// single-segment op charges the caller's span directly (no allocation —
-// the common case for block-granular load); a multi-segment op gives
-// each segment a private span so the critical segment's decomposition
-// can be selected afterwards.
-func attachSpans(rs []*req, span *obs.Span) {
-	if span == nil {
-		return
+	if span != nil {
+		*span = crit
 	}
-	span.Reset()
-	if len(rs) == 1 {
-		rs[0].span = span
-		return
-	}
-	for _, r := range rs {
-		r.span = new(obs.Span)
-	}
-}
-
-// settleSpans returns the op's completion cycle and, for multi-segment
-// ops with attribution, copies the critical (latest-finishing) segment's
-// stage decomposition into the caller's span. The WaitGroup in dispatch
-// ordered every shard's writes before this read.
-func settleSpans(rs []*req, span *obs.Span) int64 {
-	done := maxDone(rs)
-	if span == nil || len(rs) == 1 {
-		return done
-	}
-	for _, r := range rs {
-		if r.done == done {
-			*span = *r.span
-			break
-		}
-	}
-	return done
-}
-
-// maxDone returns the latest segment completion of a dispatched set.
-func maxDone(rs []*req) int64 {
-	var done int64
-	for _, r := range rs {
-		if r.done > done {
-			done = r.done
-		}
-	}
-	return done
+	return done, nil
 }

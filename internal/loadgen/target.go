@@ -203,10 +203,10 @@ func (t *PoolTarget) Read(arrival, addr int64, dst []byte) (int64, error) {
 	return t.pool.ReadArrive(arrival, addr, dst)
 }
 
-// WriteSpan is Write with per-stage latency attribution: the shard
-// mailbox wait of the op's critical segment lands in SpanQueue and the
-// owning controller charges the service stages; see engine's
-// WriteArriveSpan for the multi-segment semantics.
+// WriteSpan is Write with per-stage latency attribution: the modeled
+// shard backlog the op's critical segment waited behind lands in
+// SpanQueue and the owning controller charges the service stages; see
+// engine's WriteArriveSpan for the multi-segment semantics.
 func (t *PoolTarget) WriteSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
 	return t.pool.WriteArriveSpan(arrival, addr, data, span)
 }

@@ -53,8 +53,9 @@ type Stage uint8
 
 const (
 	// SpanQueue: arrival → service start. For a plain controller this
-	// is the front-end clock wait; for a sharded pool it is the shard
-	// mailbox wait (the op sat queued behind earlier ops).
+	// is the front-end clock wait; for a sharded pool it is the modeled
+	// backlog of the owning shard (the op sat queued behind earlier
+	// ops in that shard's cycle clock).
 	SpanQueue Stage = iota
 	// SpanFetch: demand fetches of the counter block, MAC block, and
 	// (for reads) the data block from NVM or the metadata caches.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -213,9 +214,27 @@ func TestPoolCrashSubsetRecover(t *testing.T) {
 
 // TestPoolConcurrentClients hammers a pool from many goroutines —
 // overlapping reads, disjoint writes, stats polls — and verifies every
-// writer's blocks read back intact. Run under -race this also pins the
-// mailbox/worker memory discipline.
+// writer's blocks read back intact. Its variants add pollers of
+// ShardStats and VerifyCrashConsistency, and a CrashShards racing the
+// clients halfway through: every op must then succeed or fail with
+// ErrCrashed, and nothing may deadlock. Run under -race (the race and
+// pool-diff lanes run it ten times) this pins the per-shard lock
+// discipline.
 func TestPoolConcurrentClients(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pollers bool
+		crash   bool
+	}{
+		{"clients", false, false},
+		{"pollers", true, false},
+		{"crash", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { concurrentClients(t, tc.pollers, tc.crash) })
+	}
+}
+
+func concurrentClients(t *testing.T, pollers, crash bool) {
 	cfg := poolConfig()
 	pool, err := NewPool(cfg, 4)
 	if err != nil {
@@ -227,6 +246,57 @@ func TestPoolConcurrentClients(t *testing.T) {
 	const clients = 8
 	const perClient = 64
 
+	// ok reports whether an op succeeded. A failure must be ErrCrashed,
+	// and only once the crash has begun.
+	var crashing atomic.Bool
+	ok := func(what string, err error) bool {
+		if err != nil && !(crashing.Load() && errors.Is(err, ErrCrashed)) {
+			t.Errorf("%s: %v", what, err)
+		}
+		return err == nil
+	}
+	var progress atomic.Int64
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	if pollers {
+		bg.Add(2)
+		go func() {
+			defer bg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ok("shard stats", func() error { _, err := pool.ShardStats(i % pool.Shards()); return err }())
+			}
+		}()
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ok("verify", pool.VerifyCrashConsistency())
+			}
+		}()
+	}
+	if crash {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for progress.Load() < clients*perClient/2 {
+				runtime.Gosched()
+			}
+			crashing.Store(true)
+			if _, err := pool.CrashShards([]bool{true, false, true, false}); err != nil {
+				t.Errorf("crash: %v", err)
+			}
+		}()
+	}
+
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -234,36 +304,36 @@ func TestPoolConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			rng := splitmix(1000 + c)
 			for i := 0; i < perClient; i++ {
+				progress.Add(1)
 				// Each client owns the blocks congruent to it mod clients.
 				blk := (int64(rng.next()%uint64(blocks))/clients*clients + int64(c)) % blocks * bs
 				data := make([]byte, bs)
 				for j := range data {
 					data[j] = byte(c)
 				}
-				if err := pool.Write(blk, data); err != nil {
-					t.Errorf("client %d: write: %v", c, err)
-					return
+				if !ok(fmt.Sprintf("client %d: write", c), pool.Write(blk, data)) {
+					continue
 				}
 				got, err := pool.Read(blk, int(bs))
-				if err != nil {
-					t.Errorf("client %d: read: %v", c, err)
-					return
-				}
-				if !bytes.Equal(got, data) {
+				if ok(fmt.Sprintf("client %d: read", c), err) && !bytes.Equal(got, data) {
 					t.Errorf("client %d: block %d corrupted", c, blk)
 					return
 				}
 				if i%16 == 0 {
-					if _, err := pool.Stats(); err != nil {
-						t.Errorf("client %d: stats: %v", c, err)
-						return
-					}
+					ok(fmt.Sprintf("client %d: stats", c), func() error { _, err := pool.Stats(); return err }())
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
-	if err := pool.VerifyCrashConsistency(); err != nil {
+	close(stop)
+	bg.Wait()
+	err = pool.VerifyCrashConsistency()
+	if crash {
+		if !errors.Is(err, ErrCrashed) {
+			t.Fatalf("verify after the crash: %v, want ErrCrashed", err)
+		}
+	} else if err != nil {
 		t.Fatalf("crash consistency after concurrent load: %v", err)
 	}
 }
