@@ -123,7 +123,8 @@ obs-smoke:
 # AND nil-span disabled) and the flight recorder's Emit must all report
 # 0 allocs/op (the matching Test*ZeroAlloc funcs assert the 0; the
 # benchmarks report it). Serial recovery must allocate the same at 25%
-# and 95% PUB fill: nothing per replayed entry. A tree-node hash, and a
+# and 95% PUB fill: nothing per replayed entry. A tree-node hash, a
+# steady-state tree update, node write-back and root read, and a
 # single-block timed pool write or read (attributed or not), allocate
 # nothing either.
 bench-alloc:
@@ -147,10 +148,12 @@ else
 endif
 
 # Short coverage-guided fuzz session over the checked-in corpus, plus
-# the word-level bit-field codec against its bit-at-a-time reference.
+# the word-level bit-field codec against its bit-at-a-time reference and
+# the stale-mask integrity tree against its map-based reference.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/crashfuzz
 	$(GO) test -run=NONE -fuzz=FuzzBitpack -fuzztime=5s ./internal/bitpack
+	$(GO) test -run=NONE -fuzz=FuzzTree -fuzztime=5s ./internal/bmt
 
 # Same, against the serial-vs-parallel recovery differential oracle.
 fuzz-parallel-smoke:

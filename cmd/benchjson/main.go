@@ -5,7 +5,8 @@
 //
 //   - micro: the controller hot paths (steady-state secure read and
 //     persist), their dominant primitives (keyed MAC, counter-mode
-//     pad XOR, PUB entry bit-packing and unpacking), the observability hot paths
+//     pad XOR, PUB entry bit-packing and unpacking, an integrity-tree
+//     node write-back), the observability hot paths
 //     (histogram Observe, the tracer-to-metrics adapter) and the load
 //     generator's per-op tick. These carry
 //     the zero-allocation guarantee: allocs/op is part of the baseline
@@ -28,15 +29,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/bmt"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/crypt"
 	"repro/internal/engine"
 	"repro/internal/harness"
+	"repro/internal/layout"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/nvm"
@@ -181,6 +185,38 @@ func suite() []bench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				entries = pub.UnpackBlockAppend(entries[:0], cfg.BlockSize, blk)
+			}
+		}},
+		{"micro/bmt_evict", func(b *testing.B) {
+			// One MT-cache write-back of a level-0 tree node on
+			// steady-ctl's 32 MiB machine: update one seeded-random
+			// counter block of a fully populated tree, then read its
+			// level-0 node's bytes, which rehashes only the counter
+			// blocks buffered beneath that node. No root is read, as in
+			// a controller between crashes.
+			cfg := config.Default()
+			cfg.MemBytes = 32 << 20
+			cfg.PUBBytes = 1 << 20
+			lay, err := layout.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := bmt.New(lay, crypt.NewEngine(cfg.Seed))
+			ctrs := lay.CtrBytes / int64(lay.BlockSize)
+			blk, node := make([]byte, lay.BlockSize), make([]byte, lay.BlockSize)
+			for i := int64(0); i < ctrs; i++ {
+				blk[0] = byte(i) | 1
+				tr.Update(i, blk)
+			}
+			tr.Root()
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx := rng.Int63n(ctrs)
+				blk[1] = byte(i)
+				tr.Update(idx, blk)
+				tr.NodeBytesInto(node, 0, idx/layout.TreeArity)
 			}
 		}},
 		{"micro/metrics_observe", func(b *testing.B) {

@@ -2,6 +2,7 @@ package bmt
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -230,7 +231,10 @@ func TestEagerEqualsRebuildProperty(t *testing.T) {
 // TestNodeHashZeroAlloc pins the tree's hot path: hashing a node packs
 // its child hashes into engine scratch and persisting one fills a
 // caller buffer, so neither allocates. The hash keeps its input bytes:
-// the node's child hashes as 64 little-endian bytes.
+// the node's child hashes as 64 little-endian bytes. In the steady
+// state — every chunk on the touched paths allocated and the leaf
+// buffers recycled — updates under two level-0 nodes, one node's
+// write-back and the root allocate nothing either.
 func TestNodeHashZeroAlloc(t *testing.T) {
 	lay, eng, _ := setup(t)
 	var n [layout.TreeArity]uint64
@@ -254,5 +258,49 @@ func TestNodeHashZeroAlloc(t *testing.T) {
 		tr.NodeBytesInto(node, 0, 0)
 	}); a != 0 {
 		t.Errorf("update + node bytes: %.2f allocs, want 0", a)
+	}
+	far := lay.CtrBytes/int64(lay.BlockSize) - 1 // another chunk on every level but the top
+	evict := func() {
+		ctr[0]++
+		tr.Update(3, ctr)
+		tr.Update(far, ctr)
+		tr.NodeBytesInto(node, 0, 0)
+		tr.Root()
+	}
+	evict() // first touch of far's chunks
+	if a := testing.AllocsPerRun(1000, evict); a != 0 {
+		t.Errorf("two updates + node bytes + root: %.2f allocs, want 0", a)
+	}
+	// Releasing buffered blocks never allocates, even the first time
+	// more of them are released at once than ever before.
+	for i := int64(0); i < 100; i++ {
+		tr.Update(i*layout.TreeArity, ctr)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr.Root()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("root releasing 100 buffered blocks: %d allocs, want 0", n)
+	}
+}
+
+// TestTreeMemoryFollowsTouchedSet pins the allocation on first touch: a
+// tree over a default 32 GiB module, whose level 0 alone has 786,432
+// nodes, allocates only its chunk directories up front, and an update
+// and a root read add one chunk per level.
+func TestTreeMemoryFollowsTouchedSet(t *testing.T) {
+	lay, err := layout.New(config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := New(lay, crypt.NewEngine(1))
+	tr.Update(0, ctrBlock(lay, 1))
+	tr.Root()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("%d levels, %d level-0 nodes: allocated %d bytes, want under 1 MiB", lay.TreeLevels(), lay.TreeNodes[0], got)
 	}
 }
