@@ -8,9 +8,14 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke fuzz-parallel-smoke fuzz-persist-smoke sweep-1000
+.PHONY: ci fmt vet build test race crashfuzz scheme-diff parallel-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke fuzz-parallel-smoke sweep-1000
 
-ci: vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
+ci: fmt vet build test race crashfuzz scheme-diff parallel-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite
+# any Go file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -50,15 +55,6 @@ scheme-diff:
 # all agree (also runs inside the plain test/race lanes).
 parallel-diff:
 	$(GO) test ./internal/recovery -run TestParallelRecoveryDifferential -count=1
-
-# Serial-vs-pipelined persist differential: 200 seeded traces, each
-# persisted block-by-block and through core.PersistBatch at Workers in
-# {1,2,4,8} with a per-seed batch depth and mid-batch crash split; crash
-# images, stats snapshots, recovery outcomes and recovered plaintext
-# must all be identical. The `race` lane re-runs the same suite under
-# the race detector (the test lives in ./internal/core).
-persist-diff:
-	$(GO) test ./internal/core -run TestPersistPipelineDifferential -count=1
 
 # Sharded-pool differential: (1) the routing property tests (every
 # block maps to exactly one shard, no metadata group straddles a shard
@@ -158,11 +154,6 @@ fuzz-smoke:
 # Same, against the serial-vs-parallel recovery differential oracle.
 fuzz-parallel-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParallelRecovery -fuzztime=$(FUZZTIME) ./internal/crashfuzz
-
-# Same, against the serial-vs-pipelined persist oracle: the fuzzer
-# steers crash index, batch depth and mid-batch split.
-fuzz-persist-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzPersistPipeline -fuzztime=$(FUZZTIME) ./internal/crashfuzz
 
 # The acceptance-criteria sweep (slower; not part of `ci`).
 sweep-1000:

@@ -289,8 +289,7 @@ func suite() []bench {
 				d.GenOp(&op)
 			}
 		}},
-		{"micro/persist_parallel_serial", benchPersistParallel(0)},
-		{"micro/persist_parallel_workers4", benchPersistParallel(4)},
+		{"micro/persist_parallel_serial", benchPersistSerial},
 		{"micro/pool_1shard", benchPool(1)},
 		{"micro/pool_4shard", benchPool(4)},
 		{"micro/pool_16shard", benchPool(16)},
@@ -343,68 +342,62 @@ func benchPersistScheme(s config.Scheme) func(*testing.B) {
 	}
 }
 
-// benchPersistParallel measures the batched persist pipeline: one op is
-// a 256-request batch of distinct hot blocks (metadata caches stay
-// warm, counters far from overflow, PUB far from eviction pressure) at
-// 256B blocks, where per-request crypto dominates. workers 0 is the
-// serial PersistBlock reference the ISSUE's >= 2x acceptance ratio is
-// measured against; both variants produce bit-identical controller
-// state, so the ns/op gap is purely host-CPU crypto parallelism.
-func benchPersistParallel(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		cfg := config.Default().WithScheme(config.ThothWTSC).WithBlockSize(256)
-		cfg.MemBytes = 1 << 30
-		// A small PUB wraps during warm-up, so every ring page the
-		// steady state touches is allocated before the timer starts and
-		// the serial variant stays allocation-free.
-		cfg.PUBBytes = 64 << 10
-		cfg.PersistWorkers = workers
-		c, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
+// benchPersistSerial measures a chained PersistBlock loop in the pool
+// benchmarks' geometry: one op is 256 persists of distinct hot blocks
+// (metadata caches stay warm, counters far from overflow, PUB far from
+// eviction pressure) at 256B blocks, where per-request crypto
+// dominates. It is the serial reference for micro/pool_1shard; its row
+// keeps the name it had as the baseline of the deleted parallel persist
+// pipeline.
+func benchPersistSerial(b *testing.B) {
+	cfg := config.Default().WithScheme(config.ThothWTSC).WithBlockSize(256)
+	cfg.MemBytes = 1 << 30
+	// A small PUB wraps during warm-up, so every ring page the steady
+	// state touches is allocated before the timer starts and the loop
+	// stays allocation-free.
+	cfg.PUBBytes = 64 << 10
+	c, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batch = 256
+	bs := int64(cfg.BlockSize)
+	base := c.Layout().DataBase
+	reqs := make([]core.WriteReq, batch)
+	for i := range reqs {
+		data := make([]byte, cfg.BlockSize)
+		for j := range data {
+			data[j] = byte(i) ^ byte(j)
 		}
-		const batch = 256
-		bs := int64(cfg.BlockSize)
-		base := c.Layout().DataBase
-		reqs := make([]core.WriteReq, batch)
-		for i := range reqs {
-			data := make([]byte, cfg.BlockSize)
-			for j := range data {
-				data[j] = byte(i) ^ byte(j)
-			}
-			reqs[i] = core.WriteReq{Addr: base + int64(i)*bs, Data: data}
+		reqs[i] = core.WriteReq{Addr: base + int64(i)*bs, Data: data}
+	}
+	run := func(now int64) int64 {
+		for _, q := range reqs {
+			now = c.PersistBlock(now, q.Addr, q.Data)
 		}
-		run := func(now int64) int64 {
-			if workers > 0 {
-				return c.PersistBatch(now, reqs)
-			}
-			for _, q := range reqs {
-				now = c.PersistBlock(now, q.Addr, q.Data)
-			}
-			return now
-		}
-		var now int64
-		for i := 0; i < 20; i++ { // warm caches, batch scratch, and a full PUB wrap
-			now = run(now)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			now = run(now)
-		}
+		return now
+	}
+	var now int64
+	for i := 0; i < 20; i++ { // warm caches and a full PUB wrap
+		now = run(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = run(now)
 	}
 }
 
 // benchPool measures the sharded engine's aggregate persist throughput:
 // one op is a 256-request batch of distinct hot blocks scattered across
-// every shard's groups (same geometry as persist_parallel, so
-// pool_1shard vs persist_parallel_serial is the pool front-end plus the
-// GOMAXPROCS-worker persist pipeline against plain serial persists, and
-// pool_4shard vs pool_1shard isolates multi-controller scaling). The
-// scaling stacks two effects: aggregate capacity (full-size caches and
-// PUB per shard over a fraction of the working set) and PersistBatch's
-// fan-out, which persists the busy shards' shares concurrently —
-// EXPERIMENTS "Sharded pool" records the breakdown.
+// every shard's groups (same geometry as persist_parallel_serial, so
+// pool_1shard vs persist_parallel_serial is the pool front-end's cost
+// over plain serial persists, and pool_4shard vs pool_1shard isolates
+// multi-controller scaling). The scaling stacks two effects: aggregate
+// capacity (full-size caches and PUB per shard over a fraction of the
+// working set) and PersistBatch's fan-out, which persists the busy
+// shards' shares concurrently — EXPERIMENTS "Sharded pool" records the
+// breakdown.
 func benchPool(shards int) func(*testing.B) {
 	return func(b *testing.B) {
 		cfg := config.Default().WithScheme(config.ThothWTSC).WithBlockSize(256)
@@ -541,10 +534,10 @@ func compare(baseline, fresh File) []string {
 			continue
 		}
 		// Benchmarks that spawn worker goroutines (the workers-variant
-		// recovery and persist pipeline, and the sharded pool's
-		// PersistBatch fan-out) are exempt from the exact allocation
-		// gate: allocs/op moves with b.N (goroutine-stack reuse) rather
-		// than with the code under test.
+		// recovery and the sharded pool's PersistBatch fan-out) are
+		// exempt from the exact allocation gate: allocs/op moves with
+		// b.N (goroutine-stack reuse) rather than with the code under
+		// test.
 		spawns := strings.HasSuffix(name, "_workers4") || strings.HasPrefix(name, "micro/pool_")
 		allocLimit := base.AllocsPerOp
 		if strings.HasPrefix(name, "figure/") || strings.HasPrefix(name, "recovery/") {

@@ -227,8 +227,8 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 // runLoadLoop drives the scenario to completion. With progressSec > 0
 // it runs in chunks and prints a top-style one-line summary to stderr
 // every progressSec wall seconds: completed ops, the modeled cycle,
-// live tail percentiles and the queue gauges (WPQ/PUB occupancy,
-// speculation misses) sampled from the shared registry. stdout is
+// live tail percentiles and the queue gauges (WPQ/PUB occupancy)
+// sampled from the shared registry. stdout is
 // untouched — the golden-tested report stays reproducible.
 func runLoadLoop(d *loadgen.Driver, reg *metrics.Registry, progressSec float64, stderr io.Writer) error {
 	if progressSec <= 0 {
@@ -275,7 +275,6 @@ func printLoadProgress(w io.Writer, d *loadgen.Driver, sampler *metrics.Sampler)
 		for _, g := range []struct{ label, prefix string }{
 			{"wpq", "thoth_wpq_occupancy"},
 			{"pub", "thoth_pub_occupancy_blocks"},
-			{"spec-miss", "thoth_spec_misses"},
 		} {
 			if v, ok := gaugeSum(g.prefix); ok {
 				fmt.Fprintf(w, " %s=%d", g.label, v)

@@ -69,9 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	recoveryWorkers := fs.Int("recovery-workers", 0,
 		"recover with the sharded parallel engine at N workers (0 = serial reference)")
 	persistBatch := fs.Int("persist-batch", 0,
-		"batch persists through the parallel pipeline at this depth (0|1 = classic per-block path)")
-	persistWorkers := fs.Int("persist-workers", 0,
-		"crypto workers for batched persists (0 = GOMAXPROCS); modeled results are worker-invariant")
+		"with -shards, persist in batches of this many blocks (0 = 64)")
 	verify := fs.Bool("verify", false, "verify all persisted data after the run")
 	shadow := fs.Bool("shadow", false, "enable Anubis shadow-table tracking (fast recovery)")
 	eadr := fs.Bool("eadr", false, "enhanced ADR: persistent cache hierarchy (extension)")
@@ -85,6 +83,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"harness (-txs seeded random block persists in batches of -persist-batch; "+
 			"N must divide the 1 GiB module — powers of two work; 0 = harness)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *persistBatch != 0 && *shards <= 0 {
+		fmt.Fprintln(stderr, "thothsim: -persist-batch needs -shards")
 		return 2
 	}
 
@@ -105,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.LLCBytes = 1 << 20
 	cfg.ShadowTracking = *shadow
 	cfg.EADR = *eadr
-	cfg.PersistWorkers = *persistWorkers
 
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -142,13 +143,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	res, err := harness.Run(harness.RunConfig{
-		Config:            cfg,
-		Workload:          *wl,
-		WarmupTxs:         *warmup,
-		MeasureTxs:        *txs,
-		SetupKeys:         *setup,
-		Verify:            *verify,
-		PersistBatchDepth: *persistBatch,
+		Config:     cfg,
+		Workload:   *wl,
+		WarmupTxs:  *warmup,
+		MeasureTxs: *txs,
+		SetupKeys:  *setup,
+		Verify:     *verify,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "thothsim:", err)

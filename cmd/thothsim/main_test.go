@@ -114,17 +114,20 @@ func TestRunCrashRecoverParallel(t *testing.T) {
 	}
 }
 
+// TestRunBatchedPersistFlags pins that -persist-batch, which sizes the
+// -shards mode's batches, is rejected rather than silently ignored in
+// the single-controller harness mode.
 func TestRunBatchedPersistFlags(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := run([]string{
 		"-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16",
-		"-persist-batch", "8", "-persist-workers", "4", "-verify", "-crash",
+		"-persist-batch", "8",
 	}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errw.String())
+	if code == 0 {
+		t.Fatalf("-persist-batch without -shards exited 0:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "recovery:") {
-		t.Errorf("output missing recovery line:\n%s", out.String())
+	if !strings.Contains(errw.String(), "-persist-batch needs -shards") {
+		t.Errorf("stderr missing diagnosis: %q", errw.String())
 	}
 }
 

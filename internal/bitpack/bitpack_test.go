@@ -60,10 +60,10 @@ func TestAdjacentFieldsDoNotInterfere(t *testing.T) {
 func TestPanics(t *testing.T) {
 	b := make([]byte, 2)
 	cases := []func(){
-		func() { Get(b, 0, 0) },      // zero width
-		func() { Get(b, 0, 65) },     // too wide
-		func() { Get(b, 10, 7) },     // out of bounds
-		func() { Get(b, -1, 4) },     // negative offset
+		func() { Get(b, 0, 0) },       // zero width
+		func() { Get(b, 0, 65) },      // too wide
+		func() { Get(b, 10, 7) },      // out of bounds
+		func() { Get(b, -1, 4) },      // negative offset
 		func() { Set(b, 0, 4, 0x10) }, // value exceeds width
 	}
 	for i, f := range cases {

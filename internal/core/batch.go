@@ -1,14 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-
-	"repro/internal/crypt"
-	"repro/internal/ctr"
-	"repro/internal/obs"
-)
+import "fmt"
 
 // WriteReq is one full-block persist request of a batch: an absolute
 // (layout) block-aligned data address and exactly one block of
@@ -20,93 +12,11 @@ type WriteReq struct {
 	Data []byte
 }
 
-// batchState is the reusable scratch of the batched persist pipeline:
-// the worker engine pool, the per-request plans, the ciphertext and MAC
-// arenas the crypto stage writes into, the speculative counter-block
-// copies of the planner, and the per-worker shard lists. Everything is
-// recycled across batches, so steady-state PersistBatch calls perform
-// no per-request allocation.
-type batchState struct {
-	pool  *crypt.EnginePool
-	plans []preCrypto
-
-	ctArena  []byte
-	macArena []byte
-
-	// spec maps a counter-block address to its speculative copy: the
-	// planner's private evolution of the block's bytes across the
-	// batch's bumps and simulated overflows. used/free recycle the
-	// copies' backing buffers.
-	spec map[int64][]byte
-	used [][]byte
-	free [][]byte
-
-	shards [][]int32
-}
-
-// groupBlocks returns the metadata-group size in data blocks:
-// lcm(BlocksPerPage, MACsPerBlock) consecutive data blocks share both
-// their counter home blocks and their MAC home blocks. It is the same
-// sharding invariant the parallel recovery engine proved sound — two
-// requests in different groups touch disjoint metadata, so their crypto
-// work is independent.
-func (c *Controller) groupBlocks() int64 {
-	a := int64(c.cfg.BlocksPerPage())
-	b := int64(c.cfg.MACsPerBlock())
-	g := a
-	for r := b; r != 0; {
-		g, r = r, g%r
-	}
-	return a / g * b
-}
-
-// shardOf maps a metadata group onto a worker with a splitmix-style bit
-// mixer (the same spreading the recovery engine uses), keeping each
-// group's requests on one worker while spreading hot neighbouring
-// groups.
-func shardOf(group int64, workers int) int {
-	h := uint64(group)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h % uint64(workers))
-}
-
-// batchWorkers resolves the effective worker count for a batch of n
-// requests: Config.PersistWorkers, defaulting to GOMAXPROCS when 0,
-// capped at 256 and at the batch size.
-func (c *Controller) batchWorkers(n int) int {
-	w := c.cfg.PersistWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > 256 {
-		w = 256
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// PersistBatch persists a batch of full-block writes through the
-// three-stage pipeline: a serial planning pass speculates every
-// request's post-bump counter without touching controller state, the
-// crypto stage fans pad generation, first-level MACs and second-level
-// MACs across a per-worker engine pool (requests sharded by metadata
-// group), and a serial commit replays the requests in order through the
-// classic persist path, substituting the precomputed crypto.
-//
-// The result is bit-identical to calling PersistBlock for each request
-// in order with chained completion times (exactly what System.Write
-// does): all functional and timing state mutation happens in the serial
-// commit, and a precomputed product is only used when its speculated
-// counter matches the actual post-bump value. Requests are durable in
-// order; t is the start cycle of the first request and the returned
-// cycle is when the last request is durable.
+// PersistBatch persists a batch of full-block writes: it validates every
+// request, then persists each one with PersistBlock in submission order
+// with chained completion times (exactly what System.Write does).
+// Requests are durable in order; t is the start cycle of the first
+// request and the returned cycle is when the last request is durable.
 func (c *Controller) PersistBatch(t int64, reqs []WriteReq) int64 {
 	c.checkAlive()
 	for i := range reqs {
@@ -118,193 +28,8 @@ func (c *Controller) PersistBatch(t int64, reqs []WriteReq) int64 {
 	if c.mBatchFill != nil {
 		c.mBatchFill.Observe(int64(len(reqs)))
 	}
-	if len(reqs) == 0 {
-		return t
-	}
-
-	c.batchPrepare(t, reqs)
-
-	n := int64(len(reqs))
-	c.emit(obs.KindPersistStage, t, 0, n, obs.StageCommit, obs.PhaseBegin)
-	done := t
 	for i := range reqs {
-		done = c.persistBlock(done, reqs[i].Addr, reqs[i].Data, &c.batch.plans[i])
+		t = c.PersistBlock(t, reqs[i].Addr, reqs[i].Data)
 	}
-	c.emit(obs.KindPersistStage, done, 0, n, obs.StageCommit, obs.PhaseEnd)
-	return done
-}
-
-// SpecMisses returns how many batched requests committed with an inline
-// crypto recompute because their speculated counter missed the actual
-// post-bump value. The planner simulates bumps and overflows exactly,
-// so this stays zero; the counter exists to catch a speculation hole in
-// tests rather than silently eating the recompute cost.
-func (c *Controller) SpecMisses() int64 { return c.specMisses }
-
-// batchPrepare runs the plan and crypto stages for a batch. It mutates
-// no controller, cache, device or statistics state — only the batch
-// scratch — so a crash between prepare and commit is indistinguishable
-// from a crash before the batch (the property the stage-crash tests
-// pin). Plans land in c.batch.plans, ready for the commit stage.
-func (c *Controller) batchPrepare(t int64, reqs []WriteReq) {
-	b := c.ensureBatch(len(reqs))
-	n := int64(len(reqs))
-
-	c.emit(obs.KindPersistStage, t, 0, n, obs.StagePlan, obs.PhaseBegin)
-	bs := c.cfg.BlockSize
-	ms := c.cfg.MACSize()
-	blocksPerPage := c.cfg.BlocksPerPage()
-	for i := range reqs {
-		addr := reqs[i].Addr
-		ca := c.lay.CtrBlockAddr(addr)
-		slot := c.lay.CtrSlot(addr)
-		blk := b.spec[ca]
-		if blk == nil {
-			blk = b.takeBuf(bs)
-			// Seed the speculative copy from what the commit-time fetch
-			// will see: the cached line if present (Probe: no LRU or
-			// hit-counter perturbation), else the device bytes (PeekInto:
-			// no read counter, no allocation).
-			if l := c.ctrCache.Probe(ca); l != nil {
-				copy(blk, l.Data)
-			} else {
-				c.dev.PeekInto(blk, ca)
-			}
-			b.spec[ca] = blk
-		}
-		// Simulate overflow handling exactly as the commit path will:
-		// reencryptPage resets the page to {major+1, all minors 0}
-		// before the bump, so the triggering write commits under
-		// {major+1, minor 1}.
-		if ctr.Minor(blk, slot) == crypt.MinorMax {
-			ctr.SetMajor(blk, ctr.Major(blk)+1)
-			for s := 0; s < blocksPerPage; s++ {
-				ctr.SetMinor(blk, s, 0)
-			}
-		}
-		counter, _ := ctr.Bump(blk, slot)
-		b.plans[i] = preCrypto{
-			counter: counter,
-			ct:      b.ctArena[i*bs : (i+1)*bs],
-			mac1:    b.macArena[i*ms : (i+1)*ms],
-		}
-	}
-	c.emit(obs.KindPersistStage, t, 0, n, obs.StagePlan, obs.PhaseEnd)
-
-	c.emit(obs.KindPersistStage, t, 0, n, obs.StageCrypto, obs.PhaseBegin)
-	workers := c.batchWorkers(len(reqs))
-	if workers <= 1 {
-		c.cryptoRange(c.eng, reqs, allIndices(b, len(reqs)))
-	} else {
-		c.shardRequests(b, reqs, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			if len(b.shards[w]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				c.cryptoRange(b.pool.Engine(w), reqs, b.shards[w])
-			}(w)
-		}
-		wg.Wait()
-	}
-	c.emit(obs.KindPersistStage, t, 0, n, obs.StageCrypto, obs.PhaseEnd)
-
-	b.recycle()
-}
-
-// cryptoRange computes ciphertext, first-level MAC and second-level MAC
-// for the given request indices on one engine. Distinct calls write
-// disjoint plan slots and arena slices, so concurrent workers never
-// race.
-func (c *Controller) cryptoRange(eng *crypt.Engine, reqs []WriteReq, idxs []int32) {
-	for _, i := range idxs {
-		p := &c.batch.plans[i]
-		eng.EncryptInto(p.ct, reqs[i].Data, reqs[i].Addr, p.counter)
-		eng.MACInto(p.mac1, p.ct, reqs[i].Addr, p.counter)
-		p.mac2 = eng.MAC2(p.mac1)
-	}
-}
-
-// shardRequests distributes request indices across workers by metadata
-// group, so every group's requests land on one worker in batch order.
-func (c *Controller) shardRequests(b *batchState, reqs []WriteReq, workers int) {
-	for len(b.shards) < workers {
-		b.shards = append(b.shards, nil)
-	}
-	for w := 0; w < workers; w++ {
-		b.shards[w] = b.shards[w][:0]
-	}
-	gb := c.groupBlocks()
-	bs := int64(c.cfg.BlockSize)
-	for i := range reqs {
-		group := (reqs[i].Addr - c.lay.DataBase) / bs / gb
-		w := shardOf(group, workers)
-		b.shards[w] = append(b.shards[w], int32(i))
-	}
-}
-
-// allIndices returns [0,n) as a shard list, reusing shard slot 0.
-func allIndices(b *batchState, n int) []int32 {
-	if len(b.shards) == 0 {
-		b.shards = append(b.shards, nil)
-	}
-	idxs := b.shards[0][:0]
-	for i := 0; i < n; i++ {
-		idxs = append(idxs, int32(i))
-	}
-	b.shards[0] = idxs
-	return idxs
-}
-
-// ensureBatch sizes the batch scratch for n requests, building it (and
-// the worker engine pool) on first use.
-func (c *Controller) ensureBatch(n int) *batchState {
-	b := c.batch
-	if b == nil {
-		b = &batchState{spec: make(map[int64][]byte)}
-		c.batch = b
-	}
-	if cap(b.plans) < n {
-		b.plans = make([]preCrypto, n)
-	}
-	b.plans = b.plans[:n]
-	if need := n * c.cfg.BlockSize; cap(b.ctArena) < need {
-		b.ctArena = make([]byte, need)
-	}
-	if need := n * c.cfg.MACSize(); cap(b.macArena) < need {
-		b.macArena = make([]byte, need)
-	}
-	if w := c.batchWorkers(n); w > 1 {
-		if b.pool == nil {
-			b.pool = crypt.NewEnginePool(c.cfg.Seed, w)
-		} else {
-			b.pool.Grow(c.cfg.Seed, w)
-		}
-	}
-	return b
-}
-
-// takeBuf hands out a recycled (or fresh) counter-block buffer for a
-// speculative copy.
-func (b *batchState) takeBuf(bs int) []byte {
-	var buf []byte
-	if n := len(b.free); n > 0 {
-		buf = b.free[n-1]
-		b.free = b.free[:n-1]
-	} else {
-		buf = make([]byte, bs)
-	}
-	b.used = append(b.used, buf)
-	return buf
-}
-
-// recycle returns the batch's speculative buffers to the free list and
-// clears the speculation map for the next batch.
-func (b *batchState) recycle() {
-	b.free = append(b.free, b.used...)
-	b.used = b.used[:0]
-	clear(b.spec)
+	return t
 }

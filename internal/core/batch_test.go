@@ -62,11 +62,11 @@ func assertSameState(t *testing.T, serial, batched *Controller) {
 // TestPersistBatchMatchesSerial drives the same request stream through
 // chained PersistBlock calls and through PersistBatch in chunks, for
 // every scheme, and demands bit-identical device images, stats and
-// modeled time — the pipeline's core contract.
+// modeled time — the batch API's contract.
 func TestPersistBatchMatchesSerial(t *testing.T) {
 	for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC, config.ThothWTBC, config.AnubisECC} {
 		t.Run(s.String(), func(t *testing.T) {
-			cfg := testConfig(s).WithPersistWorkers(4)
+			cfg := testConfig(s)
 			serial := mustNew(t, cfg)
 			batched := mustNew(t, cfg)
 
@@ -86,9 +86,6 @@ func TestPersistBatchMatchesSerial(t *testing.T) {
 			if tSerial != tBatched {
 				t.Fatalf("modeled time diverges: serial %d, batched %d", tSerial, tBatched)
 			}
-			if m := batched.SpecMisses(); m != 0 {
-				t.Fatalf("planner speculation missed %d times (want exact)", m)
-			}
 			assertSameState(t, serial, batched)
 		})
 	}
@@ -96,9 +93,10 @@ func TestPersistBatchMatchesSerial(t *testing.T) {
 
 // TestPersistBatchOverflowSpeculation hammers one page past the minor-
 // counter limit inside large batches, so overflows trigger mid-batch and
-// the planner must predict the {major+1, minor 1} reset exactly.
+// the batch must commit the {major+1, minor 1} reset exactly as serial
+// persists do.
 func TestPersistBatchOverflowSpeculation(t *testing.T) {
-	cfg := testConfig(config.ThothWTSC).WithPersistWorkers(4)
+	cfg := testConfig(config.ThothWTSC)
 	serial := mustNew(t, cfg)
 	batched := mustNew(t, cfg)
 	bs := int64(cfg.BlockSize)
@@ -132,48 +130,16 @@ func TestPersistBatchOverflowSpeculation(t *testing.T) {
 	if tSerial != tBatched {
 		t.Fatalf("modeled time diverges: serial %d, batched %d", tSerial, tBatched)
 	}
-	if m := batched.SpecMisses(); m != 0 {
-		t.Fatalf("planner speculation missed %d times across overflows", m)
-	}
 	assertSameState(t, serial, batched)
 }
 
-// TestPersistBatchWorkerInvariance runs one request stream at several
-// worker counts and demands identical images — the determinism claim
-// PersistWorkers documents.
-func TestPersistBatchWorkerInvariance(t *testing.T) {
-	base := testConfig(config.ThothWTBC)
-	var ref *Controller
-	for _, w := range []int{1, 2, 4, 8} {
-		cfg := base.WithPersistWorkers(w)
-		c := mustNew(t, cfg)
-		reqs := batchTrace(c, 42, 400)
-		var now int64
-		for lo := 0; lo < len(reqs); lo += 32 {
-			hi := lo + 32
-			if hi > len(reqs) {
-				hi = len(reqs)
-			}
-			now = c.PersistBatch(now, reqs[lo:hi])
-		}
-		if ref == nil {
-			ref = c
-			continue
-		}
-		assertSameState(t, ref, c)
-	}
-}
-
-// TestPersistBatchStageCrash pins the pipeline's crash semantics: the
-// plan and crypto stages mutate no controller or persistent state, so a
-// crash at any point before the commit stage — post-plan/pre-crypto is
-// indistinguishable from post-crypto/pre-commit — yields exactly the
-// image of a crash before the batch, and a crash after j committed
-// requests yields exactly the serial image of j chained persists.
+// TestPersistBatchStageCrash pins the batch's crash semantics: a crash
+// after j committed requests yields exactly the serial image of j
+// chained persists.
 func TestPersistBatchStageCrash(t *testing.T) {
 	for _, s := range []config.Scheme{config.ThothWTSC, config.ThothWTBC} {
 		t.Run(s.String(), func(t *testing.T) {
-			cfg := testConfig(s).WithPersistWorkers(4)
+			cfg := testConfig(s)
 			mk := func() (*Controller, []WriteReq, int64) {
 				c := mustNew(t, cfg)
 				warm := batchTrace(c, 99, 120)
@@ -184,21 +150,6 @@ func TestPersistBatchStageCrash(t *testing.T) {
 				return c, batchTrace(c, 123, 40), now
 			}
 
-			// Crash between prepare and commit == crash before the batch.
-			a, _, ta := mk()
-			if err := a.Crash(ta); err != nil {
-				t.Fatal(err)
-			}
-			b, reqsB, tb := mk()
-			b.batchPrepare(tb, reqsB)
-			if err := b.Crash(tb); err != nil {
-				t.Fatal(err)
-			}
-			if !a.Device().Equal(b.Device()) {
-				t.Fatal("prepare-stage crash leaked state into the image")
-			}
-
-			// Crash after j committed batch requests == serial crash after j.
 			for _, j := range []int{1, 17, 39} {
 				c1, reqs1, t1 := mk()
 				for _, q := range reqs1[:j] {
@@ -220,25 +171,23 @@ func TestPersistBatchStageCrash(t *testing.T) {
 	}
 }
 
-// TestCrashVsEpochFlushImage pins the PR-3 lazy batched BMT flush
-// against Crash: the dirty-node set is drained in one non-reentrant
-// bottom-up pass (bmt.Tree.flush) with no yield points, so a crash can
-// never observe a torn set — forcing intermediate epoch flushes (Root()
-// observations) at arbitrary points must not change the crash image,
-// and the persisted root must equal a from-scratch rebuild of the
-// image's counters.
+// TestCrashVsEpochFlushImage pins that observing the integrity tree
+// mid-run does not change the crash image: forcing Root() observations
+// at arbitrary points must leave the image byte-identical, and under the
+// strict scheme the persisted root must equal a from-scratch rebuild of
+// the image's counters.
 func TestCrashVsEpochFlushImage(t *testing.T) {
 	for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC, config.ThothWTBC} {
 		t.Run(s.String(), func(t *testing.T) {
 			cfg := testConfig(s)
-			run := func(flushEvery int) *Controller {
+			run := func(observeEvery int) *Controller {
 				c := mustNew(t, cfg)
 				reqs := batchTrace(c, 555, 300)
 				var now int64
 				for i, q := range reqs {
 					now = c.PersistBlock(now, q.Addr, q.Data)
-					if flushEvery > 0 && i%flushEvery == 0 {
-						c.Root() // force the lazy dirty set to drain mid-run
+					if observeEvery > 0 && i%observeEvery == 0 {
+						c.Root() // observe the tree mid-run
 					}
 				}
 				if err := c.Crash(now); err != nil {
@@ -246,25 +195,24 @@ func TestCrashVsEpochFlushImage(t *testing.T) {
 				}
 				return c
 			}
-			lazy := run(0)
-			eager := run(7)
-			if !lazy.Device().Equal(eager.Device()) {
-				t.Fatal("epoch-flush timing changed the crash image")
+			plain := run(0)
+			observed := run(7)
+			if !plain.Device().Equal(observed.Device()) {
+				t.Fatal("mid-run Root() observations changed the crash image")
 			}
 			if s != config.BaselineStrict {
 				return
 			}
 			// Under the strict scheme every counter block is persisted in
 			// place, so the saved root must match a from-scratch rebuild of
-			// the image — i.e. the crash-time flush drained the entire
-			// dirty set, torn nowhere.
-			dev := lazy.Device()
-			root, err := LoadRoot(cfg.BlockSize, lazy.Layout().CtlBase, dev.Peek)
+			// the image.
+			dev := plain.Device()
+			root, err := LoadRoot(cfg.BlockSize, plain.Layout().CtlBase, dev.Peek)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := bmt.Rebuild(lazy.Layout(), lazy.Engine(), dev); root != want {
-				t.Fatalf("persisted root %#x != rebuilt root %#x (torn flush?)", root, want)
+			if want := bmt.Rebuild(plain.Layout(), plain.Engine(), dev); root != want {
+				t.Fatalf("persisted root %#x != rebuilt root %#x", root, want)
 			}
 		})
 	}

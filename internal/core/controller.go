@@ -105,7 +105,7 @@ type Controller struct {
 	mWriteCycles *metrics.Histogram
 	mPUBOcc      *metrics.Gauge
 	mWPQOcc      *metrics.Gauge
-	mSpecMisses  *metrics.Gauge
+	mBatchFill   *metrics.Histogram // requests per PersistBatch call
 
 	crashed bool
 	// inADRFlush marks the residual-power drain at crash/shutdown:
@@ -138,17 +138,6 @@ type Controller struct {
 	reencBuf    []byte
 	reencMAC    [32]byte
 	reencMinors []uint8
-
-	// Batched persist pipeline state (scratch and the worker engine
-	// pool), built lazily on the first PersistBatch call and reused
-	// across batches. specMisses counts requests whose speculated
-	// counter missed the actual post-bump value, forcing an inline
-	// recompute at commit — it lives here, not in stats.Stats, so
-	// serial-vs-batched stats snapshots stay bit-equal. mBatchFill is
-	// the thoth_persist_batch_fill histogram (nil without metrics).
-	batch      *batchState
-	specMisses int64
-	mBatchFill *metrics.Histogram
 }
 
 // New builds a controller with a fresh device.
@@ -270,9 +259,6 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) (*Controller
 		}
 		c.mWPQOcc = cfg.Metrics.Gauge("thoth_wpq_occupancy",
 			"Live WPQ occupancy in slots (pending + in flight).",
-			metrics.Label{Key: "scheme", Value: c.schemeTag})
-		c.mSpecMisses = cfg.Metrics.Gauge("thoth_spec_misses",
-			"Batched-persist counter speculation misses (inline recomputes).",
 			metrics.Label{Key: "scheme", Value: c.schemeTag})
 	}
 	if sch.UsesPUB() && cfg.PCBAfterWPQ {

@@ -61,7 +61,7 @@ func TestEvictClassifiesStaleCopy(t *testing.T) {
 	n := pcbBlocksToPost(c)
 	now := persistPages(c, 0, 0, n+1) // round 1: first block posted to ring
 	now = persistPages(c, now, 0, n)  // round 2: newer minors for the same pages
-	persistPages(c, now, 1000, 2*n) // force evictions of round-1 blocks
+	persistPages(c, now, 1000, 2*n)   // force evictions of round-1 blocks
 	st := c.Stats()
 	if st.Evicts(stats.EvictStaleCopy) == 0 {
 		t.Fatalf("expected stale-copy outcomes, got: %s", st.String())

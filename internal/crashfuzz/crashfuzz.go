@@ -41,11 +41,6 @@ const (
 	// the serial reference — different device bytes, a different report,
 	// or a different error sentinel.
 	VParallelDiverge
-	// VPersistDiverge: the batched persist pipeline disagrees with the
-	// serial PersistBlock path fed the identical trace — a different
-	// crash image, different statistics, a different recovery outcome,
-	// or different recovered plaintext.
-	VPersistDiverge
 	// VPoolDiverge: a sharded pool fed the identical trace, crashed on
 	// an arbitrary shard subset and recovered shard-by-shard, disagrees
 	// with the single-controller reference about recovered plaintext.
@@ -71,8 +66,6 @@ func (k ViolationKind) String() string {
 		return "differential"
 	case VParallelDiverge:
 		return "parallel-diverge"
-	case VPersistDiverge:
-		return "persist-diverge"
 	case VPoolDiverge:
 		return "pool-diverge"
 	default:

@@ -101,7 +101,7 @@ func TestIVRejectsOutOfRangeInputs(t *testing.T) {
 		{"unaligned address", func() { e.Pad(8, Counter{}, 16) }},
 		{"address beyond 2^52", func() { e.Pad(1<<52, Counter{}, 16) }},
 		{"negative address", func() { e.Pad(-16, Counter{}, 16) }},
-		{"chunk index beyond 255", func() { e.Pad(0, Counter{}, 257 * 16) }},
+		{"chunk index beyond 255", func() { e.Pad(0, Counter{}, 257*16) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -216,12 +216,21 @@ func (p *Pool) localOf(addr int64) int64 {
 
 // checkRange validates a data-region access. Callers hold p.mu.RLock.
 func (p *Pool) checkRange(addr int64, n int) error {
-	switch {
-	case p.crashed:
-		return fmt.Errorf("%w; recover the pool image and Open a new pool", ErrCrashed)
-	case addr < 0 || n < 0 || addr+int64(n) > p.DataSize():
+	if err := p.checkAlive(); err != nil {
+		return err
+	}
+	if addr < 0 || n < 0 || addr+int64(n) > p.DataSize() {
 		return fmt.Errorf("%w: range [%d,+%d) outside data region of %d bytes",
 			ErrOutOfRange, addr, n, p.DataSize())
+	}
+	return nil
+}
+
+// checkAlive reports ErrCrashed once the pool has crashed or shut down.
+// Callers hold p.mu.
+func (p *Pool) checkAlive() error {
+	if p.crashed {
+		return fmt.Errorf("%w; recover the pool image and Open a new pool", ErrCrashed)
 	}
 	return nil
 }
@@ -252,15 +261,17 @@ func (p *Pool) Read(addr int64, n int) ([]byte, error) {
 }
 
 // PersistBatch persists a batch of full-block writes, scattering the
-// requests to their owning shards (each shard preserves the submission
-// order of its share and runs the batched parallel pipeline of
-// Config.PersistWorkers). Busy shards persist their shares concurrently:
+// requests to their owning shards (each shard persists its share in
+// submission order). Busy shards persist their shares concurrently:
 // the caller runs one share and one goroutine runs each other share,
 // all joined before return. The batch is validated before any request
 // commits, so an invalid request leaves the pool untouched.
 func (p *Pool) PersistBatch(reqs []WriteReq) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	if err := p.checkAlive(); err != nil {
+		return err
+	}
 	bs := int64(p.cfg.BlockSize)
 	for i := range reqs {
 		if err := p.checkRange(reqs[i].Addr, len(reqs[i].Data)); err != nil {

@@ -112,9 +112,12 @@ func TestPoolShardPanicContained(t *testing.T) {
 		t.Run(fmt.Sprintf("batch-shard%d", bad), func(t *testing.T) {
 			p := faultyPool(t, bad)
 			bs := p.BlockSize()
-			reqs := []WriteReq{
-				{Addr: 0, Data: make([]byte, bs)},
-				{Addr: p.GroupBytes(), Data: make([]byte, bs)},
+			// Consecutive distinct blocks across both shards' groups,
+			// enough that each shard emits its first event (a PCB flush
+			// or cache eviction) inside the batch.
+			reqs := make([]WriteReq, 512)
+			for i := range reqs {
+				reqs[i] = WriteReq{Addr: int64(i * bs), Data: make([]byte, bs)}
 			}
 			checkPanicErr(t, p.PersistBatch(reqs), bad)
 			if err := within(t, "next batch", func() error { return p.PersistBatch(reqs) }); err != nil {

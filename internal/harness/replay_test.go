@@ -40,10 +40,10 @@ L 0x0 128
 
 func TestReplayRejectsGarbage(t *testing.T) {
 	cases := []string{
-		"X 0 128",        // unknown op
-		"S 0",            // missing size
-		"S zz 128",       // bad address
-		"S 0 -5",         // bad size
+		"X 0 128",             // unknown op
+		"S 0",                 // missing size
+		"S zz 128",            // bad address
+		"S 0 -5",              // bad size
 		"S 0 999999999999999", // out of data region
 	}
 	for _, c := range cases {

@@ -133,14 +133,14 @@ func TestTreeParent(t *testing.T) {
 func TestRegionOf(t *testing.T) {
 	l := mustNew(t, config.Default())
 	cases := map[int64]Region{
-		0:                  RegionData,
-		l.CtrBase:          RegionCounter,
-		l.MACBase:          RegionMAC,
-		l.TreeBase[0]:      RegionTree,
-		l.PUBBase:          RegionPUB,
-		l.CtlBase:          RegionControl,
-		l.Total:            RegionUnmapped,
-		-1:                 RegionUnmapped,
+		0:             RegionData,
+		l.CtrBase:     RegionCounter,
+		l.MACBase:     RegionMAC,
+		l.TreeBase[0]: RegionTree,
+		l.PUBBase:     RegionPUB,
+		l.CtlBase:     RegionControl,
+		l.Total:       RegionUnmapped,
+		-1:            RegionUnmapped,
 	}
 	for addr, want := range cases {
 		if got := l.RegionOf(addr); got != want {
@@ -169,12 +169,12 @@ func TestPUBRingWraps(t *testing.T) {
 func TestBadAddressesPanic(t *testing.T) {
 	l := mustNew(t, config.Default())
 	cases := []func(){
-		func() { l.CtrBlockAddr(l.DataBytes) },      // not a data address
-		func() { l.CtrBlockAddr(1) },                // unaligned
-		func() { l.MACSlot(-128) },                  // negative
-		func() { l.CtrIndex(0) },                    // not a counter address
-		func() { l.TreeNodeAddr(99, 0) },            // bad level
-		func() { l.TreeNodeAddr(0, -1) },            // bad index
+		func() { l.CtrBlockAddr(l.DataBytes) }, // not a data address
+		func() { l.CtrBlockAddr(1) },           // unaligned
+		func() { l.MACSlot(-128) },             // negative
+		func() { l.CtrIndex(0) },               // not a counter address
+		func() { l.TreeNodeAddr(99, 0) },       // bad level
+		func() { l.TreeNodeAddr(0, -1) },       // bad index
 	}
 	for i, f := range cases {
 		func() {

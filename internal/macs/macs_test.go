@@ -57,11 +57,11 @@ func TestEqual(t *testing.T) {
 func TestPanics(t *testing.T) {
 	block := make([]byte, 128)
 	cases := []func(){
-		func() { Get(block, 8, 16) },                       // slot past end
-		func() { Get(block, -1, 16) },                      // negative slot
-		func() { Get(block, 0, 0) },                        // zero size
-		func() { Set(block, 0, 16, make([]byte, 8)) },      // short mac
-		func() { Slots(128, 0) },                           // zero size
+		func() { Get(block, 8, 16) },                  // slot past end
+		func() { Get(block, -1, 16) },                 // negative slot
+		func() { Get(block, 0, 0) },                   // zero size
+		func() { Set(block, 0, 16, make([]byte, 8)) }, // short mac
+		func() { Slots(128, 0) },                      // zero size
 	}
 	for i, f := range cases {
 		func() {

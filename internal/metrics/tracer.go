@@ -20,7 +20,6 @@ var TracerFamilies = []string{
 	"thoth_pcb_flush_entries",
 	"thoth_pub_entry_age_cycles",
 	"thoth_recovery_phase_cycles",
-	"thoth_persist_stage_cycles",
 }
 
 // pubEvictOutcomes are the Figure-3 outcome tags carried in
@@ -56,12 +55,10 @@ type TracerAdapter struct {
 	pubAge       *Histogram
 
 	phaseCycles map[string]*Histogram // phase name -> histogram, read-only after construction
-	stageCycles map[string]*Histogram // persist stage name -> histogram, read-only after construction
 
 	mu         sync.Mutex
 	pubFlushAt map[int64]int64  // PUB ring addr -> flush cycle (overwritten on ring reuse)
 	phaseBegin map[string]int64 // phase name -> begin cycle (whole-phase spans only)
-	stageBegin map[string]int64 // persist stage name -> begin cycle
 }
 
 // FromTracer registers the derived families in reg and returns the
@@ -82,10 +79,8 @@ func FromTracer(reg *Registry) *TracerAdapter {
 		evictCtr:    make(map[string]*Counter, len(pubEvictOutcomes)),
 		evictMac:    make(map[string]*Counter, len(pubEvictOutcomes)),
 		phaseCycles: make(map[string]*Histogram, 4),
-		stageCycles: make(map[string]*Histogram, 3),
 		pubFlushAt:  make(map[int64]int64),
 		phaseBegin:  make(map[string]int64),
-		stageBegin:  make(map[string]int64),
 	}
 	for _, k := range obs.Kinds() {
 		a.events[k] = reg.Counter("thoth_events_total",
@@ -115,11 +110,6 @@ func FromTracer(reg *Registry) *TracerAdapter {
 		a.phaseCycles[phase] = reg.Histogram("thoth_recovery_phase_cycles",
 			"Modeled cycles per recovery phase (whole-phase spans).",
 			Label{"phase", phase})
-	}
-	for _, stage := range []string{obs.StagePlan, obs.StageCrypto, obs.StageCommit} {
-		a.stageCycles[stage] = reg.Histogram("thoth_persist_stage_cycles",
-			"Modeled cycles per persist pipeline stage span.",
-			Label{"stage", stage})
 	}
 	return a
 }
@@ -154,24 +144,6 @@ func (a *TracerAdapter) Emit(e obs.Event) {
 	case obs.KindWPQDrain:
 		a.drainCounter(e.Detail).Inc()
 		a.wpqResidency.Observe(e.Aux)
-	case obs.KindPersistStage:
-		h := a.stageCycles[e.Part]
-		if h == nil {
-			return
-		}
-		switch e.Detail {
-		case obs.PhaseBegin:
-			a.mu.Lock()
-			a.stageBegin[e.Part] = e.Cycle
-			a.mu.Unlock()
-		case obs.PhaseEnd:
-			a.mu.Lock()
-			begin, ok := a.stageBegin[e.Part]
-			a.mu.Unlock()
-			if ok {
-				h.Observe(e.Cycle - begin)
-			}
-		}
 	case obs.KindRecoveryPhase:
 		if e.Aux != 0 {
 			return // per-shard span: the whole-phase span covers it

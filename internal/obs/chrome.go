@@ -20,8 +20,8 @@ type Chrome struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
 	cpuGHz float64
-	elems  int64 // array elements written (metadata + events)
-	count  int64 // events only
+	elems  int64        // array elements written (metadata + events)
+	count  int64        // events only
 	named  map[int]bool // recovery tracks already given thread_name metadata
 	closed bool
 	err    error
@@ -69,11 +69,6 @@ func (c *Chrome) Emit(e Event) {
 		c.count++
 		return
 	}
-	if e.Kind == KindPersistStage && (e.Detail == PhaseBegin || e.Detail == PhaseEnd) {
-		c.stageElem(e, ts)
-		c.count++
-		return
-	}
 	c.elem(fmt.Sprintf(`{"name":%s,"cat":"thoth","ph":"i","s":"t","pid":0,"tid":%d,"ts":%s,"args":{"addr":"0x%x","aux":%d,"scheme":%s,"part":%s,"detail":%s}}`,
 		strconv.Quote(e.Kind.String()), int(e.Kind),
 		strconv.FormatFloat(ts, 'f', 3, 64),
@@ -111,34 +106,6 @@ func (c *Chrome) phaseElem(e Event, ts float64) {
 		strconv.FormatFloat(ts, 'f', 3, 64), strconv.Quote(e.Scheme)))
 }
 
-// persistTid is the dedicated track for persist pipeline stage spans.
-// It sits far above the recovery shard tracks (numKinds+shard+1, shard
-// capped at 256 workers) so the two span families never collide.
-const persistTid = int(numKinds) + 1<<10
-
-// stageElem renders a persist-pipeline stage boundary (KindPersistStage
-// with a PhaseBegin/PhaseEnd detail) as one half of a duration slice:
-// "B"/"E" pairs named after the stage on the dedicated pipeline track.
-// Stages are strictly sequential within a batch and batches never
-// overlap, so one track suffices. Callers hold the mutex.
-func (c *Chrome) stageElem(e Event, ts float64) {
-	if !c.named[persistTid] {
-		if c.named == nil {
-			c.named = make(map[int]bool)
-		}
-		c.named[persistTid] = true
-		c.elem(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":"persist pipeline"}}`,
-			persistTid))
-	}
-	ph := "B"
-	if e.Detail == PhaseEnd {
-		ph = "E"
-	}
-	c.elem(fmt.Sprintf(`{"name":%s,"cat":"thoth","ph":%q,"pid":0,"tid":%d,"ts":%s,"args":{"scheme":%s,"batch":%d}}`,
-		strconv.Quote(e.Part), ph, persistTid,
-		strconv.FormatFloat(ts, 'f', 3, 64), strconv.Quote(e.Scheme), e.Aux))
-}
-
 // Close writes the closing bracket and flushes; the underlying writer
 // stays open. Emit after Close is a no-op.
 func (c *Chrome) Close() error {
@@ -166,9 +133,8 @@ func (c *Chrome) Count() int64 {
 // ValidateChrome checks that r holds a well-formed trace_event JSON
 // array: every element must carry the ph/pid/tid fields, and every
 // non-metadata element a non-negative timestamp and a known name — the
-// event-kind name for instant events, a recovery phase or persist
-// pipeline stage name for the "B"/"E" duration pairs the span tracks
-// use. It returns the number of events validated.
+// event-kind name for instant events, a recovery phase name for the
+// "B"/"E" duration pairs the recovery tracks use. It returns the number of events validated.
 func ValidateChrome(r io.Reader) (int, error) {
 	var arr []struct {
 		Name string   `json:"name"`
@@ -190,7 +156,7 @@ func ValidateChrome(r io.Reader) (int, error) {
 			continue
 		}
 		if ev.Ph == "B" || ev.Ph == "E" {
-			if !isPhaseName(ev.Name) && !isStageName(ev.Name) {
+			if !isPhaseName(ev.Name) {
 				return n, fmt.Errorf("element %d: unknown phase name %q", i, ev.Name)
 			}
 		} else if _, ok := KindByName(ev.Name); !ok {

@@ -72,13 +72,6 @@ const (
 	// engine. The Chrome exporter renders begin/end pairs as duration
 	// slices on per-shard tracks.
 	KindRecoveryPhase
-	// KindPersistStage: a stage of the batched persist pipeline started
-	// or finished. Part is the stage name (StagePlan, StageCrypto,
-	// StageCommit), Detail is PhaseBegin or PhaseEnd, Cycle is the
-	// modeled cycle at the boundary, and Aux is the number of requests
-	// in the batch. The Chrome exporter renders begin/end pairs as
-	// duration slices on a dedicated pipeline track.
-	KindPersistStage
 	numKinds
 )
 
@@ -102,8 +95,6 @@ func (k Kind) String() string {
 		return "recovery-merge"
 	case KindRecoveryPhase:
 		return "recovery-phase"
-	case KindPersistStage:
-		return "persist-stage"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -162,26 +153,6 @@ const (
 func isPhaseName(name string) bool {
 	switch name {
 	case PhaseScan, PhaseMerge, PhaseRebuild, PhaseVerify:
-		return true
-	}
-	return false
-}
-
-// Persist pipeline stage names (Event.Part for KindPersistStage).
-const (
-	// StagePlan: the serial planning pass speculating post-bump counters.
-	StagePlan = "plan"
-	// StageCrypto: the parallel pad/MAC fan-out across worker engines.
-	StageCrypto = "crypto"
-	// StageCommit: the serial in-order commit of the planned requests.
-	StageCommit = "commit"
-)
-
-// isStageName reports whether name is one of the persist pipeline stage
-// labels (used by the Chrome validator for "B"/"E" duration elements).
-func isStageName(name string) bool {
-	switch name {
-	case StagePlan, StageCrypto, StageCommit:
 		return true
 	}
 	return false

@@ -21,11 +21,10 @@ import (
 // models the ADR flush that persists them into the control region at a
 // crash, and LoadCtl restores them during recovery.
 //
-// The FIFO order is load-bearing for the batched persist pipeline
-// (core.PersistBatch): packed blocks are posted by the serial commit
-// stage only, in request order, so the ring's contents — and therefore
-// recovery's scan-and-merge — are identical whether a trace was
-// persisted block-by-block or in batches.
+// The FIFO order is load-bearing: packed blocks are posted in request
+// order, so the ring's contents — and therefore recovery's
+// scan-and-merge — are identical whether a trace was persisted
+// block-by-block or in batches (core.PersistBatch).
 type Ring struct {
 	lay  *layout.Layout
 	dev  *nvm.Device

@@ -45,12 +45,9 @@ type WriteCtx struct {
 	MACLine *cache.Line
 	// Counter is the post-bump split counter of the block.
 	Counter crypt.Counter
-	// MAC1 is the freshly computed first-level MAC. MAC2 is its
-	// second-level MAC when the batch crypto stage precomputed it
-	// (HaveMAC2); otherwise the scheme asks the Host.
-	MAC1     []byte
-	MAC2     uint64
-	HaveMAC2 bool
+	// MAC1 is the freshly computed first-level MAC; a scheme that needs
+	// its second-level MAC asks the Host.
+	MAC1 []byte
 	// WasCtrDirty / WasMACDirty are the lines' dirty bits sampled
 	// before this update (the WTSC status-bit semantics: the state the
 	// update transitions from).

@@ -39,8 +39,8 @@ func newBTree(h *heap, r *rng, p Params) *bTree {
 	return t
 }
 
-func (t *bTree) Name() string      { return "btree" }
-func (t *bTree) Footprint() int64  { return t.h.footprint() }
+func (t *bTree) Name() string     { return "btree" }
+func (t *bTree) Footprint() int64 { return t.h.footprint() }
 
 func (t *bTree) newNode(leaf bool) *bnode {
 	return &bnode{addr: t.h.alloc(btreeNodeBytes), leaf: leaf}

@@ -247,7 +247,7 @@ func TestHeapAllocAlignment(t *testing.T) {
 }
 
 func TestHeapExhaustionPanics(t *testing.T) {
-	h := newHeap(0, 1 << 20)
+	h := newHeap(0, 1<<20)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("exhausted heap must panic")
@@ -259,7 +259,7 @@ func TestHeapExhaustionPanics(t *testing.T) {
 }
 
 func TestUndoLogWraps(t *testing.T) {
-	h := newHeap(0, 1 << 20)
+	h := newHeap(0, 1<<20)
 	lg := newUndoLog(h, 4096)
 	s := NewCountingSink()
 	// Append far more than the log size: must wrap, not panic, and all

@@ -22,13 +22,11 @@
 // (the paper's "short time period"). Entries handed to a bank stop being
 // coalescible; their slots free when the bank retires the write.
 //
-// Insertion order is a contract, not an accident: the batched persist
-// pipeline (core.PersistBatch) parallelizes only the crypto of a batch
-// and replays its requests through this queue serially, in submission
-// order — so every block of a metadata group, and the PCB/PUB traffic
-// it triggers, enters the ADR domain in exactly the order the serial
-// path would produce. The queue itself never reorders coalescible
-// entries relative to their first arrival.
+// Insertion order is a contract, not an accident: every persist, batched
+// (core.PersistBatch) or not, enters this queue in submission order — so
+// every block of a metadata group, and the PCB/PUB traffic it triggers,
+// enters the ADR domain in exactly that order. The queue itself never
+// reorders coalescible entries relative to their first arrival.
 package wpq
 
 import (

@@ -185,6 +185,9 @@ func TestPoolCrashSubsetRecover(t *testing.T) {
 	if _, err := pool.Read(0, int(bs)); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("read after crash: err = %v, want ErrCrashed", err)
 	}
+	if err := pool.PersistBatch(nil); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("empty batch after crash: err = %v, want ErrCrashed", err)
+	}
 
 	rep, err := RecoverPool(cfg, shards, img, RecoverOpts{})
 	if err != nil {
@@ -357,6 +360,9 @@ func TestPoolErrors(t *testing.T) {
 	}
 	if _, err := pool.Shutdown(); err != nil {
 		t.Fatal(err)
+	}
+	if err := pool.PersistBatch(nil); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("empty batch after shutdown: %v, want ErrCrashed", err)
 	}
 	if _, err := pool.Shutdown(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("double shutdown: %v, want ErrCrashed", err)

@@ -189,11 +189,6 @@ const (
 	// phase, shard+1 for a parallel worker's slice). The Chrome exporter
 	// renders these as duration spans on per-shard tracks.
 	TraceRecoveryPhase = obs.KindRecoveryPhase
-	// TracePersistStage: a batched-persist pipeline stage boundary (Part
-	// is plan, crypto or commit; Detail is begin or end; Aux is the batch
-	// size). The Chrome exporter renders these as duration spans on a
-	// dedicated pipeline track.
-	TracePersistStage = obs.KindPersistStage
 )
 
 // TraceRing is a bounded in-memory tracer keeping the most recent
@@ -312,12 +307,21 @@ func (s *System) DataSize() int64 { return s.ctl.Layout().DataBytes }
 // BlockSize returns the access granularity in bytes.
 func (s *System) BlockSize() int { return s.cfg.BlockSize }
 
+// checkAlive reports ErrCrashed once the system has crashed or shut
+// down.
+func (s *System) checkAlive() error {
+	if s.crashed {
+		return fmt.Errorf("%w; recover the device and Open a new system", ErrCrashed)
+	}
+	return nil
+}
+
 // checkRange validates a data-region access.
 func (s *System) checkRange(addr int64, n int) error {
-	switch {
-	case s.crashed:
-		return fmt.Errorf("%w; recover the device and Open a new system", ErrCrashed)
-	case addr < 0 || n < 0 || addr+int64(n) > s.DataSize():
+	if err := s.checkAlive(); err != nil {
+		return err
+	}
+	if addr < 0 || n < 0 || addr+int64(n) > s.DataSize() {
 		return fmt.Errorf("%w: range [%d,+%d) outside data region of %d bytes", ErrOutOfRange, addr, n, s.DataSize())
 	}
 	return nil
@@ -362,21 +366,19 @@ func (s *System) Write(addr int64, data []byte) error {
 // Pool.PersistBatch share the type.
 type WriteReq = engine.WriteReq
 
-// PersistBatch persists a batch of full-block writes through the batched
-// parallel pipeline: pad generation and MAC computation fan out across
-// Config.PersistWorkers goroutines (grouped by metadata group so
-// same-group requests stay together), while counter bumps, tree updates,
-// PCB insertion and PUB posting commit serially in request order. The
-// device image, statistics and modeled cycles are bit-identical to
-// calling Write for each request in order — for any worker count — and
-// requests become durable in order. Parallelism saves host CPU on the
-// simulator's real crypto work, not modeled cycles.
+// PersistBatch persists a batch of full-block writes in submission
+// order. The device image, statistics and modeled cycles are
+// bit-identical to calling Write for each request in order, and
+// requests become durable in order.
 //
 // Every request must be block-aligned and exactly one block long
 // (PersistBatch is the aligned fast path; Write handles read-modify-
 // write for everything else). The batch is validated before any request
 // commits, so an invalid request leaves the system untouched.
 func (s *System) PersistBatch(reqs []WriteReq) error {
+	if err := s.checkAlive(); err != nil {
+		return err
+	}
 	bs := int64(s.cfg.BlockSize)
 	for i := range reqs {
 		if err := s.checkRange(reqs[i].Addr, len(reqs[i].Data)); err != nil {

@@ -125,6 +125,9 @@ func TestCrashRecoverOpenCycle(t *testing.T) {
 	if err := s.Write(0, make([]byte, 128)); err == nil {
 		t.Fatal("write after crash must error")
 	}
+	if err := s.PersistBatch(nil); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("empty batch after crash: err = %v, want ErrCrashed", err)
+	}
 
 	rep, err := Recover(cfg, img)
 	if err != nil {
@@ -159,6 +162,9 @@ func TestShutdownNeedsNoRecovery(t *testing.T) {
 	img, err := s.Shutdown()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := s.PersistBatch(nil); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("empty batch after shutdown: err = %v, want ErrCrashed", err)
 	}
 	s2, err := Open(cfg, img)
 	if err != nil {
