@@ -8,9 +8,9 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci fmt vet build test race crashfuzz scheme-diff parallel-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke fuzz-parallel-smoke sweep-1000
+.PHONY: ci fmt vet build test race bench-mod crashfuzz scheme-diff parallel-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke fuzz-parallel-smoke sweep-1000
 
-ci: fmt vet build test race crashfuzz scheme-diff parallel-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
+ci: fmt vet build test race bench-mod crashfuzz scheme-diff parallel-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
 
 # Formatting gate: fails, listing the files, when gofmt would rewrite
 # any Go file.
@@ -29,6 +29,13 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run TestPoolConcurrentClients .
+
+# The repository benchmark is its own module (bench/go.mod), so the
+# root build never compiles it: vet it and run its short tests against
+# the working tree, with no workspace file and no module downloads.
+bench-mod:
+	cd bench && GOWORK=off GOPROXY=off $(GO) vet ./...
+	cd bench && GOWORK=off GOPROXY=off $(GO) test -short ./...
 
 # Randomized crash-injection sweep (deterministic per seed; failures
 # print `crashfuzz.Replay(seed)` for one-line reproduction).
@@ -58,21 +65,20 @@ parallel-diff:
 
 # Sharded-pool differential: (1) the routing property tests (every
 # block maps to exactly one shard, no metadata group straddles a shard
-# boundary, one shard is byte-identical to a plain System); (2) the
+# boundary, one shard routes by the identity map); (2) the
 # crash-any-subset-of-shards sweep — each seed's trace runs through a
 # pool of 2/4/8/16 controllers, a seed-derived shard subset crashes,
 # every crashed shard recovers in parallel, and the merged image must
 # match both the plaintext oracle and a single-controller run; (3) the
-# root-level Pool API suite (one-shard equivalence, concurrent clients,
-# crash-subset recovery, stats pooling); (4) the lock-discipline hammer
-# (clients, stats/verify pollers and a racing CrashShards) ten times
-# under the race detector. The engine suite also makes one shard's
-# service panic and requires an error, never a hang.
+# root-level Pool API suite (a one-shard pool, which is what a System
+# is, byte-identical to a bare controller; concurrent clients;
+# crash-subset recovery; stats pooling). The race lane runs the
+# lock-discipline hammer ten times. The engine suite also makes one
+# shard's service panic and requires an error, never a hang.
 pool-diff:
 	$(GO) test ./internal/engine -count=1
 	$(GO) run ./cmd/crashfuzz -seeds $(SWEEP_SEEDS) -shards mixed
 	$(GO) test . -run TestPool -count=1
-	$(GO) test -race -count=10 -run TestPoolConcurrentClients .
 
 # Trace a quick workload and validate the emitted JSONL event stream
 # against the schema (cmd/tracecheck exits non-zero on any violation).
@@ -120,10 +126,11 @@ obs-smoke:
 # 0 allocs/op (the matching Test*ZeroAlloc funcs assert the 0; the
 # benchmarks report it). Serial recovery must allocate the same at 25%
 # and 95% PUB fill: nothing per replayed entry. A tree-node hash, a
-# steady-state tree update, node write-back and root read, and a
-# single-block timed pool write or read (attributed or not), allocate
-# nothing either.
+# steady-state tree update, node write-back and root read, a
+# single-block timed pool write or read (attributed or not), and a
+# 64-block System.PersistBatch, allocate nothing either.
 bench-alloc:
+	$(GO) test . -run TestPersistBatchZeroAlloc -count=1
 	$(GO) test ./internal/recovery -run TestRecoverZeroAllocPerEntry -count=1
 	$(GO) test ./internal/bmt -run TestNodeHashZeroAlloc -count=1
 	$(GO) test ./internal/engine -run TestPoolArriveZeroAlloc -count=1

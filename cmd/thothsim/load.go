@@ -1,32 +1,29 @@
 package main
 
 // The `thothsim load` subcommand: open-loop multi-tenant traffic
-// against a single secure-memory controller or a sharded pool. Unlike
+// against a sharded engine pool (one controller at -shards 0 or 1,
+// where the pool routes by the identity map). Unlike
 // the workload harness (closed-loop: each transaction starts when the
 // previous one finishes), the load generator draws arrival times from a
 // seeded stochastic process, so queueing delay is part of every
 // measured latency and overload shows up as tail growth rather than
 // reduced throughput. The scenario matrix, arrival processes, key
 // patterns and the latency pipeline live in internal/loadgen; this file
-// is flag parsing, target construction and the stable report.
+// is flag parsing, pool construction and the stable report.
 
 import (
 	"flag"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/scheme"
-	"repro/internal/stats"
 )
 
 // loadQuant renders a histogram quantile (a power of two, 0 or +Inf)
@@ -36,43 +33,6 @@ func loadQuant(v float64) string {
 		return "+Inf"
 	}
 	return fmt.Sprintf("%.0f", v)
-}
-
-// loadTarget bundles the driver target with the hooks the report needs;
-// both backends expose deterministic modeled stats.
-type loadTarget struct {
-	tgt   loadgen.Target
-	info  scheme.Info
-	stats func() (stats.Stats, error)
-	close func() error
-}
-
-// newLoadTarget builds the traffic target: one controller when shards
-// is 0 or 1, a sharded engine pool otherwise.
-func newLoadTarget(cfg config.Config, shards int) (*loadTarget, error) {
-	if shards <= 1 {
-		ctl, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t := loadgen.NewControllerTarget(ctl)
-		return &loadTarget{
-			tgt:   t,
-			info:  ctl.SchemeInfo(),
-			stats: func() (stats.Stats, error) { return t.Stats(), nil },
-			close: func() error { return nil },
-		}, nil
-	}
-	pool, err := engine.New(cfg, shards)
-	if err != nil {
-		return nil, err
-	}
-	return &loadTarget{
-		tgt:   loadgen.NewPoolTarget(pool),
-		info:  pool.SchemeInfo(),
-		stats: pool.Stats,
-		close: func() error { _, err := pool.Shutdown(); return err },
-	}, nil
 }
 
 // runLoad implements `thothsim load`: resolve the scenario, apply the
@@ -109,6 +69,10 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 	progress := fs.Float64("progress", 0,
 		"print a top-style gauge summary to stderr every this many wall seconds (0 = off)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *shards < 0 {
+		fmt.Fprintln(stderr, "thothsim load: -shards must not be negative")
 		return 2
 	}
 
@@ -153,12 +117,13 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 
 	reg := metrics.New()
 	cfg.Metrics = reg
-	lt, err := newLoadTarget(cfg, *shards)
+	nShards := max(*shards, 1)
+	pool, err := engine.New(cfg, nShards)
 	if err != nil {
 		fmt.Fprintln(stderr, "thothsim load:", err)
 		return 1
 	}
-	d, err := loadgen.NewDriver(scn, lt.tgt, cfg, reg, loadgen.Options{
+	d, err := loadgen.NewDriver(scn, loadgen.NewPoolTarget(pool), cfg, reg, loadgen.Options{
 		RecordLatencies: *check,
 		Attribution:     *attr,
 	})
@@ -167,10 +132,6 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	nShards := *shards
-	if nShards < 1 {
-		nShards = 1
-	}
 	fmt.Fprintf(stdout, "load scenario=%s scheme=%v block=%dB tenants=%d shards=%d seed=%d\n",
 		scn.Name, sch, *block, scn.Tenants, nShards, scn.Seed)
 
@@ -201,7 +162,7 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 				s.Tenant, s.Ops, loadQuant(s.P50), loadQuant(s.P95), loadQuant(s.P99))
 		}
 	}
-	st, err := lt.stats()
+	st, err := pool.Stats()
 	if err != nil {
 		fmt.Fprintln(stderr, "thothsim load:", err)
 		return 1
@@ -217,7 +178,7 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 			"quantile check: every histogram percentile matches the exact recomputation "+
 				"(bucket upper bound, within one log2 bucket)")
 	}
-	if err := lt.close(); err != nil {
+	if _, err := pool.Shutdown(); err != nil {
 		fmt.Fprintln(stderr, "thothsim load:", err)
 		return 1
 	}
@@ -304,31 +265,22 @@ func printAttribution(w io.Writer, a loadgen.Attribution, top int) {
 	}
 }
 
-// loadServeSim is the load-generator-backed serving simulation behind
-// `thothsim serve -load <scenario>`: rounds issue a fixed number of
-// open-loop ops while the HTTP handlers read the shared registry — the
-// aggregate and per-tenant latency histograms (thoth_loadgen_* families)
-// are live, so /metrics exposes per-tenant percentiles mid-run. The
-// /statsz snapshot is refreshed at round boundaries under a mutex
-// because Summary reads driver state the generator mutates.
-type loadServeSim struct {
-	reg      *metrics.Registry
+// loadTraffic is the serve-mode source behind `thothsim serve -load
+// <scenario>`: rounds issue a fixed number of open-loop ops, and the
+// aggregate and per-tenant latency histograms (thoth_loadgen_*
+// families) feed the registry, so /metrics exposes per-tenant
+// percentiles mid-run.
+type loadTraffic struct {
 	d        *loadgen.Driver
-	info     scheme.Info
-	shards   int
+	pool     *engine.Pool
 	roundOps int
-	sampler  *metrics.Sampler
-
-	mu     sync.Mutex
-	sum    loadgen.Summary
-	rounds int64
 }
 
-// newLoadServeSim builds the driver over a fresh controller (or pool at
-// -shards N) with the serve registry attached; the scenario's op and
+// newLoadServeSim builds the driver over a fresh pool of max(shards, 1)
+// controllers with the serve registry attached; the scenario's op and
 // duration budgets are lifted — serve mode runs rounds until
 // interrupted.
-func newLoadServeSim(cfg config.Config, scenario string, tenants, shards, roundOps int, sampleEvery int64) (*loadServeSim, error) {
+func newLoadServeSim(cfg config.Config, scenario string, tenants, shards, roundOps int, sampleEvery int64) (*serveSim, error) {
 	if roundOps <= 0 {
 		return nil, fmt.Errorf("serve: round size %d must be positive", roundOps)
 	}
@@ -343,62 +295,25 @@ func newLoadServeSim(cfg config.Config, scenario string, tenants, shards, roundO
 	scn.DurationCycles = 0
 	reg := metrics.New()
 	cfg.Metrics = reg
-	lt, err := newLoadTarget(cfg, shards)
+	pool, err := engine.New(cfg, max(shards, 1))
 	if err != nil {
 		return nil, err
 	}
-	// Attribution is always on in serve mode: both load targets support
-	// spans, the per-op cost is an allocation-free cursor walk, and it
-	// puts the thoth_op_stage_cycles{stage=...} histograms on /metrics
-	// so the stage mix is scrapeable live.
-	d, err := loadgen.NewDriver(scn, lt.tgt, cfg, reg, loadgen.Options{Attribution: true})
+	// Attribution is always on in serve mode: the per-op cost is an
+	// allocation-free cursor walk, and it puts the
+	// thoth_op_stage_cycles{stage=...} histograms on /metrics so the
+	// stage mix is scrapeable live.
+	d, err := loadgen.NewDriver(scn, loadgen.NewPoolTarget(pool), cfg, reg, loadgen.Options{Attribution: true})
 	if err != nil {
 		return nil, err
 	}
-	nShards := shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	s := &loadServeSim{
-		reg:      reg,
-		d:        d,
-		info:     lt.info,
-		shards:   nShards,
-		roundOps: roundOps,
-		sampler:  metrics.NewSampler(reg, sampleEvery, 0, nil),
-	}
-	s.publish()
-	return s, nil
+	src := &loadTraffic{d: d, pool: pool, roundOps: roundOps}
+	return startServeSim(reg, src, pool.SchemeInfo(), sampleEvery)
 }
 
-// round issues one round of open-loop ops and refreshes the snapshot.
-func (s *loadServeSim) round() error {
-	if _, err := s.d.RunOps(int64(s.roundOps)); err != nil {
-		return err
-	}
-	s.publish()
-	return nil
-}
-
-func (s *loadServeSim) publish() {
-	sum := s.d.Summary()
-	s.mu.Lock()
-	s.sum = sum
-	s.rounds++
-	s.mu.Unlock()
-	s.sampler.Tick(sum.Cycles)
-}
-
-func (s *loadServeSim) schemeInfo() scheme.Info { return s.info }
-
-func (s *loadServeSim) now() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sum.Cycles
-}
-
-func (s *loadServeSim) mux() *http.ServeMux {
-	return buildServeMux(s.reg, func() any { return s.statsz() }, s.sampler)
+func (t *loadTraffic) round() error {
+	_, err := t.d.RunOps(int64(t.roundOps))
+	return err
 }
 
 // loadStatsz is the JSON document served at /statsz in load mode. The
@@ -424,17 +339,16 @@ type loadStatsz struct {
 	EventHash        string `json:"event_stream_sha256"`
 }
 
-func (s *loadServeSim) statsz() loadStatsz {
-	s.mu.Lock()
-	sum, rounds := s.sum, s.rounds
-	s.mu.Unlock()
+func (t *loadTraffic) snapshot(rounds int64) (any, int64, error) {
+	sum := t.d.Summary()
+	info := t.pool.SchemeInfo()
 	return loadStatsz{
-		Scheme:           s.info.Name,
-		SchemeGuarantees: s.info.Guarantees,
+		Scheme:           info.Name,
+		SchemeGuarantees: info.Guarantees,
 		Scenario:         sum.Scenario,
 		Tenants:          sum.Tenants,
-		Shards:           s.shards,
-		Rounds:           rounds - 1, // the constructor's initial publish is round 0
+		Shards:           t.pool.Shards(),
+		Rounds:           rounds,
 		Cycle:            sum.Cycles,
 		Ops:              sum.Ops,
 		Reads:            sum.Reads,
@@ -446,5 +360,5 @@ func (s *loadServeSim) statsz() loadStatsz {
 		WorstTenant:      fmt.Sprintf("%04d", sum.WorstTenant),
 		WorstTenantP99:   loadQuant(sum.WorstP99),
 		EventHash:        sum.EventHash,
-	}
+	}, sum.Cycles, nil
 }

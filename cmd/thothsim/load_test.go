@@ -109,6 +109,9 @@ func TestLoadRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"load", "-scheme", "nonsense"}, &out, &errw); code != 1 {
 		t.Fatalf("bad scheme: exit %d, want 1", code)
 	}
+	if code := run([]string{"load", "-shards", "-3", "-ops", "10", "-pub", "64"}, &out, &errw); code != 2 {
+		t.Fatalf("negative -shards: exit %d, want 2", code)
+	}
 }
 
 // TestServeLoadEndpoints boots the load-backed serve sim and checks the

@@ -85,6 +85,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *shards < 0 {
+		fmt.Fprintln(stderr, "thothsim: -shards must not be negative")
+		return 2
+	}
 	if *persistBatch != 0 && *shards <= 0 {
 		fmt.Fprintln(stderr, "thothsim: -persist-batch needs -shards")
 		return 2

@@ -87,6 +87,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errw); code != 2 {
 		t.Fatalf("bad flag: exit %d, want 2", code)
 	}
+	if code := run([]string{"-shards", "-2", "-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16"}, &out, &errw); code != 2 {
+		t.Fatalf("negative -shards: exit %d, want 2", code)
+	}
 }
 
 func TestParseScheme(t *testing.T) {

@@ -14,14 +14,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	thoth "repro"
 	"repro/internal/config"
 	"repro/internal/metrics"
-	"repro/internal/scheme"
-	"repro/internal/stats"
 )
 
 // dumpFlight writes one flight-recorder snapshot as a JSONL trace file
@@ -208,27 +205,16 @@ func runPoolBench(cfg config.Config, shards, blocks, depth int, crash, verify bo
 	return 0
 }
 
-// poolServeSim is the pool-backed serving simulation behind
-// `thothsim serve -shards N`: rounds persist seeded random blocks
-// through the sharded engine while the HTTP handlers read the shared
-// registry (per-shard thoth_pool_shard_* families included, fed by the
-// engine itself).
-type poolServeSim struct {
-	reg         *metrics.Registry
+// poolTraffic is the serve-mode source behind `thothsim serve -shards
+// N`: rounds persist seeded random blocks through the sharded engine,
+// whose per-shard thoth_pool_shard_* families feed the registry.
+type poolTraffic struct {
 	pool        *thoth.Pool
-	cfg         config.Config
-	roundBlocks int
 	rng         *poolRNG
-	sampler     *metrics.Sampler
-
-	mu     sync.Mutex
-	snap   stats.Stats
-	rounds int64
-	blocks int64
-	cycle  int64
+	roundBlocks int
 }
 
-func newPoolServeSim(cfg config.Config, shards, roundBlocks int, sampleEvery int64) (*poolServeSim, error) {
+func newPoolServeSim(cfg config.Config, shards, roundBlocks int, sampleEvery int64) (*serveSim, error) {
 	if roundBlocks <= 0 {
 		return nil, fmt.Errorf("serve: round size %d must be positive", roundBlocks)
 	}
@@ -238,54 +224,12 @@ func newPoolServeSim(cfg config.Config, shards, roundBlocks int, sampleEvery int
 	if err != nil {
 		return nil, fmt.Errorf("serve: pool: %w", err)
 	}
-	s := &poolServeSim{
-		reg:         reg,
-		pool:        pool,
-		cfg:         cfg,
-		roundBlocks: roundBlocks,
-		rng:         &poolRNG{s: uint64(cfg.Seed)},
-		sampler:     metrics.NewSampler(reg, sampleEvery, 0, nil),
-	}
-	if err := s.publishSnap(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	src := &poolTraffic{pool: pool, rng: &poolRNG{s: uint64(cfg.Seed)}, roundBlocks: roundBlocks}
+	return startServeSim(reg, src, pool.SchemeInfo(), sampleEvery)
 }
 
-func (s *poolServeSim) round() error {
-	if err := s.pool.PersistBatch(poolBatch(s.pool, s.rng, s.roundBlocks, nil)); err != nil {
-		return err
-	}
-	return s.publishSnap()
-}
-
-func (s *poolServeSim) publishSnap() error {
-	snap, err := s.pool.Stats()
-	if err != nil {
-		return err
-	}
-	cycle, err := s.pool.Elapsed()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.rounds > 0 { // the constructor's publish precedes any round
-		s.blocks += int64(s.roundBlocks)
-	}
-	s.snap = snap
-	s.rounds++
-	s.cycle = cycle
-	s.mu.Unlock()
-	s.sampler.Tick(cycle)
-	return nil
-}
-
-func (s *poolServeSim) schemeInfo() scheme.Info { return s.pool.SchemeInfo() }
-
-func (s *poolServeSim) now() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cycle
+func (t *poolTraffic) round() error {
+	return t.pool.PersistBatch(poolBatch(t.pool, t.rng, t.roundBlocks, nil))
 }
 
 // poolStatsz is the JSON document served at /statsz in pool mode.
@@ -305,18 +249,19 @@ type poolStatsz struct {
 	CtrOverflows     int64   `json:"ctr_overflows"`
 }
 
-func (s *poolServeSim) statsz() poolStatsz {
-	s.mu.Lock()
-	snap, rounds, blocks, cycle := s.snap, s.rounds, s.blocks, s.cycle
-	s.mu.Unlock()
-	info := s.pool.SchemeInfo()
+func (t *poolTraffic) snapshot(rounds int64) (any, int64, error) {
+	snap, err := t.pool.Stats()
+	if err != nil {
+		return nil, 0, err
+	}
+	info := t.pool.SchemeInfo()
 	return poolStatsz{
 		Scheme:           info.Name,
 		SchemeGuarantees: info.Guarantees,
-		Shards:           s.pool.Shards(),
-		Rounds:           rounds - 1, // the constructor's initial publish is round 0
-		Cycle:            cycle,
-		BlocksPersisted:  blocks,
+		Shards:           t.pool.Shards(),
+		Rounds:           rounds,
+		Cycle:            snap.Cycles,
+		BlocksPersisted:  rounds * int64(t.roundBlocks),
 		TotalWrites:      snap.TotalWrites(),
 		NVMReads:         snap.NVMReads,
 		CtrHitRate:       snap.CtrHitRate(),
@@ -324,5 +269,5 @@ func (s *poolServeSim) statsz() poolStatsz {
 		MTHitRate:        snap.MTHitRate(),
 		PUBEvictions:     snap.PUBEvictions,
 		CtrOverflows:     snap.CtrOverflows,
-	}
+	}, snap.Cycles, nil
 }

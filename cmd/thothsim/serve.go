@@ -21,29 +21,87 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scheme"
-	"repro/internal/stats"
 )
 
-// serveSim is the long-running simulation behind `thothsim serve`: a
-// harness runner driven in rounds of transactions, feeding one metrics
-// registry through both seams (the FromTracer adapter for event-derived
-// metrics, Config.Metrics for the controller's native histograms). The
-// registry is built on atomics, so HTTP handlers read it concurrently
-// with the simulation; the /statsz snapshot is copied under a mutex at
-// round boundaries because stats.Stats itself is not atomic.
+// serveSim is the long-running simulation behind `thothsim serve`: one
+// traffic source driven in rounds, feeding one metrics registry that
+// the HTTP handlers read concurrently (the registry is built on
+// atomics). The /statsz document is rebuilt at each round boundary and
+// swapped in under a mutex, because the stats it reads are not atomic.
 type serveSim struct {
-	reg      *metrics.Registry
+	reg     *metrics.Registry
+	src     traffic
+	info    scheme.Info
+	sampler *metrics.Sampler
+	rounds  int64 // completed rounds; only the serving loop touches it
+	cycle   int64 // modeled cycle after the latest round, likewise
+
+	mu  sync.Mutex
+	doc any // the /statsz document
+}
+
+// traffic is one source of serve-mode work: the workload harness, the
+// sharded pool's persist batches or the open-loop load generator.
+type traffic interface {
+	// round runs one round of work.
+	round() error
+	// snapshot returns the /statsz document after the given number of
+	// completed rounds, and the modeled cycle they reached.
+	snapshot(rounds int64) (doc any, cycle int64, err error)
+}
+
+// startServeSim wraps a traffic source whose work feeds reg and
+// publishes its round-0 snapshot.
+func startServeSim(reg *metrics.Registry, src traffic, info scheme.Info, sampleEvery int64) (*serveSim, error) {
+	s := &serveSim{
+		reg:     reg,
+		src:     src,
+		info:    info,
+		sampler: metrics.NewSampler(reg, sampleEvery, 0, nil),
+	}
+	if err := s.publish(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// round executes one round of work and refreshes the /statsz document
+// and the time-series sampler.
+func (s *serveSim) round() error {
+	if err := s.src.round(); err != nil {
+		return err
+	}
+	s.rounds++
+	return s.publish()
+}
+
+func (s *serveSim) publish() error {
+	doc, cycle, err := s.src.snapshot(s.rounds)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.doc = doc
+	s.mu.Unlock()
+	s.cycle = cycle
+	s.sampler.Tick(cycle)
+	return nil
+}
+
+func (s *serveSim) statsz() any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.doc
+}
+
+// harnessTraffic runs rounds of benchmark transactions on a harness
+// runner, which feeds the registry through both seams: the FromTracer
+// adapter for event-derived metrics and Config.Metrics for the
+// controller's native histograms.
+type harnessTraffic struct {
 	runner   *harness.Runner
-	cfg      config.Config
 	workload string
 	roundTxs int
-	sampler  *metrics.Sampler
-
-	mu     sync.Mutex
-	snap   stats.Stats
-	rounds int64
-	txs    int64
-	cycle  int64
 }
 
 // newServeSim builds the runner (setup + warm-up + Thoth PUB prefill +
@@ -80,47 +138,14 @@ func newServeSim(cfg config.Config, workload string, setupKeys, warmupTxs, round
 		}
 	}
 	r.Controller().ResetStats()
-	s := &serveSim{
-		reg:      reg,
-		runner:   r,
-		cfg:      cfg,
-		workload: workload,
-		roundTxs: roundTxs,
-		sampler:  metrics.NewSampler(reg, sampleEvery, 0, nil),
-	}
-	s.publishSnap()
-	s.sampler.Tick(r.Now())
-	return s, nil
+	src := &harnessTraffic{runner: r, workload: workload, roundTxs: roundTxs}
+	return startServeSim(reg, src, r.Controller().SchemeInfo(), sampleEvery)
 }
 
-// round executes one round of transactions and refreshes the /statsz
-// snapshot and the time-series sampler.
-func (s *serveSim) round() error {
-	s.runner.RunTxs(s.roundTxs)
-	s.runner.Controller().SyncStats()
-	s.publishSnap()
-	s.sampler.Tick(s.runner.Now())
+func (h *harnessTraffic) round() error {
+	h.runner.RunTxs(h.roundTxs)
+	h.runner.Controller().SyncStats()
 	return nil
-}
-
-func (s *serveSim) schemeInfo() scheme.Info { return s.runner.Controller().SchemeInfo() }
-
-func (s *serveSim) now() int64 { return s.runner.Now() }
-
-func (s *serveSim) publishSnap() {
-	snap := *s.runner.Controller().Stats()
-	s.mu.Lock()
-	if s.rounds > 0 { // the constructor's publish precedes any round
-		s.txs += int64(s.roundTxs)
-	}
-	// The controller does not count transactions (harness.Run stamps
-	// them from its own config); the serve loop is the driver here, so
-	// it owns the tally.
-	snap.Transactions = s.txs
-	s.snap = snap
-	s.rounds++
-	s.cycle = s.runner.Now()
-	s.mu.Unlock()
 }
 
 // statsz is the JSON document served at /statsz.
@@ -143,29 +168,32 @@ type statsz struct {
 	CtrOverflows     int64            `json:"ctr_overflows"`
 }
 
-func (s *serveSim) statsz() statsz {
-	s.mu.Lock()
-	snap, rounds, cycle := s.snap, s.rounds, s.cycle
-	s.mu.Unlock()
-	info := s.runner.Controller().SchemeInfo()
+func (h *harnessTraffic) snapshot(rounds int64) (any, int64, error) {
+	ctl := h.runner.Controller()
+	snap := ctl.Stats()
+	info := ctl.SchemeInfo()
+	cycle := h.runner.Now()
 	return statsz{
 		Scheme:           info.Name,
 		SchemeGuarantees: info.Guarantees,
 		SchemeTunables:   info.Tunables,
-		Workload:         s.workload,
-		Rounds:           rounds - 1, // the constructor's initial publish is round 0
+		Workload:         h.workload,
+		Rounds:           rounds,
 		Cycle:            cycle,
-		Transactions:     snap.Transactions,
-		TotalWrites:      snap.TotalWrites(),
-		NVMReads:         snap.NVMReads,
-		CtrHitRate:       snap.CtrHitRate(),
-		MACHitRate:       snap.MACHitRate(),
-		MTHitRate:        snap.MTHitRate(),
-		PCBMergeRate:     snap.PCBMergeRate(),
-		WPQStalls:        snap.WPQStallCycles,
-		PUBEvictions:     snap.PUBEvictions,
-		CtrOverflows:     snap.CtrOverflows,
-	}
+		// The controller does not count transactions (harness.Run
+		// stamps them from its own config); the serve loop is the
+		// driver here, so it owns the tally.
+		Transactions: rounds * int64(h.roundTxs),
+		TotalWrites:  snap.TotalWrites(),
+		NVMReads:     snap.NVMReads,
+		CtrHitRate:   snap.CtrHitRate(),
+		MACHitRate:   snap.MACHitRate(),
+		MTHitRate:    snap.MTHitRate(),
+		PCBMergeRate: snap.PCBMergeRate(),
+		WPQStalls:    snap.WPQStallCycles,
+		PUBEvictions: snap.PUBEvictions,
+		CtrOverflows: snap.CtrOverflows,
+	}, cycle, nil
 }
 
 // promContentType is the Prometheus text exposition content type.
@@ -175,23 +203,22 @@ const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 // modeled cycles (the -sample flag overrides it).
 const serveSampleCycles = 50000
 
-// buildServeMux builds the serve-mode HTTP handler: /metrics
-// (Prometheus text format), /statsz (JSON snapshot), /timeseries (the
-// gauge/counter ring sampler's window as JSON), /debug/vars (expvar,
-// including the registry bridge) and /debug/pprof/*. All the
-// round-driven sims serve through it.
-func buildServeMux(reg *metrics.Registry, statsz func() any, sampler *metrics.Sampler) *http.ServeMux {
-	metrics.Publish("thoth", reg)
+// mux builds the serve-mode HTTP handler: /metrics (Prometheus text
+// format), /statsz (JSON snapshot), /timeseries (the gauge/counter ring
+// sampler's window as JSON), /debug/vars (expvar, including the
+// registry bridge) and /debug/pprof/*.
+func (s *serveSim) mux() *http.ServeMux {
+	metrics.Publish("thoth", s.reg)
 	m := http.NewServeMux()
 	m.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", promContentType)
-		if err := metrics.WriteProm(w, reg); err != nil {
+		if err := metrics.WriteProm(w, s.reg); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
 	m.HandleFunc("/timeseries", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := sampler.WriteJSON(w); err != nil {
+		if err := s.sampler.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -199,7 +226,7 @@ func buildServeMux(reg *metrics.Registry, statsz func() any, sampler *metrics.Sa
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(statsz()); err != nil {
+		if err := enc.Encode(s.statsz()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -212,14 +239,6 @@ func buildServeMux(reg *metrics.Registry, statsz func() any, sampler *metrics.Sa
 		http.DefaultServeMux.ServeHTTP(w, r) // expvar registers itself there
 	})
 	return m
-}
-
-func (s *serveSim) mux() *http.ServeMux {
-	return buildServeMux(s.reg, func() any { return s.statsz() }, s.sampler)
-}
-
-func (s *poolServeSim) mux() *http.ServeMux {
-	return buildServeMux(s.reg, func() any { return s.statsz() }, s.sampler)
 }
 
 // runServe implements the `thothsim serve` subcommand: boot the
@@ -253,6 +272,10 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *shards < 0 {
+		fmt.Fprintln(stderr, "thothsim serve: -shards must not be negative")
+		return 2
+	}
 
 	sch, err := scheme.Parse(*schemeStr)
 	if err != nil {
@@ -267,7 +290,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	cfg.PUBBytes = *pubKiB << 10
 	cfg.LLCBytes = 1 << 20
 
-	var sim roundSim
+	var sim *serveSim
 	served := *wl
 	switch {
 	case *loadScn != "":
@@ -310,21 +333,11 @@ func newServeServer(h http.Handler) *http.Server {
 	}
 }
 
-// roundSim is what the serving loop drives: one round of simulated
-// work at a time, behind an HTTP mux. Implemented by the harness-backed
-// serveSim and the pool-backed poolServeSim.
-type roundSim interface {
-	mux() *http.ServeMux
-	round() error
-	schemeInfo() scheme.Info
-	now() int64
-}
-
 // serveWith runs the serving loop over an already-bound listener: rounds
 // of transactions until the budget is exhausted (-rounds 0 = until
 // interrupted), with the HTTP server's failure, a simulation failure or
 // an interrupt breaking the loop.
-func serveWith(sim roundSim, ln net.Listener, rounds, roundTxs int, stdout, stderr io.Writer) int {
+func serveWith(sim *serveSim, ln net.Listener, rounds, roundTxs int, stdout, stderr io.Writer) int {
 	srv := newServeServer(sim.mux())
 	// Serve's error must not be dropped: a listener failure mid-run
 	// (socket closed underneath us, fd exhaustion) should stop the
@@ -342,7 +355,7 @@ func serveWith(sim roundSim, ln net.Listener, rounds, roundTxs int, stdout, stde
 		defer cancel()
 		srv.Shutdown(ctx)
 	}
-	info := sim.schemeInfo()
+	info := sim.info
 	fmt.Fprintf(stdout, "scheme %s: %s\n", info.Name, info.Guarantees)
 	for _, tun := range info.Tunables {
 		fmt.Fprintf(stdout, "  %s=%s\n", tun.Name, tun.Value)
@@ -372,7 +385,7 @@ func serveWith(sim roundSim, ln net.Listener, rounds, roundTxs int, stdout, stde
 		}
 	}
 	fmt.Fprintf(stdout, "completed %d rounds (%d txs) at cycle %d\n",
-		rounds, rounds*roundTxs, sim.now())
+		rounds, rounds*roundTxs, sim.cycle)
 	shutdown()
 	return 0
 }

@@ -314,6 +314,10 @@ func TestRunServeRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"serve", "-round", "0", "-rounds", "1"}, &out, &errw); code != 1 {
 		t.Fatalf("zero round size: exit %d, want 1", code)
 	}
+	if code := run([]string{"serve", "-shards", "-2", "-addr", "127.0.0.1:0", "-rounds", "1",
+		"-round", "50", "-setup", "64", "-warmup", "5", "-pub", "64", "-workload", "swap"}, &out, &errw); code != 2 {
+		t.Fatalf("negative -shards: exit %d, want 2", code)
+	}
 }
 
 // TestServePoolEndpoints boots the pool-backed serve sim and checks the

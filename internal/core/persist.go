@@ -66,18 +66,58 @@ func (c *Controller) ReadBlock(t int64, addr int64) (int64, []byte) {
 	return done, plain
 }
 
-// ReadBlockAllowEmpty is ReadBlock for blocks that may never have been
+// readBlockAllowEmpty is ReadBlock for blocks that may never have been
 // written: an unwritten block returns zeros without MAC verification
 // (there is nothing to verify — the allocator would hand out zero-fill
 // pages), while a written block takes the full verified read path. The
 // same borrowed-scratch contract as ReadBlock applies.
-func (c *Controller) ReadBlockAllowEmpty(t int64, addr int64) (int64, []byte) {
+func (c *Controller) readBlockAllowEmpty(t int64, addr int64) (int64, []byte) {
 	c.checkAlive()
 	if !c.dev.Written(addr) {
 		clear(c.readBuf)
 		return t, c.readBuf
 	}
 	return c.ReadBlock(t, addr)
+}
+
+// WriteRange persists data at the data-region offset off, block by
+// block in address order, and returns the cycle at which the last block
+// is durable. A whole block persists directly; a partial block is read
+// (zeros if never written), patched and persisted whole. Each block
+// starts when the previous one completes, the first at t, and charges
+// the installed span. The caller keeps the range inside the data
+// region.
+func (c *Controller) WriteRange(t, off int64, data []byte) int64 {
+	bs := int64(c.cfg.BlockSize)
+	for i := int64(0); i < int64(len(data)); {
+		addr := c.lay.DataBase + (off+i)/bs*bs
+		lo := (off + i) % bs
+		n := min(bs-lo, int64(len(data))-i)
+		block := data[i : i+n]
+		if n < bs {
+			var cur []byte
+			t, cur = c.readBlockAllowEmpty(t, addr)
+			copy(cur[lo:], block)
+			block = cur
+		}
+		t = c.PersistBlock(t, addr, block)
+		i += n
+	}
+	return t
+}
+
+// ReadRange fills dst from the data-region offset off, decrypting and
+// verifying every covered block in address order (a never-written block
+// reads as zeros), and returns the cycle at which the last block is
+// read. Timing and span charging follow WriteRange.
+func (c *Controller) ReadRange(t, off int64, dst []byte) int64 {
+	bs := int64(c.cfg.BlockSize)
+	for i := int64(0); i < int64(len(dst)); {
+		var block []byte
+		t, block = c.readBlockAllowEmpty(t, c.lay.DataBase+(off+i)/bs*bs)
+		i += int64(copy(dst[i:], block[(off+i)%bs:]))
+	}
+	return t
 }
 
 // PersistBlock performs a secure persistent write of one data block (the

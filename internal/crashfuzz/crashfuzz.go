@@ -171,9 +171,10 @@ func RunCase(c Case) *Result {
 
 // runScheme executes the case under one scheme. It returns the recovered
 // plaintext of every golden block (nil if execution never got that far)
-// and the violations observed. All panics — controller invariants, MAC
-// verification failures on read-back — are converted to violations; a
-// fuzzer must never take the process down with it.
+// and the violations observed. Errors — a read-back that fails MAC
+// verification among them — and any panic outside the System (recovery,
+// say) are converted to violations; a fuzzer must never take the
+// process down with it.
 func runScheme(c Case, sch config.Scheme, golden map[int64][]byte) (blocks map[int64][]byte, viols []Violation) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -217,7 +218,7 @@ func runScheme(c Case, sch config.Scheme, golden map[int64][]byte) (blocks map[i
 	blocks = make(map[int64][]byte, len(golden))
 	for _, addr := range sortedAddrs(golden) {
 		want := golden[addr]
-		got, err := readBlock(sys2, addr, len(want))
+		got, err := sys2.Read(addr, len(want))
 		switch {
 		case err != nil:
 			viols = append(viols, Violation{VDataLoss, sch,
@@ -230,17 +231,6 @@ func runScheme(c Case, sch config.Scheme, golden map[int64][]byte) (blocks map[i
 		blocks[addr] = got
 	}
 	return blocks, viols
-}
-
-// readBlock reads back one recovered block, converting the controller's
-// MAC-verification panic into an error the caller reports as data loss.
-func readBlock(sys *thoth.System, addr int64, n int) (b []byte, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			b, err = nil, fmt.Errorf("read panicked: %v", p)
-		}
-	}()
-	return sys.Read(addr, n)
 }
 
 // corruptCtr flips one bit in the counter region of the live device

@@ -10,16 +10,17 @@
 // keeps every read-modify-write of shared metadata inside a single
 // controller. Groups stripe round-robin across shards (group g lives on
 // shard g mod N), which makes the one-shard pool's address map the
-// identity — a one-shard Pool is byte-identical to a plain single
-// controller, the property the differential tests pin.
+// identity — a one-shard Pool is byte-identical to a bare controller
+// driven through core's WriteRange, ReadRange and PersistBatch, the
+// property the differential tests pin. The public thoth.System is a
+// one-shard Pool.
 //
 // Each shard is a controller and its modeled clock behind one mutex.
 // Front-end calls run on the caller's goroutine: they split a request at
 // group boundaries and serve the segments one by one, each under its
 // shard's lock, never holding two shard locks at once. The Pool is safe
-// for concurrent use by multiple goroutines (unlike a single System):
-// the lock serializes each shard's stream while callers on distinct
-// shards proceed in parallel. The shards' modeled concurrency lives in
+// for concurrent use by multiple goroutines: the lock serializes each
+// shard's stream while callers on distinct shards proceed in parallel. The shards' modeled concurrency lives in
 // their independent cycle clocks, not in host threads; only PersistBatch
 // fans out, one goroutine per busy shard.
 package engine
@@ -27,6 +28,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -63,14 +65,18 @@ type WriteReq struct {
 	Data []byte
 }
 
-// shard is one controller partition: mu guards ctl and the modeled
-// clock now, and every service runs on its caller's goroutine between
-// acquire and release.
+// shard is one controller partition: mu guards ctl, the modeled clock
+// now and the batch scratch, and every service runs on its caller's
+// goroutine between acquire and release.
 type shard struct {
 	mu  sync.Mutex
 	idx int
 	ctl *core.Controller
 	now int64
+
+	// batch holds the shard's translated share of a PersistBatch,
+	// reused across calls so steady-state batching does not allocate.
+	batch []core.WriteReq
 
 	// Per-shard observability, nil when the pool config carries no
 	// metrics registry.
@@ -87,7 +93,7 @@ type Pool struct {
 	shardCfg   config.Config // per-shard config (MemBytes / n)
 	n          int
 	groupBytes int64 // metadata-group span in bytes
-	perShard   int64 // usable data bytes per shard (multiple of groupBytes)
+	perShard   int64 // usable data bytes per shard
 	dataBase   int64 // DataBase of the (identical) per-shard layouts
 
 	mu      sync.RWMutex // RLock: ops; Lock: crash/shutdown
@@ -127,16 +133,21 @@ func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i in
 	if cfg.Tracer != nil {
 		// Callers on distinct shards emit concurrently; serialize for
 		// plain tracers.
-		lt := &lockedTracer{t: cfg.Tracer}
-		cfg.Tracer = lt
-		scfg.Tracer = lt
+		scfg.Tracer = &lockedTracer{t: cfg.Tracer}
 	}
 	lay, err := layout.New(scfg)
 	if err != nil {
 		return nil, err
 	}
 	group := recovery.GroupBlocks(scfg) * int64(scfg.BlockSize)
-	perShard := lay.DataBytes / group * group
+	// One shard routes by the identity map and keeps the whole data
+	// region. Striping needs whole groups: with more shards each slice
+	// drops the tail that cannot fill one (a group spans several pages
+	// when the blocks per page are not a multiple of the MACs per block).
+	perShard := lay.DataBytes
+	if shards > 1 {
+		perShard = perShard / group * group
+	}
 	if perShard <= 0 {
 		return nil, fmt.Errorf("engine: shard data region %dB cannot hold one %dB metadata group",
 			lay.DataBytes, group)
@@ -187,25 +198,24 @@ func (p *Pool) Config() config.Config { return p.cfg }
 func (p *Pool) BlockSize() int { return p.cfg.BlockSize }
 
 // DataSize returns the usable protected data region in bytes: the sum of
-// the shard slices, each floored to a whole number of metadata groups.
+// the shard slices, each floored to a whole number of metadata groups
+// when there is more than one shard.
 func (p *Pool) DataSize() int64 { return int64(p.n) * p.perShard }
 
 // GroupBytes returns the metadata-group span in bytes — the routing
 // granularity: offsets within one group always land on one shard.
 func (p *Pool) GroupBytes() int64 { return p.groupBytes }
 
-// ShardOf returns the shard owning the data-region offset.
-func (p *Pool) ShardOf(addr int64) int {
-	s, _ := p.locate(addr)
-	return s
-}
-
 // locate maps a pool data offset to (shard, local shard data offset).
 // Whole groups stripe round-robin: group g lives on shard g mod n at
 // local group slot g div n. With n == 1 this is the identity map.
 func (p *Pool) locate(addr int64) (int, int64) {
-	g := addr / p.groupBytes
-	return int(g % int64(p.n)), p.localOf(addr)
+	return p.shardOf(addr), p.localOf(addr)
+}
+
+// shardOf is locate's shard half.
+func (p *Pool) shardOf(addr int64) int {
+	return int(addr / p.groupBytes % int64(p.n))
 }
 
 // localOf is locate's offset half.
@@ -264,8 +274,9 @@ func (p *Pool) Read(addr int64, n int) ([]byte, error) {
 // requests to their owning shards (each shard persists its share in
 // submission order). Busy shards persist their shares concurrently:
 // the caller runs one share and one goroutine runs each other share,
-// all joined before return. The batch is validated before any request
-// commits, so an invalid request leaves the pool untouched.
+// all joined before return; a batch that keeps one shard busy makes no
+// allocation in steady state. The batch is validated before any
+// request commits, so an invalid request leaves the pool untouched.
 func (p *Pool) PersistBatch(reqs []WriteReq) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -285,44 +296,36 @@ func (p *Pool) PersistBatch(reqs []WriteReq) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	perShard := make([][]core.WriteReq, p.n)
+	var busy uint64 // bit i: shard i owns a request (MaxShards fits)
 	for i := range reqs {
-		sh := int(reqs[i].Addr / p.groupBytes % int64(p.n))
-		perShard[sh] = append(perShard[sh], core.WriteReq{
-			Addr: p.dataBase + p.localOf(reqs[i].Addr),
-			Data: reqs[i].Data,
-		})
+		busy |= 1 << p.shardOf(reqs[i].Addr)
+	}
+	first := bits.TrailingZeros64(busy)
+	if busy &= busy - 1; busy == 0 {
+		return p.shards[first].persistBatch(p, reqs)
 	}
 	errs := make([]error, p.n)
 	var wg sync.WaitGroup
-	inline := -1
-	for sh, creqs := range perShard {
-		switch {
-		case len(creqs) == 0:
-		case inline < 0:
-			inline = sh
-		default:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[sh] = p.shards[sh].persistBatch(creqs)
-			}()
-		}
+	for ; busy != 0; busy &= busy - 1 {
+		sh := bits.TrailingZeros64(busy)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[sh] = p.shards[sh].persistBatch(p, reqs)
+		}()
 	}
-	errs[inline] = p.shards[inline].persistBatch(perShard[inline])
+	errs[first] = p.shards[first].persistBatch(p, reqs)
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
 // Stats returns the pooled statistics: the counter-wise sum of every
 // shard's snapshot, with Cycles replaced by the shard maximum — the
-// pool's modeled makespan, since shards run concurrently.
+// pool's modeled makespan, since shards run concurrently. After a crash
+// or shutdown it returns the final snapshot, power-down work included.
 func (p *Pool) Stats() (stats.Stats, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.crashed {
-		return stats.Stats{}, ErrCrashed
-	}
 	var pooled stats.Stats
 	var makespan int64
 	for _, s := range p.shards {
@@ -338,13 +341,10 @@ func (p *Pool) Stats() (stats.Stats, error) {
 }
 
 // ShardStats returns one shard's statistics snapshot, Cycles stamped to
-// that shard's modeled clock.
+// that shard's modeled clock; like Stats, it outlives a crash.
 func (p *Pool) ShardStats(i int) (stats.Stats, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.crashed {
-		return stats.Stats{}, ErrCrashed
-	}
 	if i < 0 || i >= p.n {
 		return stats.Stats{}, fmt.Errorf("engine: shard %d not in [0,%d)", i, p.n)
 	}
@@ -367,6 +367,29 @@ func (p *Pool) SchemeInfo() scheme.Info {
 	return p.shards[0].ctl.SchemeInfo()
 }
 
+// Device returns shard i's device image, i in [0, Shards()): live
+// while the pool runs (tampering with it models an attacker), the
+// power-down image once it has crashed or shut down.
+func (p *Pool) Device(i int) *nvm.Device { return p.shards[i].ctl.Device() }
+
+// Root returns shard i's on-chip integrity-tree root.
+func (p *Pool) Root(i int) uint64 {
+	s := p.shards[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ctl.Root()
+}
+
+// FlightRecord snapshots shard i's crash flight recorder: its most
+// recent controller events in arrival order. Taken after a crash, its
+// tail is the crash sequence itself (ADR flush, PUB seals).
+func (p *Pool) FlightRecord(i int) obs.FlightRecord {
+	s := p.shards[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ctl.FlightRecord()
+}
+
 // VerifyCrashConsistency checks every shard's crash-recoverability
 // invariant without perturbing the pool.
 func (p *Pool) VerifyCrashConsistency() error {
@@ -386,10 +409,11 @@ func (p *Pool) VerifyCrashConsistency() error {
 
 // CrashShards models a partial power failure: shards with crash[i] true
 // lose their volatile state (only the ADR domain survives, as
-// System.Crash), the rest power down cleanly (System.Shutdown, needing
-// no recovery). The pool is dead afterwards; recover the returned image
-// with RecoverPool and reopen with Open. The error joins per-shard ADR
-// flush failures — the image is still returned for diagnosis.
+// core.Controller.Crash), the rest power down cleanly
+// (core.Controller.Shutdown, needing no recovery). The pool is dead
+// afterwards; recover the returned image with RecoverPool and reopen
+// with Open. The error joins per-shard ADR flush failures — the image
+// is still returned for diagnosis.
 func (p *Pool) CrashShards(crash []bool) (*PoolImage, error) {
 	if len(crash) != p.n {
 		return nil, fmt.Errorf("engine: crash mask has %d entries for %d shards", len(crash), p.n)
@@ -474,22 +498,38 @@ func (s *shard) serve(write bool, arrival, addr int64, buf []byte, span *obs.Spa
 		span.Add(obs.SpanQueue, s.now-arrival)
 		s.ctl.SetSpan(span)
 	}
-	if write {
-		s.write(addr, buf)
-	} else {
-		s.read(addr, buf)
+	if !write {
+		s.now = s.ctl.ReadRange(s.now, addr, buf)
+		return s.now, nil
+	}
+	s.now = s.ctl.WriteRange(s.now, addr, buf)
+	if s.mBlocks != nil {
+		bs := int64(s.ctl.Layout().BlockSize)
+		s.mBlocks.Add((addr+int64(len(buf))-1)/bs - addr/bs + 1)
 	}
 	return s.now, nil
 }
 
-// persistBatch persists the shard's share of a PersistBatch.
-func (s *shard) persistBatch(reqs []core.WriteReq) (err error) {
+// persistBatch persists the shard's share of a PersistBatch: the
+// requests it owns, in submission order, translated into its scratch
+// under its lock.
+func (s *shard) persistBatch(p *Pool, reqs []WriteReq) (err error) {
 	s.acquire()
 	defer s.release(&err)
-	s.now = s.ctl.PersistBatch(s.now, reqs)
-	if s.mBlocks != nil {
-		s.mBlocks.Add(int64(len(reqs)))
+	s.batch = s.batch[:0]
+	for i := range reqs {
+		if p.shardOf(reqs[i].Addr) == s.idx {
+			s.batch = append(s.batch, core.WriteReq{
+				Addr: p.dataBase + p.localOf(reqs[i].Addr),
+				Data: reqs[i].Data,
+			})
+		}
 	}
+	s.now = s.ctl.PersistBatch(s.now, s.batch)
+	if s.mBlocks != nil {
+		s.mBlocks.Add(int64(len(s.batch)))
+	}
+	clear(s.batch) // drop payload references until the next batch
 	return nil
 }
 
@@ -524,57 +564,6 @@ func (s *shard) powerDown(crash bool) (dev *nvm.Device, flight obs.FlightRecord,
 		s.now, err = s.ctl.Shutdown(s.now)
 	}
 	return s.ctl.Device(), s.ctl.FlightRecord(), err
-}
-
-// write applies one segment (confined to a single metadata group) with
-// exactly the per-block read-modify-write protocol of a plain System —
-// the one-shard differential test holds the two byte-identical.
-func (s *shard) write(addr int64, data []byte) {
-	lay := s.ctl.Layout()
-	bs := int64(s.ctl.Device().BlockSize())
-	base := lay.DataBase
-	blocks := int64(0)
-	for off := int64(0); off < int64(len(data)); {
-		blk := (addr + off) / bs * bs
-		lo := (addr + off) - blk
-		n := bs - lo
-		if rem := int64(len(data)) - off; n > rem {
-			n = rem
-		}
-		var block []byte
-		if lo == 0 && n == bs {
-			block = data[off : off+n]
-		} else {
-			done, cur := s.ctl.ReadBlockAllowEmpty(s.now, base+blk)
-			s.now = done
-			copy(cur[lo:lo+n], data[off:off+n])
-			block = cur
-		}
-		s.now = s.ctl.PersistBlock(s.now, base+blk, block)
-		off += n
-		blocks++
-	}
-	if s.mBlocks != nil {
-		s.mBlocks.Add(blocks)
-	}
-}
-
-// read fills dst from the shard's slice starting at the local offset.
-func (s *shard) read(addr int64, dst []byte) {
-	bs := int64(s.ctl.Device().BlockSize())
-	base := s.ctl.Layout().DataBase
-	for off := int64(0); off < int64(len(dst)); {
-		blk := (addr + off) / bs * bs
-		lo := (addr + off) - blk
-		take := bs - lo
-		if rem := int64(len(dst)) - off; take > rem {
-			take = rem
-		}
-		done, block := s.ctl.ReadBlockAllowEmpty(s.now, base+blk)
-		s.now = done
-		copy(dst[off:off+take], block[lo:lo+take])
-		off += take
-	}
 }
 
 // lockedTracer serializes Emit calls issued concurrently by callers on

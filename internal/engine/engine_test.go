@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -170,5 +171,39 @@ func TestPoolArriveZeroAlloc(t *testing.T) {
 				t.Errorf("%.2f allocs per write+read pair on each shard, want 0", n)
 			}
 		})
+	}
+}
+
+// TestPoolInspection pins the per-shard accessors behind System's
+// Device, Root and FlightRecord: each answers for its own shard, and
+// after a crash they match what the returned image carries.
+func TestPoolInspection(t *testing.T) {
+	p, err := New(testConfig(128, 4096), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root0, root1 := p.Root(0), p.Root(1)
+	// Group 1 lives on shard 1.
+	if err := p.Write(p.GroupBytes(), bytes.Repeat([]byte{0x5a}, p.BlockSize())); err != nil {
+		t.Fatal(err)
+	}
+	if p.Root(0) != root0 || p.Root(1) == root1 {
+		t.Fatalf("a write to shard 1 moved roots %#x->%#x (shard 0) and %#x->%#x (shard 1)",
+			root0, p.Root(0), root1, p.Root(1))
+	}
+	img, err := p.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < p.Shards(); i++ {
+		if p.Device(i) != img.Devices[i] {
+			t.Fatalf("shard %d: Device is not the crash image's device", i)
+		}
+		if got := p.FlightRecord(i); !reflect.DeepEqual(got, img.Flights[i]) {
+			t.Fatalf("shard %d: FlightRecord after the crash differs from the image's", i)
+		}
+	}
+	if len(img.Flights[1].Events) == 0 {
+		t.Fatal("the written shard's flight record is empty")
 	}
 }

@@ -3,9 +3,10 @@ package loadgen_test
 // The closed-loop differential: a 1-tenant, constant-arrival,
 // zero-think-time scenario degenerates the open loop into a closed loop
 // (every op arrives "immediately": the arrival never leads the clock),
-// so driving a controller through the loadgen target must be byte- and
-// cycle-identical to the existing closed-loop thoth.System driver on
-// the same op stream — identical crash images, bit-equal statistics.
+// so driving a bare controller through the loadgen target must be
+// byte- and cycle-identical to calling thoth.System — a one-shard
+// engine.Pool, with its routing, locks and checks — on the same op
+// stream: identical crash images, bit-equal statistics.
 // Run over 50 crashfuzz-derived machines so the equivalence holds
 // across block sizes, PUB capacities and cache pressure, then again
 // over the crashfuzz traces themselves to cover unaligned partial
@@ -119,7 +120,8 @@ func TestClosedLoopDifferentialGenerated(t *testing.T) {
 // TestClosedLoopDifferentialTraces replays the crashfuzz traces
 // themselves (executed prefix only) through the open-loop target with
 // every arrival at cycle 0 — unaligned partial blocks and multi-block
-// spans go down the exact read-modify-write path System.Write uses.
+// spans take the same read-modify-write path through the bare target as
+// through System.Write.
 func TestClosedLoopDifferentialTraces(t *testing.T) {
 	for seed := int64(1); seed <= diffSeeds; seed++ {
 		c := crashfuzz.DeriveCase(seed)

@@ -35,41 +35,32 @@ type SpanTarget interface {
 	ReadSpan(arrival, addr int64, dst []byte, span *obs.Span) (int64, error)
 }
 
-// ControllerTarget adapts one core.Controller. It owns the modeled
-// clock, and executes exactly the per-block read-modify-write protocol
-// of a plain thoth.System — with every arrival at cycle 0 the two are
-// byte- and cycle-identical, the property the closed-loop differential
-// test pins. Not safe for concurrent use (neither is the controller).
+// ControllerTarget adapts one bare core.Controller: it owns the modeled
+// clock and serves each op with the controller's WriteRange or
+// ReadRange. A one-shard PoolTarget serves the same ops identically;
+// this target skips the pool's locks and routing. With every arrival at
+// cycle 0 it is byte- and cycle-identical to a thoth.System, the
+// property the closed-loop differential test pins. Not safe for
+// concurrent use (neither is the controller).
 type ControllerTarget struct {
 	ctl  *core.Controller
 	now  int64
-	bs   int64
-	base int64
 	size int64
 }
 
 // NewControllerTarget wraps a controller.
 func NewControllerTarget(ctl *core.Controller) *ControllerTarget {
-	lay := ctl.Layout()
-	return &ControllerTarget{
-		ctl:  ctl,
-		bs:   int64(ctl.Device().BlockSize()),
-		base: lay.DataBase,
-		size: lay.DataBytes,
-	}
+	return &ControllerTarget{ctl: ctl, size: ctl.Layout().DataBytes}
 }
 
 // BlockSize returns the access granularity in bytes.
-func (t *ControllerTarget) BlockSize() int { return int(t.bs) }
+func (t *ControllerTarget) BlockSize() int { return t.ctl.Layout().BlockSize }
 
 // DataSize returns the protected data region in bytes.
 func (t *ControllerTarget) DataSize() int64 { return t.size }
 
 // Now returns the modeled clock (the completion cycle of the last op).
 func (t *ControllerTarget) Now() int64 { return t.now }
-
-// Controller exposes the wrapped controller for stats and crash hooks.
-func (t *ControllerTarget) Controller() *core.Controller { return t.ctl }
 
 // Stats snapshots the controller statistics, Cycles stamped to the
 // target clock (the same protocol as System.Stats).
@@ -92,9 +83,8 @@ func (t *ControllerTarget) checkRange(arrival, addr int64, n int) error {
 	return nil
 }
 
-// Write persists data arriving at the given cycle, splitting at block
-// boundaries with read-modify-write for partial blocks — System.Write's
-// exact protocol, starting from max(arrival, clock).
+// Write persists data arriving at the given cycle, with read-modify-
+// write for partial blocks, starting from max(arrival, clock).
 func (t *ControllerTarget) Write(arrival, addr int64, data []byte) (int64, error) {
 	return t.WriteSpan(arrival, addr, data, nil)
 }
@@ -116,25 +106,7 @@ func (t *ControllerTarget) WriteSpan(arrival, addr int64, data []byte, span *obs
 		t.ctl.SetSpan(span)
 		defer t.ctl.SetSpan(nil)
 	}
-	for off := int64(0); off < int64(len(data)); {
-		blk := (addr + off) / t.bs * t.bs
-		lo := (addr + off) - blk
-		n := t.bs - lo
-		if rem := int64(len(data)) - off; n > rem {
-			n = rem
-		}
-		var block []byte
-		if lo == 0 && n == t.bs {
-			block = data[off : off+n]
-		} else {
-			done, cur := t.ctl.ReadBlockAllowEmpty(t.now, t.base+blk)
-			t.now = done
-			copy(cur[lo:lo+n], data[off:off+n])
-			block = cur
-		}
-		t.now = t.ctl.PersistBlock(t.now, t.base+blk, block)
-		off += n
-	}
+	t.now = t.ctl.WriteRange(t.now, addr, data)
 	return t.now, nil
 }
 
@@ -158,18 +130,7 @@ func (t *ControllerTarget) ReadSpan(arrival, addr int64, dst []byte, span *obs.S
 		t.ctl.SetSpan(span)
 		defer t.ctl.SetSpan(nil)
 	}
-	for off := int64(0); off < int64(len(dst)); {
-		blk := (addr + off) / t.bs * t.bs
-		lo := (addr + off) - blk
-		take := t.bs - lo
-		if rem := int64(len(dst)) - off; take > rem {
-			take = rem
-		}
-		done, block := t.ctl.ReadBlockAllowEmpty(t.now, t.base+blk)
-		t.now = done
-		copy(dst[off:off+take], block[lo:lo+take])
-		off += take
-	}
+	t.now = t.ctl.ReadRange(t.now, addr, dst)
 	return t.now, nil
 }
 
@@ -183,9 +144,6 @@ type PoolTarget struct {
 
 // NewPoolTarget wraps a pool.
 func NewPoolTarget(p *engine.Pool) *PoolTarget { return &PoolTarget{pool: p} }
-
-// Pool exposes the wrapped pool for stats and crash hooks.
-func (t *PoolTarget) Pool() *engine.Pool { return t.pool }
 
 // BlockSize returns the access granularity in bytes.
 func (t *PoolTarget) BlockSize() int { return t.pool.BlockSize() }

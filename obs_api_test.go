@@ -93,6 +93,30 @@ func TestStatsAcrossCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The dead System keeps its final snapshot: the pre-crash work plus
+	// the ADR flush, stamped at the crash cycle.
+	if final := s.Stats(); final.TotalWrites() < pre.TotalWrites() ||
+		final.Cycles != pre.Cycles || s.Elapsed() != pre.Cycles {
+		t.Fatalf("after Crash: writes=%d cycles=%d elapsed=%d, want writes >= %d at cycle %d",
+			final.TotalWrites(), final.Cycles, s.Elapsed(), pre.TotalWrites(), pre.Cycles)
+	}
+	// So does a shut-down one, stamped when the write-back drained.
+	down := mustSys(t, cfg)
+	for i := 0; i < 50; i++ {
+		if err := down.Write(int64(i%37)*4096, make([]byte, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := down.Stats()
+	if _, err := down.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if final := down.Stats(); final.TotalWrites() < live.TotalWrites() ||
+		final.Cycles < live.Cycles || final.Cycles != down.Elapsed() {
+		t.Fatalf("after Shutdown: writes=%d cycles=%d elapsed=%d, want writes >= %d, cycles >= %d",
+			final.TotalWrites(), final.Cycles, down.Elapsed(), live.TotalWrites(), live.Cycles)
+	}
+
 	if _, err := Recover(cfg, img); err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +190,24 @@ func TestReaderAtWriterAt(t *testing.T) {
 	if n, err := s.ReadAt(tail, s.DataSize()); n != 0 || err != io.EOF {
 		t.Fatalf("ReadAt at end = (%d, %v), want (0, io.EOF)", n, err)
 	}
+	if n, err := s.ReadAt(tail, s.DataSize()+1); n != 0 || err != io.EOF {
+		t.Fatalf("ReadAt past end = (%d, %v), want (0, io.EOF)", n, err)
+	}
 	// Writes never truncate.
 	if _, err := s.WriteAt(tail, s.DataSize()-40); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("overlong WriteAt: err = %v, want ErrOutOfRange", err)
 	}
 	if n, err := s.ReadAt(tail, -1); n != 0 || !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("negative ReadAt = (%d, %v), want (0, ErrOutOfRange)", n, err)
+	}
+	// A crashed System refuses every ReadAt, in range or past the end.
+	if _, err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{1000, s.DataSize() + 1} {
+		if n, err := s.ReadAt(got, off); n != 0 || !errors.Is(err, ErrCrashed) {
+			t.Fatalf("ReadAt(%d) after Crash = (%d, %v), want (0, ErrCrashed)", off, n, err)
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // poolConfig shrinks the geometry for pool tests: small module so the
@@ -100,13 +102,15 @@ func driveOps(t *testing.T, seed uint64, size int64, bs int64,
 	return golden
 }
 
-// TestPoolOneShardMatchesSystem drives a System and a one-shard Pool
-// with the identical operation stream and requires byte-identical
-// results at every level: read-back plaintext, statistics (including
-// modeled cycles), and the final shut-down device image.
+// TestPoolOneShardMatchesSystem drives a one-shard Pool — what a System
+// is — and a bare controller with the identical operation stream, the
+// controller through WriteRange, ReadRange and PersistBatch on one
+// chained clock, and requires byte-identical results at every level:
+// read-back plaintext, statistics (including modeled cycles), and the
+// final shut-down device image.
 func TestPoolOneShardMatchesSystem(t *testing.T) {
 	cfg := poolConfig()
-	sys, err := New(cfg)
+	ctl, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,18 +118,32 @@ func TestPoolOneShardMatchesSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.DataSize() > sys.DataSize() {
-		t.Fatalf("pool data %d exceeds system data %d", pool.DataSize(), sys.DataSize())
+	if pool.DataSize() != ctl.Layout().DataBytes {
+		t.Fatalf("pool data %d, controller data %d", pool.DataSize(), ctl.Layout().DataBytes)
 	}
 	size := pool.DataSize()
 	bs := int64(cfg.BlockSize)
 
-	golden := driveOps(t, 42, size, bs, sys.Write, sys.PersistBatch)
+	var now int64
+	write := func(addr int64, data []byte) error {
+		now = ctl.WriteRange(now, addr, data)
+		return nil
+	}
+	batch := func(reqs []WriteReq) error {
+		creqs := make([]core.WriteReq, len(reqs))
+		for i, r := range reqs {
+			creqs[i] = core.WriteReq{Addr: ctl.Layout().DataBase + r.Addr, Data: r.Data}
+		}
+		now = ctl.PersistBatch(now, creqs)
+		return nil
+	}
+	golden := driveOps(t, 42, size, bs, write, batch)
 	poolGolden := driveOps(t, 42, size, bs, pool.Write, pool.PersistBatch)
 	if len(golden) != len(poolGolden) {
 		t.Fatalf("golden divergence: %d vs %d blocks", len(golden), len(poolGolden))
 	}
 
+	ref := make([]byte, bs)
 	for blk, want := range golden {
 		got, err := pool.Read(blk, int(bs))
 		if err != nil {
@@ -134,12 +152,9 @@ func TestPoolOneShardMatchesSystem(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("pool block %d diverges from golden", blk)
 		}
-		sgot, err := sys.Read(blk, int(bs))
-		if err != nil {
-			t.Fatalf("system read %d: %v", blk, err)
-		}
-		if !bytes.Equal(sgot, got) {
-			t.Fatalf("block %d: pool and system plaintext diverge", blk)
+		now = ctl.ReadRange(now, blk, ref)
+		if !bytes.Equal(ref, got) {
+			t.Fatalf("block %d: pool and controller plaintext diverge", blk)
 		}
 	}
 
@@ -147,20 +162,22 @@ func TestPoolOneShardMatchesSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sst := sys.Stats(); pst != sst {
-		t.Fatalf("one-shard pool stats diverge from system:\npool:   %+v\nsystem: %+v", pst, sst)
+	ctl.SyncStats()
+	cst := *ctl.Stats()
+	cst.Cycles = now
+	if pst != cst {
+		t.Fatalf("one-shard pool stats diverge from the controller:\npool:       %+v\ncontroller: %+v", pst, cst)
 	}
 
 	pimg, err := pool.Shutdown()
 	if err != nil {
 		t.Fatal(err)
 	}
-	simg, err := sys.Shutdown()
-	if err != nil {
+	if _, err := ctl.Shutdown(now); err != nil {
 		t.Fatal(err)
 	}
-	if !pimg.Devices[0].Equal(simg) {
-		t.Fatal("one-shard pool device image diverges from system image")
+	if !pimg.Devices[0].Equal(ctl.Device()) {
+		t.Fatal("one-shard pool device image diverges from the controller's")
 	}
 }
 

@@ -15,24 +15,36 @@
 //
 // # Quick start
 //
-//	sys, err := thoth.New(thoth.DefaultConfig())
-//	...
-//	sys.Write(0, data)           // persistent, encrypted, integrity-protected
-//	img := sys.Crash()           // power failure: volatile state is gone
-//	rep, err := thoth.Recover(sys.Config(), img)
-//	sys2, err := thoth.Open(sys.Config(), img)
-//	plain, err := sys2.Read(0)
+//	cfg := thoth.DefaultConfig()
+//	sys, err := thoth.New(cfg)
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	// Persistent, encrypted and integrity-protected:
+//	if err := sys.Write(0, data); err != nil {
+//		log.Fatal(err)
+//	}
+//	img, err := sys.Crash() // power failure: volatile state is gone
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	if _, err := thoth.Recover(cfg, img); err != nil {
+//		log.Fatal(err)
+//	}
+//	sys2, err := thoth.Open(cfg, img)
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	plain, err := sys2.Read(0, len(data))
 //
 // For the paper's evaluation, use RunWorkload (single configuration) or
 // NewExperiments (every figure and table); see cmd/experiments.
 package thoth
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/layout"
@@ -257,18 +269,13 @@ func WriteMetricsProm(w io.Writer, reg *MetricsRegistry) error { return metrics.
 
 // System is a secure NVM system: the processor-side controller plus the
 // device. Addresses passed to Read/Write are offsets into the protected
-// data region, starting at zero. A System is not safe for concurrent
-// use.
+// data region, starting at zero. A System is a one-shard Pool, so it
+// shares the pool's range checks, crash state and errors, and it is
+// byte- and cycle-identical to a bare controller. A System is not safe
+// for concurrent use.
 type System struct {
-	cfg       config.Config
-	ctl       *core.Controller
-	now       int64
-	crashed   bool
+	pool      *engine.Pool
 	lastStats stats.Stats // baseline for StatsDelta
-
-	// batchScratch stages the translated requests of PersistBatch,
-	// reused across calls so steady-state batching does not allocate.
-	batchScratch []core.WriteReq
 }
 
 // System reads and writes at arbitrary byte offsets; expose the standard
@@ -280,85 +287,42 @@ var (
 
 // New creates a system with a fresh (zeroed) device.
 func New(cfg Config) (*System, error) {
-	ctl, err := core.New(cfg)
+	p, err := engine.New(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, ctl: ctl}, nil
+	return &System{pool: p}, nil
 }
 
 // Open attaches a system to an existing device image — one left by
 // Shutdown, or by Crash followed by a successful Recover. The
 // configuration must match the image (block size, seed, geometry).
 func Open(cfg Config, dev *Device) (*System, error) {
-	ctl, err := core.Attach(cfg, dev)
+	p, err := engine.Open(cfg, 1, &engine.PoolImage{
+		Shards:  1,
+		Crashed: []bool{false},
+		Devices: []*nvm.Device{dev},
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, ctl: ctl}, nil
+	return &System{pool: p}, nil
 }
 
 // Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
+func (s *System) Config() Config { return s.pool.Config() }
 
 // DataSize returns the usable protected data region in bytes.
-func (s *System) DataSize() int64 { return s.ctl.Layout().DataBytes }
+func (s *System) DataSize() int64 { return s.pool.DataSize() }
 
 // BlockSize returns the access granularity in bytes.
-func (s *System) BlockSize() int { return s.cfg.BlockSize }
-
-// checkAlive reports ErrCrashed once the system has crashed or shut
-// down.
-func (s *System) checkAlive() error {
-	if s.crashed {
-		return fmt.Errorf("%w; recover the device and Open a new system", ErrCrashed)
-	}
-	return nil
-}
-
-// checkRange validates a data-region access.
-func (s *System) checkRange(addr int64, n int) error {
-	if err := s.checkAlive(); err != nil {
-		return err
-	}
-	if addr < 0 || n < 0 || addr+int64(n) > s.DataSize() {
-		return fmt.Errorf("%w: range [%d,+%d) outside data region of %d bytes", ErrOutOfRange, addr, n, s.DataSize())
-	}
-	return nil
-}
+func (s *System) BlockSize() int { return s.pool.BlockSize() }
 
 // Write persists data at the given offset. The write is encrypted,
 // MACed, bound into the integrity tree, and made crash-consistent per
 // the configured scheme. Unaligned or partial-block writes perform
 // read-modify-write on the affected blocks.
-func (s *System) Write(addr int64, data []byte) error {
-	if err := s.checkRange(addr, len(data)); err != nil {
-		return err
-	}
-	bs := int64(s.cfg.BlockSize)
-	base := s.ctl.Layout().DataBase
-	for off := int64(0); off < int64(len(data)); {
-		blk := (addr + off) / bs * bs
-		lo := (addr + off) - blk
-		n := bs - lo
-		if rem := int64(len(data)) - off; n > rem {
-			n = rem
-		}
-		var block []byte
-		if lo == 0 && n == bs {
-			block = data[off : off+n]
-		} else {
-			// Read-modify-write for partial blocks.
-			done, cur := s.ctl.ReadBlockAllowEmpty(s.now, base+blk)
-			s.now = done
-			copy(cur[lo:lo+n], data[off:off+n])
-			block = cur
-		}
-		s.now = s.ctl.PersistBlock(s.now, base+blk, block)
-		off += n
-	}
-	return nil
-}
+func (s *System) Write(addr int64, data []byte) error { return s.pool.Write(addr, data) }
 
 // WriteReq is one full-block write of a PersistBatch: a block-aligned
 // offset into the protected data region and exactly BlockSize bytes of
@@ -368,89 +332,36 @@ type WriteReq = engine.WriteReq
 
 // PersistBatch persists a batch of full-block writes in submission
 // order. The device image, statistics and modeled cycles are
-// bit-identical to calling Write for each request in order, and
-// requests become durable in order.
+// bit-identical to calling Write for each request in order, requests
+// become durable in order, and a steady-state batch allocates nothing.
 //
 // Every request must be block-aligned and exactly one block long
 // (PersistBatch is the aligned fast path; Write handles read-modify-
 // write for everything else). The batch is validated before any request
 // commits, so an invalid request leaves the system untouched.
-func (s *System) PersistBatch(reqs []WriteReq) error {
-	if err := s.checkAlive(); err != nil {
-		return err
-	}
-	bs := int64(s.cfg.BlockSize)
-	for i := range reqs {
-		if err := s.checkRange(reqs[i].Addr, len(reqs[i].Data)); err != nil {
-			return fmt.Errorf("batch request %d: %w", i, err)
-		}
-		if reqs[i].Addr%bs != 0 || int64(len(reqs[i].Data)) != bs {
-			return fmt.Errorf("batch request %d: %w: [%d,+%d) is not one aligned block",
-				i, ErrOutOfRange, reqs[i].Addr, len(reqs[i].Data))
-		}
-	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	base := s.ctl.Layout().DataBase
-	creqs := s.batchScratch[:0]
-	for i := range reqs {
-		creqs = append(creqs, core.WriteReq{Addr: base + reqs[i].Addr, Data: reqs[i].Data})
-	}
-	s.now = s.ctl.PersistBatch(s.now, creqs)
-	for i := range creqs {
-		creqs[i].Data = nil // drop payload references until the next batch
-	}
-	s.batchScratch = creqs
-	return nil
-}
+func (s *System) PersistBatch(reqs []WriteReq) error { return s.pool.PersistBatch(reqs) }
 
 // Read returns n bytes from the given offset, decrypting and verifying
-// every covered block.
-func (s *System) Read(addr int64, n int) ([]byte, error) {
-	if err := s.checkRange(addr, n); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	bs := int64(s.cfg.BlockSize)
-	base := s.ctl.Layout().DataBase
-	for off := int64(0); off < int64(n); {
-		blk := (addr + off) / bs * bs
-		lo := (addr + off) - blk
-		take := bs - lo
-		if rem := int64(n) - off; take > rem {
-			take = rem
-		}
-		done, block := s.ctl.ReadBlockAllowEmpty(s.now, base+blk)
-		s.now = done
-		copy(out[off:off+take], block[lo:lo+take])
-		off += take
-	}
-	return out, nil
-}
+// every covered block. A block whose MAC does not verify against its
+// ciphertext, address and counter fails the read with an error naming
+// the integrity violation.
+func (s *System) Read(addr int64, n int) ([]byte, error) { return s.pool.Read(addr, n) }
 
 // ReadAt implements io.ReaderAt over the protected data region. Reads
 // past the end of the region are truncated and return io.EOF, per the
 // io.ReaderAt contract.
 func (s *System) ReadAt(p []byte, off int64) (int, error) {
-	if s.crashed || off < 0 {
-		return 0, s.checkRange(off, 0)
-	}
-	if off >= s.DataSize() {
-		return 0, io.EOF
-	}
+	size := s.DataSize()
 	n := len(p)
-	short := false
-	if int64(n) > s.DataSize()-off {
-		n = int(s.DataSize() - off)
-		short = true
+	if off >= 0 && int64(n) > size-off {
+		n = int(max(size-off, 0))
 	}
-	out, err := s.Read(off, n)
-	if err != nil {
+	// The pool reports a crash and a negative offset; the clamps keep
+	// everything else in range.
+	if _, err := s.pool.ReadArrive(0, min(off, size), p[:n]); err != nil {
 		return 0, err
 	}
-	copy(p, out)
-	if short {
+	if n < len(p) || off >= size {
 		return n, io.EOF
 	}
 	return n, nil
@@ -473,64 +384,57 @@ func (s *System) WriteAt(p []byte, off int64) (int, error) {
 // every pending partial update (a controller invariant violation); the
 // image is still returned for diagnosis, but recovery may not verify.
 func (s *System) Crash() (*Device, error) {
-	err := s.ctl.Crash(s.now)
-	s.crashed = true
-	return s.ctl.Device(), err
+	_, err := s.pool.Crash()
+	return s.pool.Device(0), err
 }
 
 // Shutdown performs a clean power-down: all dirty metadata is persisted
 // in place and the image needs no recovery. Returns the device image,
 // and a non-nil error under the same condition as Crash.
 func (s *System) Shutdown() (*Device, error) {
-	now, err := s.ctl.Shutdown(s.now)
-	s.now = now
-	s.crashed = true
-	return s.ctl.Device(), err
+	_, err := s.pool.Shutdown()
+	return s.pool.Device(0), err
 }
 
 // Device returns the live device image (for inspection; tampering with
 // it models an attacker).
-func (s *System) Device() *Device { return s.ctl.Device() }
+func (s *System) Device() *Device { return s.pool.Device(0) }
 
 // FlightRecord snapshots the controller's crash flight recorder: the
 // most recent events in arrival order. Taken after Crash it is the
 // black box of the failure — the crash-sequence events (ADR flush, PUB
 // seals) are the tail of the record.
-func (s *System) FlightRecord() FlightRecord { return s.ctl.FlightRecord() }
+func (s *System) FlightRecord() FlightRecord { return s.pool.FlightRecord(0) }
 
 // Root returns the current on-chip integrity-tree root.
-func (s *System) Root() uint64 { return s.ctl.Root() }
+func (s *System) Root() uint64 { return s.pool.Root(0) }
 
 // SchemeInfo reports the persistence scheme this system runs under:
 // canonical name, persistence guarantees, and tunables.
-func (s *System) SchemeInfo() SchemeInfo { return s.ctl.SchemeInfo() }
+func (s *System) SchemeInfo() SchemeInfo { return s.pool.SchemeInfo() }
 
 // VerifyCrashConsistency checks, without perturbing the system, that a
 // crash at this instant would be recoverable: every security-metadata
 // update not yet persisted in place is covered by a live partial update
 // in the ADR domain (PCB or PUB). It returns a descriptive error on the
 // first violation found.
-func (s *System) VerifyCrashConsistency() error {
-	if s.crashed {
-		return ErrCrashed
-	}
-	return s.ctl.VerifyCrashConsistency()
-}
+func (s *System) VerifyCrashConsistency() error { return s.pool.VerifyCrashConsistency() }
 
 // Elapsed returns the modeled execution time in core cycles.
-func (s *System) Elapsed() int64 { return s.now }
+func (s *System) Elapsed() int64 { return s.Stats().Cycles }
 
 // ElapsedSeconds converts Elapsed to seconds at the configured clock.
 func (s *System) ElapsedSeconds() float64 {
-	return float64(s.now) / (s.cfg.CPUFreqGHz * 1e9)
+	return float64(s.Elapsed()) / (s.Config().CPUFreqGHz * 1e9)
 }
 
 // Stats returns an immutable snapshot of the controller statistics at
 // this instant, with Cycles stamped to the system's current modeled
 // time. The snapshot is a value: it does not change as the system keeps
 // running, and two snapshots subtract with Stats.Sub to measure an
-// interval. (Earlier versions returned a live *Stats pointer; see
-// CHANGES.md for the migration.)
+// interval. After Crash or Shutdown it is the final snapshot, the
+// power-down work included. (Earlier versions returned a live *Stats
+// pointer; see CHANGES.md for the migration.)
 //
 // Snapshots are comparable only within the lifetime of the System that
 // produced them. A System opened after Crash + Recover starts its
@@ -539,9 +443,9 @@ func (s *System) ElapsedSeconds() float64 {
 // interval — it yields negative fields wherever the old incarnation had
 // counted more. See Stats.Sub and StatsDelta for the exact semantics.
 func (s *System) Stats() StatsSnapshot {
-	s.ctl.SyncStats()
-	snap := *s.ctl.Stats()
-	snap.Cycles = s.now
+	// The pool's one error is a contained panic in the snapshot itself,
+	// which reading plain counters cannot raise.
+	snap, _ := s.pool.Stats()
 	return snap
 }
 
@@ -683,11 +587,11 @@ func WorkloadNames() []string {
 // with its own WPQ, PCB, PUB, integrity tree and crypto engine over its
 // slice — and routes requests by metadata group (lcm(BlocksPerPage,
 // MACsPerBlock) consecutive blocks, the unit the parallel recovery
-// engine proved safe to shard). Unlike a System, a Pool is safe for
-// concurrent use: ops run on the caller's goroutine, and a mutex per
-// shard serializes each shard's stream while callers on distinct shards
-// run in parallel. A one-shard Pool is byte-identical to a System over
-// the same config.
+// engine proved safe to shard). A Pool is safe for concurrent use: ops
+// run on the caller's goroutine, and a mutex per shard serializes each
+// shard's stream while callers on distinct shards run in parallel. A
+// System is a one-shard Pool, so the two share their range checks,
+// crash state and errors.
 
 // Pool is the sharded multi-controller system. Construct with NewPool,
 // or OpenPool for an existing image.

@@ -387,3 +387,82 @@ func TestReplayAPI(t *testing.T) {
 		t.Fatalf("replay result %+v implausible", res)
 	}
 }
+
+// TestPersistBatchZeroAlloc pins that a steady-state PersistBatch
+// allocates nothing: a 64-block batch over warm metadata caches and a
+// wrapped PUB ring makes no allocation per call.
+func TestPersistBatchZeroAlloc(t *testing.T) {
+	s := mustSys(t, testConfig(WTSC))
+	bs := int64(s.BlockSize())
+	reqs := make([]WriteReq, 64)
+	for i := range reqs {
+		reqs[i] = WriteReq{Addr: int64(i) * bs, Data: make([]byte, bs)}
+	}
+	batch := func() {
+		reqs[0].Data[0]++
+		if err := s.PersistBatch(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the caches and wrap the PUB; the minor counters overflow
+	// every 127 writes, so the page re-encryption path is hot too.
+	for i := 0; i < 300; i++ {
+		batch()
+	}
+	if n := testing.AllocsPerRun(100, batch); n != 0 {
+		t.Errorf("%.2f allocs per 64-block PersistBatch, want 0", n)
+	}
+}
+
+// TestDataSizeIsWholeDataRegion pins that a System exposes the layout's
+// whole data region, and that its last block is usable, for every page
+// geometry — including pages of 10 blocks, whose metadata group (the
+// lcm of blocks per page and MACs per block) spans four pages and does
+// not divide the region.
+func TestDataSizeIsWholeDataRegion(t *testing.T) {
+	partial := false
+	for _, geo := range [][2]int{{128, 4096}, {64, 1024}, {128, 1280}, {256, 2560}} {
+		cfg := testConfig(WTSC).WithBlockSize(geo[0])
+		cfg.PageBytes = geo[1]
+		r, err := RegionsOf(cfg)
+		if err != nil {
+			t.Fatalf("block %d page %d: %v", geo[0], geo[1], err)
+		}
+		group := int64(cfg.BlocksPerPage()) // grows to lcm(blocks per page, MACs per block)
+		for group%int64(cfg.MACsPerBlock()) != 0 {
+			group += int64(cfg.BlocksPerPage())
+		}
+		partial = partial || r.DataBytes%(group*int64(cfg.BlockSize)) != 0
+		s := mustSys(t, cfg)
+		if s.DataSize() != r.DataBytes {
+			t.Fatalf("block %d page %d: DataSize %d, want the data region's %d bytes",
+				geo[0], geo[1], s.DataSize(), r.DataBytes)
+		}
+		last := s.DataSize() - int64(cfg.BlockSize)
+		data := bytes.Repeat([]byte{0x5A}, cfg.BlockSize)
+		if err := s.Write(last, data); err != nil {
+			t.Fatalf("block %d page %d: write last block: %v", geo[0], geo[1], err)
+		}
+		if got, err := s.Read(last, cfg.BlockSize); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("block %d page %d: read last block: %v", geo[0], geo[1], err)
+		}
+	}
+	if !partial {
+		t.Fatal("test setup: no geometry leaves a partial metadata group")
+	}
+}
+
+// TestReadOfTamperedBlockErrors pins that a read whose MAC does not
+// verify fails with an error naming the violation instead of panicking.
+func TestReadOfTamperedBlockErrors(t *testing.T) {
+	s := mustSys(t, testConfig(WTSC))
+	if err := s.Write(0, bytes.Repeat([]byte{0x42}, 128)); err != nil {
+		t.Fatal(err)
+	}
+	blk := s.Device().Peek(0)
+	blk[0] ^= 1
+	s.Device().WriteBlock(0, blk)
+	if _, err := s.Read(0, 128); err == nil || !strings.Contains(err.Error(), "MAC verification failed") {
+		t.Fatalf("read of a tampered block: err = %v, want a MAC verification failure", err)
+	}
+}
