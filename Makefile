@@ -8,9 +8,9 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci fmt vet build test race bench-mod crashfuzz scheme-diff parallel-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke fuzz-parallel-smoke sweep-1000
+.PHONY: ci fmt vet build test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
 
-ci: fmt vet build test race bench-mod crashfuzz scheme-diff parallel-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
+ci: fmt vet build test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
 
 # Formatting gate: fails, listing the files, when gofmt would rewrite
 # any Go file.
@@ -38,47 +38,14 @@ bench-mod:
 	cd bench && GOWORK=off GOPROXY=off $(GO) test -short ./...
 
 # Randomized crash-injection sweep (deterministic per seed; failures
-# print `crashfuzz.Replay(seed)` for one-line reproduction).
+# print `crashfuzz.Replay(seed)` for one-line reproduction). Every seed
+# runs its whole variant matrix: five schemes on one controller, each
+# recovered serially and with 1/2/4/8 workers that must agree byte for
+# byte, plus the seed's scheme on a 2/4/8/16-shard pool crashing a
+# seed-derived shard subset. The test and race lanes already sweep
+# seeds 1-200 (TestSweepFindsNoViolations), so this lane starts at 201.
 crashfuzz:
-	$(GO) run ./cmd/crashfuzz -seeds $(SWEEP_SEEDS)
-
-# Cross-scheme differential: (1) the no-op-refactor gate replays 50
-# seeds against golden image/stats/recovery hashes committed before the
-# PersistScheme extraction — the interface dispatch must stay
-# byte-identical; (2) every seeded crash scenario is re-run with the
-# triad-relaxed scheme cross-checked against both Thoth eviction
-# policies (recovery must produce the exact acknowledged plaintext even
-# with the persisted tree region stale); (3) the scheme-zoo comparison
-# asserts triad persists measurably fewer tree-node writes than the
-# strict baseline.
-scheme-diff:
-	$(GO) test ./internal/crashfuzz -run TestSchemeRefactorGolden -count=1
-	$(GO) run ./cmd/crashfuzz -seeds $(SWEEP_SEEDS) -schemes thoth-wtsc,thoth-wtbc,triad-relaxed-8
-	$(GO) test ./internal/harness -run 'TestSchemeZoo' -count=1
-
-# Serial-vs-parallel recovery differential: 200 seeded crash images,
-# each recovered with the serial engine and RecoverParallel at Workers
-# in {1,2,4,8}; device bytes, report counters and error sentinels must
-# all agree (also runs inside the plain test/race lanes).
-parallel-diff:
-	$(GO) test ./internal/recovery -run TestParallelRecoveryDifferential -count=1
-
-# Sharded-pool differential: (1) the routing property tests (every
-# block maps to exactly one shard, no metadata group straddles a shard
-# boundary, one shard routes by the identity map); (2) the
-# crash-any-subset-of-shards sweep — each seed's trace runs through a
-# pool of 2/4/8/16 controllers, a seed-derived shard subset crashes,
-# every crashed shard recovers in parallel, and the merged image must
-# match both the plaintext oracle and a single-controller run; (3) the
-# root-level Pool API suite (a one-shard pool, which is what a System
-# is, byte-identical to a bare controller; concurrent clients;
-# crash-subset recovery; stats pooling). The race lane runs the
-# lock-discipline hammer ten times. The engine suite also makes one
-# shard's service panic and requires an error, never a hang.
-pool-diff:
-	$(GO) test ./internal/engine -count=1
-	$(GO) run ./cmd/crashfuzz -seeds $(SWEEP_SEEDS) -shards mixed
-	$(GO) test . -run TestPool -count=1
+	$(GO) run ./cmd/crashfuzz -seeds $(SWEEP_SEEDS) -start 201
 
 # Trace a quick workload and validate the emitted JSONL event stream
 # against the schema (cmd/tracecheck exits non-zero on any violation).
@@ -150,17 +117,14 @@ else
 	$(GO) run ./cmd/benchjson -compare BENCH.json
 endif
 
-# Short coverage-guided fuzz session over the checked-in corpus, plus
-# the word-level bit-field codec against its bit-at-a-time reference and
-# the stale-mask integrity tree against its map-based reference.
+# Short coverage-guided fuzz session over the checked-in corpus (each
+# input runs its seed's whole variant matrix), plus the word-level
+# bit-field codec against its bit-at-a-time reference and the
+# stale-mask integrity tree against its map-based reference.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/crashfuzz
 	$(GO) test -run=NONE -fuzz=FuzzBitpack -fuzztime=5s ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzTree -fuzztime=5s ./internal/bmt
-
-# Same, against the serial-vs-parallel recovery differential oracle.
-fuzz-parallel-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzParallelRecovery -fuzztime=$(FUZZTIME) ./internal/crashfuzz
 
 # The acceptance-criteria sweep (slower; not part of `ci`).
 sweep-1000:

@@ -1,6 +1,10 @@
 // Command crashfuzz drives the crash-injection differential tester over
 // a range of seeds, or replays (and optionally minimizes) a single seed
-// from a failure report.
+// from a failure report. Every seed runs its whole variant matrix: each
+// persistence scheme on one controller with parallel recovery at 1, 2,
+// 4 and 8 workers checked against the serial reference, and the seed's
+// scheme on a 2/4/8/16-shard pool that crashes a seed-derived subset of
+// its shards.
 //
 // Usage:
 //
@@ -8,10 +12,6 @@
 //	crashfuzz -seeds 200 -start 5000      # a different block of seeds
 //	crashfuzz -replay 1234                # reproduce one reported seed
 //	crashfuzz -replay 1234 -minimize      # and shrink its trace first
-//	crashfuzz -seeds 200 -recovery-workers 4   # serial-vs-parallel diff
-//	crashfuzz -seeds 200 -schemes wtsc,wtbc,triad-relaxed-8  # scheme diff
-//	crashfuzz -seeds 200 -shards 4        # pool-vs-single-controller diff
-//	crashfuzz -seeds 200 -shards mixed    # per-seed shard count (2/4/8/16)
 //
 // Every case is a pure function of its seed, so a failing seed printed
 // by a sweep reproduces byte-for-byte here or in a Go test via
@@ -24,104 +24,38 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
-	"repro/internal/config"
 	"repro/internal/crashfuzz"
-	"repro/internal/scheme"
 )
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("crashfuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	seeds := fs.Int("seeds", 200, "number of seeds to sweep")
+	seeds := fs.Int("seeds", 200, "number of seeds to sweep (at least 1)")
 	start := fs.Int64("start", 1, "first seed of the sweep")
-	replay := fs.Int64("replay", 0, "replay this seed instead of sweeping (0 disables)")
+	replay := fs.Int64("replay", 0, "replay this one seed instead of sweeping")
 	minimize := fs.Bool("minimize", false, "with -replay: shrink a failing trace before reporting")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel cases during a sweep")
-	recWorkers := fs.Int("recovery-workers", 0,
-		"also run the serial-vs-parallel recovery differential at N workers (0 disables)")
-	schemesStr := fs.String("schemes", "",
-		"override each seed's scheme set with this comma-separated list ("+
-			strings.Join(scheme.Names(), "|")+"); the seed's trace and crash point are kept")
-	shardsStr := fs.String("shards", "",
-		"also run the sharded-pool-vs-single-controller differential: a fixed shard "+
-			"count (must divide the 256 MiB case module; powers of two work) or "+
-			"\"mixed\" for a per-seed count from {2,4,8,16} (empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	shardsFor, err := parseShards(*shardsStr)
-	if err != nil {
-		fmt.Fprintln(stderr, "crashfuzz:", err)
-		return 1
-	}
-	if shardsFor != nil && (*recWorkers > 0 || *schemesStr != "") {
-		fmt.Fprintln(stderr, "crashfuzz: -shards is mutually exclusive with -schemes and -recovery-workers")
-		return 1
-	}
-
-	var schemes []config.Scheme
-	if *schemesStr != "" {
-		if *recWorkers > 0 {
-			fmt.Fprintln(stderr, "crashfuzz: -schemes and -recovery-workers are mutually exclusive")
-			return 1
-		}
-		for _, name := range strings.Split(*schemesStr, ",") {
-			s, err := scheme.Parse(name)
-			if err != nil {
-				fmt.Fprintln(stderr, "crashfuzz:", err)
-				return 1
-			}
-			schemes = append(schemes, s)
-		}
-	}
-
-	// With -recovery-workers the oracle becomes the serial-vs-parallel
-	// recovery differential (ParallelDiff) instead of the plain crash-
-	// consistency contract; replays, sweeps, and ddmin all honor it.
-	// With -schemes the plain oracle runs, but every seed's scenario is
-	// cross-checked over the given scheme set instead of its derived one.
-	// With -shards each seed's trace additionally runs through a sharded
-	// pool that crashes a seed-derived subset of its controllers.
-	runOne := crashfuzz.Replay
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
-	case *recWorkers > 0:
-		runOne = func(seed int64) *crashfuzz.Result {
-			return crashfuzz.RunParallel(seed, []int{*recWorkers})
-		}
-	case len(schemes) > 0:
-		runOne = func(seed int64) *crashfuzz.Result {
-			return crashfuzz.RunWith(seed, schemes)
-		}
-	case shardsFor != nil:
-		runOne = func(seed int64) *crashfuzz.Result {
-			return crashfuzz.RunPool(seed, shardsFor(seed))
-		}
+	case *seeds < 1:
+		fmt.Fprintf(stderr, "crashfuzz: -seeds must be at least 1 (got %d)\n", *seeds)
+		return 2
+	case *minimize && !set["replay"]:
+		fmt.Fprintln(stderr, "crashfuzz: -minimize needs -replay (a sweep is not minimized)")
+		return 2
 	}
 
-	if *replay != 0 {
-		res := runOne(*replay)
+	if set["replay"] {
+		res := crashfuzz.Replay(*replay)
 		if res.Failed() && *minimize {
-			if shardsFor != nil {
-				fmt.Fprintln(stderr, "crashfuzz: -minimize is not supported with -shards (the pool oracle is seed-driven, not trace-driven)")
-				return 1
-			}
-			failing := func(c crashfuzz.Case) bool { return crashfuzz.RunCase(c).Failed() }
-			rerun := crashfuzz.RunCase
-			if *recWorkers > 0 {
-				failing = func(c crashfuzz.Case) bool {
-					return crashfuzz.ParallelDiff(c, []int{*recWorkers}).Failed()
-				}
-				rerun = func(c crashfuzz.Case) *crashfuzz.Result {
-					return crashfuzz.ParallelDiff(c, []int{*recWorkers})
-				}
-			}
-			min := crashfuzz.MinimizeWith(res.Case, failing)
+			min := crashfuzz.Minimize(res.Case)
 			fmt.Fprintf(stdout, "minimized trace: %d ops -> %d ops\n", res.Case.CrashIdx, len(min.Trace))
-			res = rerun(min)
+			res = crashfuzz.Check(min)
 		}
 		fmt.Fprintln(stdout, res)
 		if res.Failed() {
@@ -130,28 +64,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	sw := crashfuzz.SweepWith(*start, *seeds, *workers, runOne)
+	sw := crashfuzz.Sweep(*start, *seeds, *workers)
 	fmt.Fprintln(stdout, sw)
 	if sw.Failed() {
 		return 1
 	}
 	return 0
-}
-
-// parseShards turns the -shards value into a per-seed shard-count
-// function: nil (disabled), a constant, or the mixed per-seed schedule.
-func parseShards(s string) (func(seed int64) int, error) {
-	switch s {
-	case "":
-		return nil, nil
-	case "mixed":
-		return crashfuzz.PoolShardsFor, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return nil, fmt.Errorf("-shards must be a positive integer or \"mixed\" (got %q)", s)
-	}
-	return func(int64) int { return n }, nil
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

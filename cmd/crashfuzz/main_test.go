@@ -28,70 +28,37 @@ func TestRunReplay(t *testing.T) {
 	}
 }
 
+// TestRunReplayZero pins that -replay replays whatever seed it is given:
+// seed 0 is a seed a sweep from -start 0 can report, not "no replay".
+func TestRunReplayZero(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := run([]string{"-replay", "0"}, &out, &errw)
+	if code != 0 {
+		t.Fatalf("exit %d, output:\n%s%s", code, out.String(), errw.String())
+	}
+	if !strings.Contains(out.String(), "seed=0 ") || strings.Contains(out.String(), "cases") {
+		t.Errorf("-replay 0 must report seed 0 alone, not sweep:\n%s", out.String())
+	}
+}
+
+// TestRunRejectsBadFlag pins exit 2 and a message naming the problem for
+// every flag combination crashfuzz cannot honor.
 func TestRunRejectsBadFlag(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errw); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-}
-
-func TestRunParallelRecoverySweep(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{"-seeds", "10", "-start", "1", "-recovery-workers", "4"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s%s", code, out.String(), errw.String())
-	}
-	if !strings.Contains(out.String(), "10 cases, 0 violations") {
-		t.Errorf("parallel-diff sweep summary missing:\n%s", out.String())
-	}
-}
-
-func TestRunParallelRecoveryReplay(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{"-replay", "42", "-recovery-workers", "2"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s%s", code, out.String(), errw.String())
-	}
-	if !strings.Contains(out.String(), ": ok") {
-		t.Errorf("parallel-diff replay report missing:\n%s", out.String())
-	}
-}
-
-func TestRunPoolSweep(t *testing.T) {
-	for _, shards := range []string{"4", "mixed"} {
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-no-such-flag"}, "no-such-flag"},
+		{[]string{"-seeds", "-1"}, "-seeds must be at least 1"},
+		{[]string{"-seeds", "0"}, "-seeds must be at least 1"},
+		{[]string{"-minimize"}, "-minimize needs -replay"},
+	} {
 		var out, errw bytes.Buffer
-		code := run([]string{"-seeds", "10", "-start", "1", "-shards", shards}, &out, &errw)
-		if code != 0 {
-			t.Fatalf("-shards %s: exit %d, output:\n%s%s", shards, code, out.String(), errw.String())
+		if code := run(tc.args, &out, &errw); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stdout: %s)", tc.args, code, out.String())
 		}
-		if !strings.Contains(out.String(), "10 cases, 0 violations") {
-			t.Errorf("-shards %s: pool-diff sweep summary missing:\n%s", shards, out.String())
-		}
-	}
-}
-
-func TestRunPoolReplay(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{"-replay", "42", "-shards", "2"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, output:\n%s%s", code, out.String(), errw.String())
-	}
-	if !strings.Contains(out.String(), ": ok") {
-		t.Errorf("pool-diff replay report missing:\n%s", out.String())
-	}
-}
-
-func TestRunPoolFlagErrors(t *testing.T) {
-	cases := [][]string{
-		{"-seeds", "5", "-shards", "4", "-schemes", "thoth-wtsc"},
-		{"-seeds", "5", "-shards", "4", "-recovery-workers", "2"},
-		{"-seeds", "5", "-shards", "0"},
-		{"-seeds", "5", "-shards", "four"},
-	}
-	for _, args := range cases {
-		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 1 {
-			t.Errorf("%v: exit %d, want 1 (stderr: %s)", args, code, errw.String())
+		if !strings.Contains(errw.String(), tc.msg) {
+			t.Errorf("%v: stderr %q does not name the problem (%q)", tc.args, errw.String(), tc.msg)
 		}
 	}
 }

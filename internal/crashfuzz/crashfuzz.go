@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	thoth "repro"
 	"repro/internal/config"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -26,25 +28,19 @@ const (
 	// VCrashError: the ADR residual-power flush failed (PUB ring full at
 	// crash — a sizing invariant violation).
 	VCrashError
-	// VRecoveryError: recovery of the crash image failed (root mismatch
-	// or unreadable control state).
+	// VRecoveryError: serial recovery of the crash image failed (root
+	// mismatch or unreadable control state).
 	VRecoveryError
 	// VReopenError: the recovered image could not be reattached.
 	VReopenError
 	// VDataLoss: a block acknowledged as persisted before the crash read
 	// back wrong (or failed verification) after recovery.
 	VDataLoss
-	// VDifferential: two schemes fed the identical trace disagree about
-	// recovered contents.
-	VDifferential
-	// VParallelDiverge: parallel recovery of a crash image disagrees with
-	// the serial reference — different device bytes, a different report,
-	// or a different error sentinel.
-	VParallelDiverge
-	// VPoolDiverge: a sharded pool fed the identical trace, crashed on
-	// an arbitrary shard subset and recovered shard-by-shard, disagrees
-	// with the single-controller reference about recovered plaintext.
-	VPoolDiverge
+	// VDiverge: two executions that must agree did not — parallel
+	// recovery against the serial reference (device bytes, report or
+	// error sentinel), or one variant's recovered plaintext against the
+	// first variant's.
+	VDiverge
 )
 
 // String names the kind for reports.
@@ -62,27 +58,24 @@ func (k ViolationKind) String() string {
 		return "reopen-error"
 	case VDataLoss:
 		return "data-loss"
-	case VDifferential:
-		return "differential"
-	case VParallelDiverge:
-		return "parallel-diverge"
-	case VPoolDiverge:
-		return "pool-diverge"
+	case VDiverge:
+		return "diverge"
 	default:
 		return "violation?"
 	}
 }
 
-// Violation is one observed divergence.
+// Violation is one observed divergence, under the variant that showed
+// it.
 type Violation struct {
-	Kind   ViolationKind
-	Scheme config.Scheme
-	Detail string
+	Kind    ViolationKind
+	Variant Variant
+	Detail  string
 }
 
 // String renders the violation for logs.
 func (v Violation) String() string {
-	return fmt.Sprintf("[%s] %s: %s", v.Kind, v.Scheme, v.Detail)
+	return fmt.Sprintf("[%s] %s: %s", v.Kind, v.Variant, v.Detail)
 }
 
 // Result is the outcome of one case.
@@ -98,8 +91,8 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 // reproduces the case byte-for-byte: crashfuzz.Replay(seed).
 func (r *Result) String() string {
 	c := r.Case
-	head := fmt.Sprintf("crashfuzz: seed=%d mode=%s block=%dB pub=%d schemes=%v ops=%d crash@%d",
-		c.Seed, c.Mode, c.BlockSize, c.PUBBlocks, c.Schemes, len(c.Trace), c.CrashIdx)
+	head := fmt.Sprintf("crashfuzz: seed=%d mode=%s block=%dB pub=%d variants=%d ops=%d crash@%d",
+		c.Seed, c.Mode, c.BlockSize, c.PUBBlocks, len(c.Variants), len(c.Trace), c.CrashIdx)
 	if !r.Failed() {
 		return head + ": ok"
 	}
@@ -112,119 +105,131 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// Run derives the case for a seed and executes it.
-func Run(seed int64) *Result { return RunCase(DeriveCase(seed)) }
+// Run derives the case for a seed and checks it.
+func Run(seed int64) *Result { return Check(DeriveCase(seed)) }
 
 // Replay is Run under the name printed in failure reports, so the line
 // `crashfuzz.Replay(seed)` pasted from a report is a complete
 // reproduction.
 func Replay(seed int64) *Result { return Run(seed) }
 
-// RunWith derives the case for a seed and executes it with the scheme
-// set replaced. The override happens after derivation, so the trace,
-// machine geometry and crash index are exactly the seed's own
-// (DeriveCase's RNG draws are untouched) — the identical crash scenario
-// faces whatever scheme set the caller wants to cross-check, e.g. the
-// triad-relaxed sweep against the seed's usual oracle schemes.
-func RunWith(seed int64, schemes []config.Scheme) *Result {
-	c := DeriveCase(seed)
-	c.Schemes = schemes
-	return RunCase(c)
-}
-
-// RunCase executes one concrete case: for every scheme, run the trace
-// prefix, crash, recover, reopen, and compare every golden block; then
-// cross-check the schemes against each other.
-func RunCase(c Case) *Result {
+// Check executes one concrete case: every variant runs the trace
+// prefix, crashes, recovers (serially, and in parallel at each of its
+// worker counts, which must agree with the serial reference), reopens
+// and reads back every golden block; then every variant's recovered
+// plaintext is cross-checked against the first variant's. A panic in
+// the system under test becomes a violation, except one on a goroutine
+// that RecoverPool starts, which ends the process.
+func Check(c Case) *Result {
 	res := &Result{Case: c}
 	golden := goldenAfter(c)
-
-	type image struct {
-		scheme config.Scheme
-		blocks map[int64][]byte
-	}
-	var images []image
-	for _, sch := range c.Schemes {
-		blocks, viols := runScheme(c, sch, golden)
+	var ref map[int64][]byte
+	var refV Variant
+	for _, v := range c.Variants {
+		blocks, viols := runVariant(c, v, golden)
 		res.Violations = append(res.Violations, viols...)
-		if blocks != nil {
-			images = append(images, image{sch, blocks})
+		if blocks == nil {
+			continue
 		}
-	}
-
-	// Differential cross-check: identical traces must recover to
-	// identical plaintext regardless of scheme.
-	for i := 1; i < len(images); i++ {
-		a, b := images[0], images[i]
+		if ref == nil {
+			ref, refV = blocks, v
+			continue
+		}
 		for _, addr := range sortedAddrs(golden) {
-			if !bytes.Equal(a.blocks[addr], b.blocks[addr]) {
-				res.Violations = append(res.Violations, Violation{
-					Kind:   VDifferential,
-					Scheme: b.scheme,
-					Detail: fmt.Sprintf("block %#x recovered differently under %s and %s", addr, a.scheme, b.scheme),
-				})
+			if !bytes.Equal(ref[addr], blocks[addr]) {
+				res.Violations = append(res.Violations, Violation{VDiverge, v,
+					fmt.Sprintf("block %#x recovered differently under %s", addr, refV)})
 			}
 		}
 	}
 	return res
 }
 
-// runScheme executes the case under one scheme. It returns the recovered
-// plaintext of every golden block (nil if execution never got that far)
-// and the violations observed. Errors — a read-back that fails MAC
-// verification among them — and any panic outside the System (recovery,
-// say) are converted to violations; a fuzzer must never take the
-// process down with it.
-func runScheme(c Case, sch config.Scheme, golden map[int64][]byte) (blocks map[int64][]byte, viols []Violation) {
+// runVariant executes the case under one variant. It returns the
+// recovered plaintext of every golden block (nil if execution never got
+// that far) and the violations observed. Errors — a read-back that fails
+// MAC verification among them — and any panic on this goroutine are
+// converted to violations; a fuzzer must never take the process down
+// with it.
+func runVariant(c Case, v Variant, golden map[int64][]byte) (blocks map[int64][]byte, viols []Violation) {
 	defer func() {
 		if p := recover(); p != nil {
 			blocks = nil
-			viols = append(viols, Violation{VExecPanic, sch, fmt.Sprint(p)})
+			viols = append(viols, Violation{VExecPanic, v, fmt.Sprint(p)})
 		}
 	}()
-	cfg := c.ConfigFor(sch)
-	sys, err := thoth.New(cfg)
-	if err != nil {
-		return nil, append(viols, Violation{VExecError, sch, "new: " + err.Error()})
+	fail := func(k ViolationKind, detail string) (map[int64][]byte, []Violation) {
+		return nil, append(viols, Violation{k, v, detail})
 	}
+	cfg := c.ConfigFor(v.Scheme)
+	scfg, err := engine.ShardConfig(cfg, v.Shards)
+	if err != nil {
+		return fail(VExecError, "shard config: "+err.Error())
+	}
+	pool, err := thoth.NewPool(cfg, v.Shards)
+	if err != nil {
+		return fail(VExecError, "new: "+err.Error())
+	}
+	// Power the shards down on every exit path; after CrashShards this
+	// is a no-op error.
+	defer pool.Shutdown()
 	for i, op := range c.Trace[:c.CrashIdx] {
 		switch op.Kind {
 		case OpWrite:
-			err = sys.Write(op.Addr, op.payload())
+			err = pool.Write(op.Addr, op.payload())
 		case OpRead:
-			_, err = sys.Read(op.Addr, op.Len)
+			_, err = pool.Read(op.Addr, op.Len)
 		case OpCorrupt:
-			corruptCtr(sys, cfg, op.Addr)
+			corruptCtr(pool.Device(0), scfg, op.Addr)
 		}
 		if err != nil {
 			detail := fmt.Sprintf("op %d (%s %#x+%d): %v", i, op.Kind, op.Addr, op.Len, err)
 			if errors.Is(err, thoth.ErrOutOfRange) {
 				detail += " (generator emitted an out-of-range address)"
 			}
-			return nil, append(viols, Violation{VExecError, sch, detail})
+			return fail(VExecError, detail)
 		}
 	}
-	img, err := sys.Crash()
+	img, err := pool.CrashShards(v.Crash)
 	if err != nil {
-		return nil, append(viols, Violation{VCrashError, sch, err.Error()})
+		return fail(VCrashError, err.Error())
 	}
-	if _, err := thoth.Recover(cfg, img); err != nil {
-		return nil, append(viols, Violation{VRecoveryError, sch, err.Error()})
+
+	// Parallel recovery runs on clones of the crash image, taken before
+	// the serial reference repairs img in place.
+	clones := make([]*thoth.PoolImage, len(v.Workers))
+	for i := range clones {
+		clones[i] = cloneImage(img)
 	}
-	sys2, err := thoth.Open(cfg, img)
+	reps, serialErr := recoverSerial(scfg, img)
+	ref := make([][]byte, len(img.Devices))
+	for i, d := range img.Devices {
+		ref[i] = imageBytes(d)
+	}
+	for i, w := range v.Workers {
+		for _, d := range diffParallel(cfg, ref, reps, serialErr, clones[i], w) {
+			viols = append(viols, Violation{VDiverge, v, fmt.Sprintf("workers=%d: %s", w, d)})
+		}
+	}
+	if serialErr != nil {
+		return fail(VRecoveryError, serialErr.Error())
+	}
+
+	pool2, err := thoth.OpenPool(cfg, v.Shards, img)
 	if err != nil {
-		return nil, append(viols, Violation{VReopenError, sch, err.Error()})
+		return fail(VReopenError, err.Error())
 	}
+	defer pool2.Shutdown()
 	blocks = make(map[int64][]byte, len(golden))
 	for _, addr := range sortedAddrs(golden) {
 		want := golden[addr]
-		got, err := sys2.Read(addr, len(want))
+		got, err := pool2.Read(addr, len(want))
 		switch {
 		case err != nil:
-			viols = append(viols, Violation{VDataLoss, sch,
+			viols = append(viols, Violation{VDataLoss, v,
 				fmt.Sprintf("block %#x unreadable after recovery: %v", addr, err)})
 		case !bytes.Equal(got, want):
-			viols = append(viols, Violation{VDataLoss, sch,
+			viols = append(viols, Violation{VDataLoss, v,
 				fmt.Sprintf("block %#x corrupted across crash (got %x... want %x...)",
 					addr, got[:8], want[:8])})
 		}
@@ -233,22 +238,110 @@ func runScheme(c Case, sch config.Scheme, golden map[int64][]byte) (blocks map[i
 	return blocks, viols
 }
 
-// corruptCtr flips one bit in the counter region of the live device
-// (used only by hand-built failure cases; see OpCorrupt).
-func corruptCtr(sys *thoth.System, cfg config.Config, off int64) {
-	regions, err := thoth.RegionsOf(cfg)
+// recoverSerial repairs every crashed shard of img in place with the
+// serial reference engine, under the per-shard configuration. It
+// returns one report per shard (nil for clean shards) and the per-shard
+// errors joined, as RecoverPool does.
+func recoverSerial(scfg config.Config, img *thoth.PoolImage) ([]*thoth.RecoveryReport, error) {
+	reps := make([]*thoth.RecoveryReport, img.Shards)
+	var errs []error
+	for i, crashed := range img.Crashed {
+		if !crashed {
+			continue
+		}
+		rep, err := thoth.Recover(scfg, img.Devices[i])
+		reps[i] = rep
+		if err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+		}
+	}
+	return reps, errors.Join(errs...)
+}
+
+// diffParallel recovers clone — an untouched copy of the crash image —
+// with RecoverPool at the given worker count and lists every way the
+// outcome differs from the serial reference (ref holds each shard's
+// serially recovered device bytes): the error sentinels, each shard's
+// device bytes, and each crashed shard's report counters.
+// RecoverPool runs each shard's recovery on its own goroutine, so a
+// panic there ends the process rather than becoming a violation.
+func diffParallel(cfg config.Config, ref [][]byte, reps []*thoth.RecoveryReport, serialErr error, clone *thoth.PoolImage, workers int) []string {
+	prep, perr := thoth.RecoverPool(cfg, clone.Shards, clone, thoth.RecoverOpts{Workers: workers})
+	if !sameRecoveryOutcome(serialErr, perr) {
+		return []string{fmt.Sprintf("serial err=%v, parallel err=%v", serialErr, perr)}
+	}
+	if prep == nil {
+		return []string{fmt.Sprintf("no parallel report (err=%v)", perr)}
+	}
+	var diffs []string
+	for i := range ref {
+		if !bytes.Equal(ref[i], imageBytes(clone.Devices[i])) {
+			diffs = append(diffs, fmt.Sprintf("shard %d: post-recovery device image differs from serial", i))
+		}
+		s, p := reps[i], prep.Shards[i]
+		switch {
+		case (s == nil) != (p == nil):
+			diffs = append(diffs, fmt.Sprintf("shard %d: serial report nil=%v, parallel report nil=%v",
+				i, s == nil, p == nil))
+		case s != nil && !s.CountsEqual(p):
+			diffs = append(diffs, fmt.Sprintf("shard %d: report differs: serial{%s} parallel{%s}", i, s, p))
+		}
+	}
+	return diffs
+}
+
+// sameRecoveryOutcome reports whether two recovery errors agree: both
+// nil, or both matching the same sentinels under errors.Is.
+func sameRecoveryOutcome(a, b error) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	for _, sentinel := range []error{thoth.ErrRootMismatch, thoth.ErrNoControlState} {
+		if errors.Is(a, sentinel) != errors.Is(b, sentinel) {
+			return false
+		}
+	}
+	return true
+}
+
+// cloneImage deep-copies a pool image's devices and crash flags.
+func cloneImage(img *thoth.PoolImage) *thoth.PoolImage {
+	c := &thoth.PoolImage{
+		Shards:  img.Shards,
+		Crashed: append([]bool(nil), img.Crashed...),
+		Devices: make([]*thoth.Device, len(img.Devices)),
+	}
+	for i, d := range img.Devices {
+		c.Devices[i] = d.Clone()
+	}
+	return c
+}
+
+// imageBytes serializes a device image for byte-exact comparison; Save
+// into memory cannot fail.
+func imageBytes(d *thoth.Device) []byte {
+	var buf bytes.Buffer
+	_ = d.Save(&buf)
+	return buf.Bytes()
+}
+
+// corruptCtr flips one bit in the counter region of a device, located
+// through the per-shard configuration scfg (used only by hand-built
+// failure cases; see OpCorrupt).
+func corruptCtr(dev *thoth.Device, scfg config.Config, off int64) {
+	regions, err := thoth.RegionsOf(scfg)
 	if err != nil {
 		panic(err)
 	}
-	bs := int64(cfg.BlockSize)
+	bs := int64(scfg.BlockSize)
 	addr := regions.CtrBase + off%regions.CtrBytes/bs*bs
-	blk := sys.Device().Peek(addr)
+	blk := dev.Peek(addr)
 	blk[int(off)%len(blk)] ^= 1
-	sys.Device().WriteBlock(addr, blk)
+	dev.WriteBlock(addr, blk)
 }
 
 // adversarialCrashIdx profiles the full trace once (no crash) under the
-// case's first scheme with an event tracer attached. Boundaries where
+// case's first variant's scheme, on one controller, with an event tracer attached. Boundaries where
 // ADR-pressure events fired — packed PCB blocks written into the PUB,
 // PUB evictions, counter overflows, forced WPQ drains — become crash
 // candidates, both immediately after the triggering op and immediately
@@ -270,7 +363,7 @@ func adversarialCrashIdx(r *rng, c Case) int {
 // the real run will surface the bug as a violation.
 func profileCandidates(c Case) (cand []int) {
 	defer func() { _ = recover() }()
-	cfg := c.ConfigFor(c.Schemes[0])
+	cfg := c.ConfigFor(c.Variants[0].Scheme)
 	// An inline tracer flags the ops during which ADR-pressure events
 	// fired; the events arrive synchronously inside Write/Read.
 	var pressure bool
@@ -353,8 +446,36 @@ func (s *SweepResult) String() string {
 }
 
 // Sweep runs seeds start..start+n-1 across the given number of workers
-// (1 if workers < 1). Per-seed results are independent, so parallelism
-// does not affect determinism.
+// (1 if workers < 1), collecting failures in ascending seed order.
+// Per-seed results are independent, so parallelism does not affect
+// determinism.
 func Sweep(start int64, n, workers int) *SweepResult {
-	return SweepWith(start, n, workers, Run)
+	if workers < 1 {
+		workers = 1
+	}
+	results := make([]*Result, n)
+	var wg sync.WaitGroup
+	ch := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ch {
+				results[i] = Run(start + int64(i))
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		ch <- i
+	}
+	close(ch)
+	wg.Wait()
+
+	sw := &SweepResult{Cases: n}
+	for _, r := range results {
+		if r.Failed() {
+			sw.Failures = append(sw.Failures, r)
+		}
+	}
+	return sw
 }

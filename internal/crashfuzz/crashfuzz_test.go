@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,11 +32,13 @@ func TestReplayMatchesRun(t *testing.T) {
 	}
 }
 
-// TestSweepFindsNoViolations is the tier-1 slice of the acceptance
-// sweep: a block of seeds across both modes, both block sizes and all
-// scheme combinations must recover every acknowledged block.
+// TestSweepFindsNoViolations is the acceptance sweep: 200 seeds across
+// both modes and both block sizes, each running its whole variant
+// matrix (five schemes, parallel recovery at 1/2/4/8 workers, a pool
+// crashing a shard subset), must recover every acknowledged block with
+// every execution agreeing.
 func TestSweepFindsNoViolations(t *testing.T) {
-	n := 60
+	n := 200
 	if testing.Short() {
 		n = 12
 	}
@@ -49,37 +52,43 @@ func TestSweepFindsNoViolations(t *testing.T) {
 }
 
 // TestModesAndShapesAreExercised guards the generator against silently
-// collapsing: across a seed range both crash modes, both block sizes,
-// and differential cases must all appear.
+// collapsing: across a seed range both crash modes, both block sizes, a
+// crash before the first op, every matrix scheme, every pool shard
+// count, a partial crash mask and every recovery worker count must all
+// appear.
 func TestModesAndShapesAreExercised(t *testing.T) {
-	var adversarial, uniform, b128, b256, differential, crashAtZero bool
+	seen := make(map[string]bool)
 	for seed := int64(1); seed <= 200; seed++ {
 		c := DeriveCase(seed)
-		switch c.Mode {
-		case Adversarial:
-			adversarial = true
-		case Uniform:
-			uniform = true
-		}
-		switch c.BlockSize {
-		case 128:
-			b128 = true
-		case 256:
-			b256 = true
-		}
-		if len(c.Schemes) > 1 {
-			differential = true
-		}
+		seen[c.Mode.String()] = true
+		seen[fmt.Sprintf("%dB", c.BlockSize)] = true
 		if c.CrashIdx == 0 {
-			crashAtZero = true
+			seen["crash-at-zero"] = true
+		}
+		for _, v := range c.Variants {
+			seen[v.Scheme.String()] = true
+			seen[fmt.Sprintf("shards=%d", v.Shards)] = true
+			crashed := 0
+			for _, down := range v.Crash {
+				if down {
+					crashed++
+				}
+			}
+			if crashed < v.Shards {
+				seen["partial-crash"] = true
+			}
+			for _, w := range v.Workers {
+				seen[fmt.Sprintf("workers=%d", w)] = true
+			}
 		}
 	}
-	for name, ok := range map[string]bool{
-		"adversarial": adversarial, "uniform": uniform,
-		"128B": b128, "256B": b256,
-		"differential": differential, "crash-at-zero": crashAtZero,
+	for _, name := range []string{
+		"adversarial", "uniform", "128B", "256B", "crash-at-zero", "partial-crash",
+		"thoth-wtsc", "thoth-wtbc", "baseline-strict", "anubis-ecc", "triad-relaxed-8",
+		"shards=1", "shards=2", "shards=4", "shards=8", "shards=16",
+		"workers=1", "workers=2", "workers=4", "workers=8",
 	} {
-		if !ok {
+		if !seen[name] {
 			t.Errorf("generator never produced a %s case in 200 seeds", name)
 		}
 	}
@@ -90,7 +99,7 @@ func TestModesAndShapesAreExercised(t *testing.T) {
 func TestCrashBeforeFirstOp(t *testing.T) {
 	c := DeriveCase(1)
 	c.CrashIdx = 0
-	if res := RunCase(c); res.Failed() {
+	if res := Check(c); res.Failed() {
 		t.Fatalf("\n%s", res)
 	}
 }
@@ -100,20 +109,53 @@ func TestCrashBeforeFirstOp(t *testing.T) {
 func TestCrashAfterLastOp(t *testing.T) {
 	c := DeriveCase(2)
 	c.CrashIdx = len(c.Trace)
-	if res := RunCase(c); res.Failed() {
+	if res := Check(c); res.Failed() {
 		t.Fatalf("\n%s", res)
 	}
 }
 
-// TestDifferentialAllSchemes runs one trace under every scheme pair the
-// fuzzer uses plus the three-way combination, cross-checking recovered
-// contents.
+// TestDifferentialAllSchemes runs one trace, crashed after its last op,
+// under the whole matrix — every scheme on one controller and the
+// seed's pool — cross-checking recovered contents.
 func TestDifferentialAllSchemes(t *testing.T) {
 	c := DeriveCase(7)
-	c.Schemes = []config.Scheme{config.ThothWTSC, config.ThothWTBC, config.BaselineStrict}
 	c.CrashIdx = len(c.Trace)
-	if res := RunCase(c); res.Failed() {
+	schemes := make(map[config.Scheme]bool)
+	for _, v := range c.Variants {
+		schemes[v.Scheme] = true
+	}
+	if len(schemes) != 5 {
+		t.Fatalf("matrix runs %d schemes, want all 5", len(schemes))
+	}
+	if res := Check(c); res.Failed() {
 		t.Fatalf("\n%s", res)
+	}
+}
+
+// recoveryOnly narrows a case to at most n of its one-shard variants
+// and recovers each at every worker count from 1 to 8, including the 3,
+// 5, 6 and 7 that the matrix leaves out.
+func recoveryOnly(c Case, n int) Case {
+	var vs []Variant
+	for _, v := range c.Variants {
+		if v.Shards == 1 && len(vs) < n {
+			v.Workers = []int{1, 2, 3, 4, 5, 6, 7, 8}
+			vs = append(vs, v)
+		}
+	}
+	c.Variants = vs
+	return c
+}
+
+// TestParallelDiffCleanSeeds runs the serial-vs-parallel recovery
+// differential over a handful of derived cases: every matrix scheme on
+// one controller, recovered at every worker count from 1 to 8, must
+// agree with the serial reference and read back the golden plaintext.
+func TestParallelDiffCleanSeeds(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		if res := Check(recoveryOnly(DeriveCase(seed), len(matrixSchemes))); res.Failed() {
+			t.Fatalf("seed %d:\n%s", seed, res)
+		}
 	}
 }
 
@@ -122,7 +164,7 @@ func TestDifferentialAllSchemes(t *testing.T) {
 // the tamper), and the report must carry the reproduction line.
 func TestCorruptionIsDetected(t *testing.T) {
 	c := failingCase()
-	res := RunCase(c)
+	res := Check(c)
 	if !res.Failed() {
 		t.Fatal("a tampered image must produce a violation")
 	}
@@ -132,14 +174,17 @@ func TestCorruptionIsDetected(t *testing.T) {
 }
 
 // failingCase builds a case that must fail: writes followed by a bit
-// flip in the counter region, so recovery's root check trips.
+// flip in the counter region, so recovery's root check trips. Its one
+// variant is a single crashed controller checked at every worker count.
 func failingCase() Case {
 	c := Case{
 		Seed:      424242,
 		BlockSize: 128,
 		PUBBlocks: 32,
 		PCBSlots:  4,
-		Schemes:   []config.Scheme{config.ThothWTSC},
+		Variants: []Variant{
+			{Scheme: config.ThothWTSC, Shards: 1, Crash: []bool{true}, Workers: matrixWorkers},
+		},
 	}
 	for i := 0; i < 40; i++ {
 		c.Trace = append(c.Trace, Op{Kind: OpWrite, Addr: int64(i%9) * 128, Len: 128, Fill: byte(i)})
@@ -152,26 +197,62 @@ func failingCase() Case {
 	return c
 }
 
-// TestMinimizeShrinksFailingTrace pins the minimizer: the 49-op failing
-// trace must shrink to (close to) the single corrupting op while still
-// failing, and the corrupt op must survive minimization.
-func TestMinimizeShrinksFailingTrace(t *testing.T) {
-	min := Minimize(failingCase())
-	res := RunCase(min)
+// poolTamperCase is failingCase on a 4-shard pool of which only shard 0
+// crashes: the flip lands in shard 0's counter region, found through the
+// per-shard configuration, and survives because shard 0 skips the
+// clean shutdown's metadata write-back.
+func poolTamperCase() Case {
+	c := failingCase()
+	c.Variants = []Variant{
+		{Scheme: config.ThothWTSC, Shards: 4, Crash: []bool{true, false, false, false}, Workers: matrixWorkers},
+	}
+	return c
+}
+
+// TestTamperFailsIdentically pins error-path parity inside the oracle:
+// a tampered image makes serial and parallel recovery fail with the
+// same sentinel at every worker count, on one controller and on a pool,
+// so the case fails with VRecoveryError and never VDiverge.
+func TestTamperFailsIdentically(t *testing.T) {
+	for _, c := range []Case{failingCase(), poolTamperCase()} {
+		assertOnlyRecoveryErrors(t, Check(c))
+	}
+}
+
+// assertOnlyRecoveryErrors requires a failed result whose every
+// violation is a VRecoveryError.
+func assertOnlyRecoveryErrors(t *testing.T, res *Result) {
+	t.Helper()
 	if !res.Failed() {
-		t.Fatal("minimized case no longer fails")
+		t.Fatalf("a tampered image must fail:\n%s", res)
 	}
-	if len(min.Trace) > 3 {
-		t.Fatalf("minimized to %d ops, want <= 3", len(min.Trace))
-	}
-	var hasCorrupt bool
-	for _, op := range min.Trace {
-		if op.Kind == OpCorrupt {
-			hasCorrupt = true
+	for _, v := range res.Violations {
+		if v.Kind != VRecoveryError {
+			t.Fatalf("want only %s violations:\n%s", VRecoveryError, res)
 		}
 	}
-	if !hasCorrupt {
-		t.Fatalf("minimization dropped the corrupting op: %+v", min.Trace)
+}
+
+// TestMinimizeShrinksFailingTrace pins the minimizer: the 49-op failing
+// trace must shrink to (close to) the single corrupting op while still
+// failing, and the corrupt op must survive minimization — on one
+// controller and on a pool.
+func TestMinimizeShrinksFailingTrace(t *testing.T) {
+	for _, c := range []Case{failingCase(), poolTamperCase()} {
+		min := Minimize(c)
+		assertOnlyRecoveryErrors(t, Check(min))
+		if len(min.Trace) > 3 {
+			t.Fatalf("%s: minimized to %d ops, want <= 3", c.Variants[0], len(min.Trace))
+		}
+		var hasCorrupt bool
+		for _, op := range min.Trace {
+			if op.Kind == OpCorrupt {
+				hasCorrupt = true
+			}
+		}
+		if !hasCorrupt {
+			t.Fatalf("%s: minimization dropped the corrupting op: %+v", c.Variants[0], min.Trace)
+		}
 	}
 }
 

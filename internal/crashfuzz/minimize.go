@@ -9,16 +9,10 @@ package crashfuzz
 // fail are returned unchanged.
 //
 // Minimization re-executes the case many times; use it on the short
-// traces the fuzzer produces, not on production-sized workloads.
+// traces the fuzzer produces, not on production-sized workloads. Every
+// variant of the case, pool variants included, runs on each attempt.
 func Minimize(c Case) Case {
-	return MinimizeWith(c, func(c Case) bool { return RunCase(c).Failed() })
-}
-
-// MinimizeWith is Minimize under an arbitrary failure predicate, so any
-// oracle over a Case — the crash-consistency contract, the serial-vs-
-// parallel recovery differential — shrinks with the same ddmin loop.
-// The predicate must be deterministic for the reduction to be sound.
-func MinimizeWith(c Case, failing func(Case) bool) Case {
+	failing := func(c Case) bool { return Check(c).Failed() }
 	if !failing(c) {
 		return c
 	}

@@ -1,77 +1,85 @@
 package crashfuzz
 
 import (
+	"reflect"
 	"testing"
 )
 
-// poolOracle is the sweep driver: each seed runs the pool differential
-// at its derived shard count and crash subset.
-func poolOracle(seed int64) *Result {
-	return RunPool(seed, PoolShardsFor(seed))
+// TestRunPoolKnownSeed spot-checks one seed end to end at every pool
+// shard count the matrix draws: the seed's scheme on one controller and
+// on pools of 2/4/8/16 shards, each crashing its PoolCrashMask subset
+// and recovered serially and with 2 workers, must all read back the
+// golden plaintext and agree with each other.
+func TestRunPoolKnownSeed(t *testing.T) {
+	c := DeriveCase(7)
+	derived := c.Variants[0]
+	c.Variants = []Variant{derived}
+	for _, shards := range []int{2, 4, 8, 16} {
+		c.Variants = append(c.Variants, Variant{
+			Scheme: derived.Scheme, Shards: shards,
+			Crash: PoolCrashMask(7, shards), Workers: []int{2},
+		})
+	}
+	if res := Check(c); res.Failed() {
+		t.Fatalf("\n%s", res)
+	}
 }
 
-// TestPoolDifferential is the crash-any-subset-of-shards acceptance
-// sweep (the full 200 seeds run in `make pool-diff`; the tier-1 slice
-// here keeps `go test ./...` quick): on every seed, a pool of 2/4/8/16
-// shards fed the identical trace, crashed on a seed-derived shard
-// subset and recovered shard-by-shard, must agree block-for-block with
-// the plaintext oracle AND with the single-controller reference run.
+// TestPoolDifferential runs the seed's pool under every matrix scheme.
+// The derived matrix runs its pool variant under the seed's scheme only,
+// which is never anubis-ecc or triad-relaxed-8. On each seed, all five
+// schemes on the PoolShardsFor(seed)-shard pool crashing the
+// PoolCrashMask subset must read back the golden plaintext and agree
+// with the derived scheme's run on one controller.
 func TestPoolDifferential(t *testing.T) {
-	n := 48
+	n := 16
 	if testing.Short() {
-		n = 12
+		n = 4
 	}
-	sw := SweepWith(1, n, 4, poolOracle)
-	if sw.Failed() {
-		t.Fatalf("\n%s", sw)
-	}
-	if sw.Cases != n {
-		t.Fatalf("ran %d cases, want %d", sw.Cases, n)
+	for seed := int64(1); seed <= int64(n); seed++ {
+		c := DeriveCase(seed)
+		pool := c.Variants[len(c.Variants)-1]
+		c.Variants = c.Variants[:1]
+		for _, s := range matrixSchemes {
+			v := pool
+			v.Scheme = s
+			c.Variants = append(c.Variants, v)
+		}
+		if res := Check(c); res.Failed() {
+			t.Fatalf("\n%s", res)
+		}
 	}
 }
 
-// TestPoolCrashMaskDeterministic pins the mask derivation: pure in
-// (seed, shards), always at least one crashed shard, and not the same
-// subset on every seed (the sweep must actually vary coverage).
+// TestPoolCrashMaskDeterministic pins the pool variant's derivation:
+// pure in the seed, PoolShardsFor(seed) shards crashing the
+// PoolCrashMask subset, always at least one crashed shard, and not the
+// same subset on every seed (the sweep must actually vary coverage).
 func TestPoolCrashMaskDeterministic(t *testing.T) {
 	distinct := make(map[string]bool)
 	for seed := int64(1); seed <= 64; seed++ {
-		a := PoolCrashMask(seed, 8)
-		b := PoolCrashMask(seed, 8)
-		if len(a) != 8 || len(b) != 8 {
-			t.Fatalf("seed %d: mask length %d/%d, want 8", seed, len(a), len(b))
+		a := DeriveCase(seed).Variants
+		b := DeriveCase(seed).Variants
+		pa, pb := a[len(a)-1], b[len(b)-1]
+		shards := PoolShardsFor(seed)
+		if pa.Shards != shards || len(pa.Crash) != shards || len(pb.Crash) != shards {
+			t.Fatalf("seed %d: pool variant %s, want %d shards", seed, pa, shards)
+		}
+		if !reflect.DeepEqual(pa, pb) || !reflect.DeepEqual(pa.Crash, PoolCrashMask(seed, shards)) {
+			t.Fatalf("seed %d: pool variant not deterministic: %s vs %s", seed, pa, pb)
 		}
 		crashed := 0
-		key := ""
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: mask not deterministic at shard %d", seed, i)
-			}
-			if a[i] {
+		for _, c := range pa.Crash {
+			if c {
 				crashed++
-				key += "1"
-			} else {
-				key += "0"
 			}
 		}
 		if crashed == 0 {
 			t.Fatalf("seed %d: no shard crashed", seed)
 		}
-		distinct[key] = true
+		distinct[pa.String()] = true
 	}
 	if len(distinct) < 16 {
-		t.Fatalf("only %d distinct masks over 64 seeds; mask derivation looks degenerate", len(distinct))
-	}
-}
-
-// TestRunPoolKnownSeed spot-checks one seed end to end at every
-// supported shard count, including ones the mixed sweep might not hit
-// for this seed.
-func TestRunPoolKnownSeed(t *testing.T) {
-	for _, shards := range []int{2, 4, 8, 16} {
-		res := RunPool(7, shards)
-		if res.Failed() {
-			t.Fatalf("shards=%d:\n%s", shards, res)
-		}
+		t.Fatalf("only %d distinct pool variants over 64 seeds; mask derivation looks degenerate", len(distinct))
 	}
 }

@@ -1,17 +1,21 @@
 // Package crashfuzz is a randomized crash-injection differential tester
 // for the full Thoth stack. Every case derives deterministically from a
 // single int64 seed: a generated workload trace, a scaled-down machine
-// configuration, one or two persistence schemes, and a crash point
-// sampled either uniformly over the trace or adversarially at the
-// operation boundaries where the ADR domain is under the most pressure
-// (PCB flushes into the PUB, PUB evictions, counter overflows, WPQ
-// drains). The trace runs against the public thoth.System API, the crash
-// image goes through recovery, and every block the workload was
-// acknowledged to have persisted before the crash is read back and
-// compared against a golden shadow model. Any divergence — a panic, a
-// recovery failure, lost or corrupted data, or a disagreement between
-// two schemes fed the identical trace — is reported as a Violation with
-// a one-line reproduction: crashfuzz.Replay(seed).
+// configuration, a crash point sampled either uniformly over the trace
+// or adversarially at the operation boundaries where the ADR domain is
+// under the most pressure (PCB flushes into the PUB, PUB evictions,
+// counter overflows, WPQ drains), and a matrix of variants to run it
+// under: every persistence scheme on one controller, and the seed's
+// scheme on a sharded pool that crashes a seed-derived subset of its
+// shards. Check runs each variant through one path: the trace goes
+// through the public pool API, the crash image is recovered by the
+// serial reference engine and by parallel recovery at several worker
+// counts (which must agree byte-for-byte), and every block the workload
+// was acknowledged to have persisted before the crash is read back and
+// compared against a golden shadow model and across variants. Any
+// divergence — a panic, a recovery failure, lost or corrupted data, or
+// two executions that disagree — is reported as a Violation with a
+// one-line reproduction: crashfuzz.Replay(seed).
 package crashfuzz
 
 // rng is a splitmix64 pseudo-random generator. It is written out by hand

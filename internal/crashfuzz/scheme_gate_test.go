@@ -61,10 +61,6 @@ type schemeGoldenCase struct {
 func schemeGateFingerprint(t *testing.T, seed int64, sch config.Scheme) schemeGoldenRun {
 	t.Helper()
 	c := DeriveCase(seed)
-	// Override the derived scheme set: the trace and crash index are
-	// fixed at derivation time, so forcing the scheme keeps the workload
-	// identical across all three runs of the seed.
-	c.Schemes = []config.Scheme{sch}
 	cfg := c.ConfigFor(sch)
 	sys, err := thoth.New(cfg)
 	if err != nil {

@@ -17,10 +17,12 @@ const (
 	// OpRead reads Len bytes at Addr. Reads perturb metadata-cache and
 	// WPQ state without changing the golden model.
 	OpRead
-	// OpCorrupt flips one bit in the counter region of the raw device
-	// (offset Addr into the region), modeling an attacker or media fault.
-	// The generator never emits it; tests use it to construct cases that
-	// must fail, exercising the reporting and minimization machinery.
+	// OpCorrupt flips one bit in the counter region of shard 0's raw
+	// device (offset Addr into the region), modeling an attacker or media
+	// fault. The generator never emits it; tests use it to construct
+	// cases that must fail, exercising the reporting and minimization
+	// machinery. A flip on a shard that shuts down cleanly is overwritten
+	// by the shutdown's metadata write-back, so such cases crash shard 0.
 	OpCorrupt
 )
 
@@ -87,10 +89,11 @@ type Case struct {
 	PUBBlocks int // PUB capacity in blocks (small, to force evictions)
 	PCBSlots  int // PCB entries reserved out of the WPQ
 
-	// Schemes are the persistence engines run on the identical trace.
-	// With two or more schemes the case is differential: beyond each
-	// scheme's own golden check, the recovered images are cross-compared.
-	Schemes []config.Scheme
+	// Variants are the executions of the identical trace. Each faces the
+	// golden check on its own, and every variant's recovered plaintext is
+	// cross-compared with the first's. The first variant's scheme is the
+	// one the adversarial crash profile runs.
+	Variants []Variant
 
 	// Trace is the generated workload. Ops at index >= CrashIdx never
 	// execute; the crash fires after op CrashIdx-1 completes.
@@ -100,7 +103,8 @@ type Case struct {
 
 // ConfigFor builds the machine configuration for one scheme of the case:
 // the paper's Table I machine scaled down so short traces still churn
-// the metadata caches, drain the WPQ and evict from the PUB.
+// the metadata caches, drain the WPQ and evict from the PUB. A pool
+// variant divides it between its shards (engine.ShardConfig).
 func (c Case) ConfigFor(s config.Scheme) config.Config {
 	cfg := config.Default().WithScheme(s).WithBlockSize(c.BlockSize)
 	cfg.MemBytes = 256 << 20
@@ -162,16 +166,15 @@ func DeriveCase(seed int64) Case {
 	c.PUBBlocks = []int{16, 24, 32, 64}[r.Intn(4)]
 	c.PCBSlots = []int{2, 4, 8}[r.Intn(3)]
 
-	switch {
-	case r.Pct(45): // single scheme
-		c.Schemes = []config.Scheme{
-			[]config.Scheme{config.ThothWTSC, config.ThothWTBC, config.BaselineStrict}[r.Intn(3)],
-		}
-	case r.Pct(64): // differential: the two eviction policies
-		c.Schemes = []config.Scheme{config.ThothWTSC, config.ThothWTBC}
-	default: // differential: Thoth vs the strict-persistence baseline
-		c.Schemes = []config.Scheme{config.ThothWTSC, config.BaselineStrict}
+	derived := config.ThothWTSC
+	if r.Pct(45) {
+		derived = []config.Scheme{config.ThothWTSC, config.ThothWTBC, config.BaselineStrict}[r.Intn(3)]
+	} else {
+		// Unused, but dropping the draw would shift every later one and
+		// change each seed's trace and crash index.
+		r.Pct(64)
 	}
+	c.Variants = variantsFor(seed, derived)
 
 	c.Trace = deriveTrace(r, c.BlockSize)
 

@@ -6,64 +6,43 @@ import (
 	"repro/internal/config"
 )
 
-// triadOracle runs a seed's scenario with the relaxed-persistence scheme
-// added to both Thoth eviction policies: each scheme faces its own
-// golden check, and the three recovered images are cross-compared. A
-// small epoch makes checkpoints actually fire inside short fuzz traces
-// while still leaving relaxation windows (dirty tree nodes held back)
-// open at most crash points.
-func triadOracle(seed int64) *Result {
-	return RunWith(seed, []config.Scheme{
-		config.ThothWTSC, config.ThothWTBC, config.TriadRelaxed(8),
-	})
-}
-
-// TestTriadSweepFindsNoViolations is the tier-1 slice of the triad
-// acceptance sweep (`make scheme-diff` runs the full 200 seeds): on
-// every seed the triad-relaxed scheme must recover the exact plaintext
-// the Thoth schemes recover, even when the crash lands mid-epoch with
-// the persisted tree region stale — recovery never trusts it, the root
-// is rebuilt from the strictly-persisted counter region.
+// TestTriadSweepFindsNoViolations runs the relaxed-persistence scheme on
+// each seed's pool as well as on one controller (the derived matrix runs
+// it on one controller only). A small epoch makes checkpoints fire
+// inside short fuzz traces while leaving relaxation windows (dirty tree
+// nodes held back) open at most crash points; recovery must never trust
+// the stale persisted tree region and must rebuild every crashed
+// shard's root from the strictly persisted counter region.
 func TestTriadSweepFindsNoViolations(t *testing.T) {
 	n := 60
 	if testing.Short() {
 		n = 12
 	}
-	sw := SweepWith(1, n, 4, triadOracle)
-	if sw.Failed() {
-		t.Fatalf("\n%s", sw)
-	}
-	if sw.Cases != n {
-		t.Fatalf("ran %d cases, want %d", sw.Cases, n)
+	triad := config.TriadRelaxed(8)
+	for seed := int64(1); seed <= int64(n); seed++ {
+		c := DeriveCase(seed)
+		pool := c.Variants[len(c.Variants)-1]
+		pool.Scheme = triad
+		c.Variants = []Variant{{Scheme: triad, Shards: 1, Crash: []bool{true}, Workers: matrixWorkers}, pool}
+		if res := Check(c); res.Failed() {
+			t.Fatalf("\n%s", res)
+		}
 	}
 }
 
 // TestTriadEpochSweep varies the checkpoint epoch across one scenario:
 // from checkpoint-every-persist (strict, epoch 1) to effectively never
-// (epoch 1<<20), the recovered contents must not depend on the epoch.
+// (epoch 1<<20), the recovered contents must match the strict baseline,
+// whatever the epoch and the recovery worker count.
 func TestTriadEpochSweep(t *testing.T) {
+	c := DeriveCase(11)
+	c.Variants = []Variant{{Scheme: config.BaselineStrict, Shards: 1, Crash: []bool{true}}}
 	for _, epoch := range []int{1, 2, 8, 64, 1 << 20} {
-		res := RunWith(11, []config.Scheme{
-			config.BaselineStrict, config.TriadRelaxed(epoch),
+		c.Variants = append(c.Variants, Variant{
+			Scheme: config.TriadRelaxed(epoch), Shards: 1, Crash: []bool{true}, Workers: matrixWorkers,
 		})
-		if res.Failed() {
-			t.Fatalf("epoch %d:\n%s", epoch, res)
-		}
 	}
-}
-
-// TestRunWithPreservesScenario pins the override contract: RunWith must
-// keep the seed's derived trace, geometry and crash index byte-for-byte
-// and replace only the scheme set.
-func TestRunWithPreservesScenario(t *testing.T) {
-	want := DeriveCase(3)
-	got := RunWith(3, []config.Scheme{config.TriadRelaxed(8)}).Case
-	if got.CrashIdx != want.CrashIdx || got.BlockSize != want.BlockSize ||
-		got.PUBBlocks != want.PUBBlocks || got.PCBSlots != want.PCBSlots ||
-		len(got.Trace) != len(want.Trace) {
-		t.Fatalf("RunWith perturbed the derived scenario: got %+v want %+v", got, want)
-	}
-	if len(got.Schemes) != 1 || got.Schemes[0] != config.TriadRelaxed(8) {
-		t.Fatalf("scheme override not applied: %v", got.Schemes)
+	if res := Check(c); res.Failed() {
+		t.Fatalf("\n%s", res)
 	}
 }

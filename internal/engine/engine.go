@@ -101,11 +101,11 @@ type Pool struct {
 	shards  []*shard
 }
 
-// shardConfig derives the per-shard configuration and the pool geometry:
+// ShardConfig derives the per-shard configuration and the pool geometry:
 // each shard models an independent controller (its own caches, WPQ, PCB
 // and PUB at their configured sizes — per-instance resources, as on real
 // multi-channel controllers) over MemBytes/shards of the module.
-func shardConfig(cfg config.Config, shards int) (config.Config, error) {
+func ShardConfig(cfg config.Config, shards int) (config.Config, error) {
 	if shards < 1 || shards > MaxShards {
 		return config.Config{}, fmt.Errorf("engine: shard count %d not in [1,%d]", shards, MaxShards)
 	}
@@ -126,7 +126,7 @@ func shardConfig(cfg config.Config, shards int) (config.Config, error) {
 // newPool builds the pool and its shards; attach constructs each shard's
 // controller (fresh for New, image-attached for Open).
 func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i int) (*core.Controller, error)) (*Pool, error) {
-	scfg, err := shardConfig(cfg, shards)
+	scfg, err := ShardConfig(cfg, shards)
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ func (r *PoolReport) String() string {
 // on lost ADR state — test with errors.Is) surface in the PoolReport and
 // the joined error.
 func RecoverPool(cfg config.Config, shards int, img *PoolImage, opts recovery.RecoverOpts) (*PoolReport, error) {
-	scfg, err := shardConfig(cfg, shards)
+	scfg, err := ShardConfig(cfg, shards)
 	if err != nil {
 		return nil, err
 	}

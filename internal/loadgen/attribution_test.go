@@ -37,7 +37,7 @@ func conservationScenario(seed int64) loadgen.Scenario {
 // cross-checks the report against the latency histograms.
 func runConservation(t *testing.T, seed int64, label string, tgt loadgen.Target, reg *metrics.Registry, cfg crashfuzz.Case) {
 	t.Helper()
-	d, err := loadgen.NewDriver(conservationScenario(seed), tgt, cfg.ConfigFor(cfg.Schemes[0]), reg,
+	d, err := loadgen.NewDriver(conservationScenario(seed), tgt, cfg.ConfigFor(cfg.Variants[0].Scheme), reg,
 		loadgen.Options{Attribution: true})
 	if err != nil {
 		t.Fatalf("seed %d %s: NewDriver: %v", seed, label, err)
@@ -82,7 +82,7 @@ func TestAttributionConservationSweep(t *testing.T) {
 	const sweepSeeds = 200
 	for seed := int64(0); seed < sweepSeeds; seed++ {
 		c := crashfuzz.DeriveCase(seed)
-		cfg := c.ConfigFor(c.Schemes[0])
+		cfg := c.ConfigFor(c.Variants[0].Scheme)
 
 		ctl, err := core.New(cfg)
 		if err != nil {
@@ -106,7 +106,7 @@ func TestAttributionConservationSweep(t *testing.T) {
 // SetTarget.
 func TestAttributionRequiresSpanTarget(t *testing.T) {
 	c := crashfuzz.DeriveCase(1)
-	cfg := c.ConfigFor(c.Schemes[0])
+	cfg := c.ConfigFor(c.Variants[0].Scheme)
 	ctl, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)

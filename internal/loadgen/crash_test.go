@@ -20,7 +20,7 @@ import (
 
 func TestCrashUnderLoad(t *testing.T) {
 	c := crashfuzz.DeriveCase(3)
-	cfg := c.ConfigFor(c.Schemes[0])
+	cfg := c.ConfigFor(c.Variants[0].Scheme)
 	const shards = 4
 
 	pool, err := engine.New(cfg, shards)

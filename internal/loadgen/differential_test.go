@@ -89,7 +89,7 @@ func runPair(t *testing.T, seed int64, cfg config.Config,
 func TestClosedLoopDifferentialGenerated(t *testing.T) {
 	for seed := int64(1); seed <= diffSeeds; seed++ {
 		c := crashfuzz.DeriveCase(seed)
-		cfg := c.ConfigFor(c.Schemes[0])
+		cfg := c.ConfigFor(c.Variants[0].Scheme)
 		scn := closedLoopScenario(seed)
 		runPair(t, seed, cfg, func(tgt *loadgen.ControllerTarget, sys *thoth.System) {
 			d, err := loadgen.NewDriver(scn, tgt, cfg, nil, loadgen.Options{CollectOps: true})
@@ -125,7 +125,7 @@ func TestClosedLoopDifferentialGenerated(t *testing.T) {
 func TestClosedLoopDifferentialTraces(t *testing.T) {
 	for seed := int64(1); seed <= diffSeeds; seed++ {
 		c := crashfuzz.DeriveCase(seed)
-		cfg := c.ConfigFor(c.Schemes[0])
+		cfg := c.ConfigFor(c.Variants[0].Scheme)
 		runPair(t, seed, cfg, func(tgt *loadgen.ControllerTarget, sys *thoth.System) {
 			for i, op := range c.Trace[:c.CrashIdx] {
 				switch op.Kind {

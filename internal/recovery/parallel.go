@@ -1,8 +1,9 @@
 // Parallel sharded recovery. The serial Recover is the reference
 // implementation; RecoverParallel must produce a byte-identical device
 // image and an equal Report (modulo timing) for every crash image and
-// worker count — the differential suite in parallel_diff_test.go and the
-// FuzzParallelRecovery target enforce exactly that.
+// worker count — the crashfuzz oracle (internal/crashfuzz) checks
+// exactly that on every seed it sweeps or fuzzes, at 1, 2, 4 and 8
+// workers.
 //
 // Why sharding by metadata *group* is sound: mergeEntry's writes
 // read-modify-write whole counter blocks (shared by every data block of

@@ -4,29 +4,26 @@
 package recovery_test
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/crashfuzz"
 )
 
 // TestParallelRecoveryDifferential is the acceptance sweep for the
-// parallel recovery engine: 200 seeded crash images (the DeriveCase
-// distribution mixes uniform and adversarial crash points, both block
-// sizes, and WTSC/WTBC scheme pairs), each recovered with the serial
-// engine and with RecoverParallel at Workers in {1, 2, 4, 8}. Every
-// recovery must produce byte-identical device images, equal report
-// counters, and the same error sentinel. Wired into `make ci` via the
-// parallel-diff target (and the ordinary test/race lanes).
+// parallel recovery engine: 200 seeded crash images, each taken under
+// the seed's derived scheme on one controller and recovered with the
+// serial engine and with RecoverParallel at Workers in {1, 2, 4, 8}.
+// Every recovery must produce byte-identical device images, equal
+// report counters and the same error sentinel. Seeds 401-600 follow the
+// 1-200 that crashfuzz's TestSweepFindsNoViolations runs and the
+// 201-400 of the `make crashfuzz` lane, so they add crash images
+// instead of repeating them.
 func TestParallelRecoveryDifferential(t *testing.T) {
-	const seeds = 200
-	sw := crashfuzz.SweepWith(1, seeds, runtime.GOMAXPROCS(0), func(seed int64) *crashfuzz.Result {
-		return crashfuzz.RunParallel(seed, nil)
-	})
-	if sw.Cases != seeds {
-		t.Fatalf("sweep ran %d cases, want %d", sw.Cases, seeds)
-	}
-	if sw.Failed() {
-		t.Fatalf("\n%s", sw)
+	for seed := int64(401); seed <= 600; seed++ {
+		c := crashfuzz.DeriveCase(seed)
+		c.Variants = c.Variants[:1]
+		if res := crashfuzz.Check(c); res.Failed() {
+			t.Fatalf("\n%s", res)
+		}
 	}
 }

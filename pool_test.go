@@ -237,9 +237,8 @@ func TestPoolCrashSubsetRecover(t *testing.T) {
 // writer's blocks read back intact. Its variants add pollers of
 // ShardStats and VerifyCrashConsistency, and a CrashShards racing the
 // clients halfway through: every op must then succeed or fail with
-// ErrCrashed, and nothing may deadlock. Run under -race (the race and
-// pool-diff lanes run it ten times) this pins the per-shard lock
-// discipline.
+// ErrCrashed, and nothing may deadlock. Run under -race (the race lane
+// runs it ten times) this pins the per-shard lock discipline.
 func TestPoolConcurrentClients(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
