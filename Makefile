@@ -8,9 +8,9 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci fmt vet build test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
+.PHONY: ci fmt vet build cross test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
 
-ci: fmt vet build test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
+ci: fmt vet build cross test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
 
 # Formatting gate: fails, listing the files, when gofmt would rewrite
 # any Go file.
@@ -22,6 +22,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Cross-architecture gate: internal/crypt has an amd64 AES-NI pad kernel
+# and a pure-Go fallback for every other architecture; vet and build
+# the whole tree for arm64 so the fallback keeps compiling.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -95,8 +102,11 @@ obs-smoke:
 # and 95% PUB fill: nothing per replayed entry. A tree-node hash, a
 # steady-state tree update, node write-back and root read, a
 # single-block timed pool write or read (attributed or not), and a
-# 64-block System.PersistBatch, allocate nothing either.
+# 64-block System.PersistBatch, allocate nothing either. So do the
+# counter-mode pads (XorPad and PadInto at 64, 128 and 256 B blocks)
+# and the MAC and tree hashes.
 bench-alloc:
+	$(GO) test ./internal/crypt -run TestEngineOpsAllocFree -count=1
 	$(GO) test . -run TestPersistBatchZeroAlloc -count=1
 	$(GO) test ./internal/recovery -run TestRecoverZeroAllocPerEntry -count=1
 	$(GO) test ./internal/bmt -run TestNodeHashZeroAlloc -count=1
@@ -119,12 +129,14 @@ endif
 
 # Short coverage-guided fuzz session over the checked-in corpus (each
 # input runs its seed's whole variant matrix), plus the word-level
-# bit-field codec against its bit-at-a-time reference and the
-# stale-mask integrity tree against its map-based reference.
+# bit-field codec against its bit-at-a-time reference, the stale-mask
+# integrity tree against its map-based reference, and the counter-mode
+# pads against per-chunk crypto/aes.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/crashfuzz
 	$(GO) test -run=NONE -fuzz=FuzzBitpack -fuzztime=5s ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzTree -fuzztime=5s ./internal/bmt
+	$(GO) test -run=NONE -fuzz=FuzzPad -fuzztime=5s ./internal/crypt
 
 # The acceptance-criteria sweep (slower; not part of `ci`).
 sweep-1000:

@@ -277,11 +277,6 @@ type Config struct {
 	// that extension for the ablation experiment.
 	EADR bool
 
-	// FunctionalCrypto enables byte-accurate AES-CTR encryption and
-	// HMAC MACs in the backing store. Timing experiments may disable
-	// it for speed; recovery/security tests require it.
-	FunctionalCrypto bool
-
 	// Seed drives all pseudo-random choices (workload keys, crash
 	// points) so every run is reproducible.
 	Seed int64
@@ -339,7 +334,6 @@ func Default() Config {
 		NVMTreeLevels:     10,
 		CacheTreeLevels:   4,
 		PageBytes:         4096,
-		FunctionalCrypto:  true,
 		Seed:              1,
 	}
 }

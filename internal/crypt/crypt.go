@@ -23,6 +23,13 @@
 // the pad is never reused. Addresses above 2^52 and blocks longer than
 // 4 KiB (256 chunks) are rejected rather than silently truncated.
 //
+// The chunks of one block differ only in v[15], so their pads are
+// independent. On amd64 CPUs with AES-NI, PadInto and XorPad compute
+// them eight at a time with one interleaved AESENC kernel call
+// (pad_amd64.s) over round keys NewEngine expands once (FIPS-197) and
+// checks against crypto/aes. Elsewhere they run one crypto/aes
+// Encrypt per chunk, the reference the kernel is tested against.
+//
 // MACs and tree hashes are keyed SHA-256 truncated to the architectural
 // widths (the hardware would use a dedicated MAC unit such as an AES-GMAC
 // engine; a keyed hash preserves the properties the model needs —
@@ -38,6 +45,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding"
 	"encoding/binary"
 	"fmt"
@@ -49,6 +57,12 @@ import (
 type Engine struct {
 	aes    cipher.Block
 	macKey [16]byte
+
+	// xk is the expanded AES key the pad kernel loads; ivs and pads
+	// stage one kernel call's eight IVs and pads.
+	xk   [roundKeyBytes]byte
+	ivs  [kernelBytes]byte
+	pads [kernelBytes]byte
 
 	// Resettable keyed digest: h is restored from a pre-keyed marshaled
 	// state per MAC instead of rehashing the key and reallocating a
@@ -80,6 +94,10 @@ func NewEngine(seed int64) *Engine {
 		panic(fmt.Sprintf("crypt: AES key setup: %v", err))
 	}
 	e := &Engine{aes: blk}
+	expandKey128(&e.xk, &aesKey)
+	if useKernel {
+		e.checkKernel()
+	}
 	binary.LittleEndian.PutUint64(e.macKey[0:8], uint64(seed)*0xC2B2_AE3D_27D4_EB4F+7)
 	binary.LittleEndian.PutUint64(e.macKey[8:16], uint64(seed)^0x1655_67C1_B3F7_4034)
 	e.h = sha256.New()
@@ -122,14 +140,9 @@ const maxIVAddr = 1 << 52
 // iv assembles the 16-byte AES input for one 16-byte chunk of a block
 // into the engine's IV scratch. Each field has a dedicated byte range
 // (see the package comment), so distinct (addr, major, minor, chunk)
-// tuples give distinct IVs.
+// tuples give distinct IVs. Callers validate addr and chunk first
+// (padChunks).
 func (e *Engine) iv(addr int64, ctr Counter, chunk int) {
-	if addr < 0 || addr >= maxIVAddr || addr&15 != 0 {
-		panic(fmt.Sprintf("crypt: address %#x not encryptable (must be 16-aligned, below 2^52)", addr))
-	}
-	if chunk < 0 || chunk > 255 {
-		panic(fmt.Sprintf("crypt: chunk index %d out of range [0,255]", chunk))
-	}
 	v := &e.ivBuf
 	binary.LittleEndian.PutUint64(v[0:8], ctr.Major)
 	a := uint64(addr) >> 4
@@ -147,13 +160,22 @@ func (e *Engine) iv(addr int64, ctr Counter, chunk int) {
 // address and counter. len(dst) must be a multiple of the AES block
 // size (16).
 func (e *Engine) PadInto(dst []byte, addr int64, ctr Counter) {
-	n := len(dst)
-	if n <= 0 || n%16 != 0 {
-		panic(fmt.Sprintf("crypt: pad length %d not a positive multiple of 16", n))
+	n := padChunks(len(dst), addr)
+	if !useKernel {
+		for c := 0; c < n; c++ {
+			e.iv(addr, ctr, c)
+			e.aes.Encrypt(dst[c*16:(c+1)*16], e.ivBuf[:])
+		}
+		return
 	}
-	for c := 0; c < n/16; c++ {
-		e.iv(addr, ctr, c)
-		e.aes.Encrypt(dst[c*16:(c+1)*16], e.ivBuf[:])
+	e.stageIVs(addr, ctr)
+	for c := 0; c < n; c += kernelBlocks {
+		if rest := dst[c*16:]; len(rest) >= kernelBytes {
+			e.padGroup((*[kernelBytes]byte)(rest), c)
+		} else {
+			e.padGroup(&e.pads, c)
+			copy(rest, e.pads[:])
+		}
 	}
 }
 
@@ -170,12 +192,18 @@ func (e *Engine) Pad(addr int64, ctr Counter, n int) []byte {
 // encrypts a plaintext or decrypts a ciphertext without allocating.
 // len(data) must be a multiple of 16.
 func (e *Engine) XorPad(data []byte, addr int64, ctr Counter) {
-	n := len(data)
-	if n <= 0 || n%16 != 0 {
-		panic(fmt.Sprintf("crypt: pad length %d not a positive multiple of 16", n))
+	n := padChunks(len(data), addr)
+	if useKernel {
+		e.stageIVs(addr, ctr)
+		for c := 0; c < n; c += kernelBlocks {
+			e.padGroup(&e.pads, c)
+			rest := data[c*16:]
+			subtle.XORBytes(rest, rest, e.pads[:])
+		}
+		return
 	}
 	pad := &e.xorBuf
-	for c := 0; c < n/16; c++ {
+	for c := 0; c < n; c++ {
 		e.iv(addr, ctr, c)
 		e.aes.Encrypt(pad[:], e.ivBuf[:])
 		chunk := data[c*16 : (c+1)*16 : (c+1)*16]

@@ -174,16 +174,26 @@ func TestMACBindsFullMajor(t *testing.T) {
 }
 
 // TestEngineOpsAllocFree asserts the steady-state crypto primitives do
-// not allocate once the engine is constructed.
+// not allocate once the engine is constructed. The pads run at every
+// block size the configurations use, through whichever path this CPU
+// takes.
 func TestEngineOpsAllocFree(t *testing.T) {
 	e := NewEngine(5)
 	buf := make([]byte, 128)
 	mac := make([]byte, 16)
 	ctr := Counter{Major: 11, Minor: 3}
-	if n := testing.AllocsPerRun(200, func() {
-		e.XorPad(buf, 0x7000, ctr)
-	}); n != 0 {
-		t.Errorf("XorPad allocates %.1f times per op", n)
+	for _, bs := range []int{64, 128, 256} {
+		blk := make([]byte, bs)
+		if n := testing.AllocsPerRun(200, func() {
+			e.XorPad(blk, 0x7000, ctr)
+		}); n != 0 {
+			t.Errorf("XorPad(%d B) allocates %.1f times per op", bs, n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			e.PadInto(blk, 0x7000, ctr)
+		}); n != 0 {
+			t.Errorf("PadInto(%d B) allocates %.1f times per op", bs, n)
+		}
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		e.MACInto(mac, buf, 0x7000, ctr)

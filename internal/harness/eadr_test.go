@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -48,15 +49,19 @@ func TestEADRCrashFlushesAndRecovers(t *testing.T) {
 	_ = c2
 	// Every block the model persisted must read back correctly.
 	n := 0
-	for addr := range r.persisted {
+	err = r.model.eachPersisted(func(addr int64) error {
 		_, got := c2.ReadBlock(0, addr)
 		want := r.blockBytes(addr)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("block %#x corrupted across eADR crash", addr)
+				return fmt.Errorf("block %#x corrupted across eADR crash", addr)
 			}
 		}
 		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if n == 0 {
 		t.Fatal("eADR crash must have flushed dirty lines")

@@ -66,7 +66,7 @@ func Replay(cfg config.Config, r io.Reader) (*ReplayResult, error) {
 		if err != nil || size <= 0 {
 			return nil, fmt.Errorf("replay: line %d: bad size %q", lineNo, fields[2])
 		}
-		if addr < 0 || addr+size > dataBytes {
+		if addr < 0 || size > dataBytes || addr > dataBytes-size {
 			return nil, fmt.Errorf("replay: line %d: range [%d,+%d) outside the %d-byte data region",
 				lineNo, addr, size, dataBytes)
 		}

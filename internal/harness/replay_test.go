@@ -45,6 +45,9 @@ func TestReplayRejectsGarbage(t *testing.T) {
 		"S zz 128",            // bad address
 		"S 0 -5",              // bad size
 		"S 0 999999999999999", // out of data region
+		// Ranges whose end overflows int64: addr+size wraps negative.
+		"S 0x7fffffffffffff80 128",
+		"S 0x4000000000000000 4611686018427387904",
 	}
 	for _, c := range cases {
 		if _, err := Replay(replayCfg(), strings.NewReader(c)); err == nil {

@@ -78,10 +78,9 @@ type Runner struct {
 	now     int64
 	pending int64 // completion cycle of the latest outstanding persist
 
-	bs        int64
-	versions  map[int64]uint64
-	persisted map[int64]bool
-	blockBuf  []byte // reused by blockBytes; one borrow live at a time
+	bs       int64
+	model    model
+	blockBuf []byte // reused by blockBytes; one borrow live at a time
 
 	streams []workload.Workload
 	txCount int64
@@ -106,12 +105,12 @@ func NewRunner(rc RunConfig) (*Runner, error) {
 
 func newRunnerWith(rc RunConfig, ctl *core.Controller) (*Runner, error) {
 	cfg := rc.Config
+	lay := ctl.Layout()
 	r := &Runner{
-		cfg:       cfg,
-		ctl:       ctl,
-		bs:        int64(cfg.BlockSize),
-		versions:  make(map[int64]uint64),
-		persisted: make(map[int64]bool),
+		cfg:   cfg,
+		ctl:   ctl,
+		bs:    int64(cfg.BlockSize),
+		model: newModel(lay.DataBase, lay.DataBytes, int64(cfg.BlockSize)),
 	}
 	r.llc = llc.New(cfg.LLCBytes, cfg.BlockSize, cfg.LLCWays, int64(cfg.LLCLatencyCycles), func(addr int64) {
 		// Natural dirty eviction from the LLC: the line leaves the chip
@@ -119,7 +118,6 @@ func newRunnerWith(rc RunConfig, ctl *core.Controller) (*Runner, error) {
 		r.persistOut(addr)
 	})
 
-	lay := ctl.Layout()
 	if rc.Workload == "" {
 		// Trace replay drives the runner directly; no benchmark streams.
 		return r, nil
@@ -157,7 +155,7 @@ func (r *Runner) blockBytes(addr int64) []byte {
 		r.blockBuf = make([]byte, r.bs)
 	}
 	out := r.blockBuf
-	x := uint64(addr)*0x9E3779B97F4A7C15 + r.versions[addr]*0xBF58476D1CE4E5B9 + 1
+	x := uint64(addr)*0x9E3779B97F4A7C15 + r.model.version(addr)*0xBF58476D1CE4E5B9 + 1
 	i := 0
 	for ; i+8 <= len(out); i += 8 {
 		x ^= x << 13
@@ -180,7 +178,7 @@ func (r *Runner) blockBytes(addr int64) []byte {
 // eviction) to the controller's secure persistent write path.
 func (r *Runner) persistOut(addr int64) {
 	done := r.ctl.PersistBlock(r.now, addr, r.blockBytes(addr))
-	r.persisted[addr] = true
+	r.model.markPersisted(addr)
 	if done > r.pending {
 		r.pending = done
 	}
@@ -203,7 +201,7 @@ func (r *Runner) Load(addr, size int64) {
 			r.now += r.llc.HitLatency
 			return
 		}
-		if !r.persisted[b] {
+		if !r.model.persisted(b) {
 			// Never-persisted block: a zero-fill allocation satisfied
 			// from the (volatile) hierarchy; no NVM traffic.
 			r.now += r.llc.HitLatency
@@ -217,14 +215,14 @@ func (r *Runner) Load(addr, size int64) {
 // Store implements workload.Sink.
 func (r *Runner) Store(addr, size int64) {
 	r.blocksOf(addr, size, func(b int64) {
-		r.versions[b]++
+		r.model.bump(b)
 		full := addr <= b && b+r.bs <= addr+size
 		if r.llc.Store(b) {
 			r.now += r.llc.HitLatency
 			return
 		}
 		// Write-allocate fill, skipped for full-block (streaming) stores.
-		if !full && r.persisted[b] {
+		if !full && r.model.persisted(b) {
 			done, _ := r.ctl.ReadBlock(r.now, b)
 			r.now = done
 			return
@@ -282,7 +280,7 @@ func (r *Runner) Crash() error {
 	if r.cfg.EADR {
 		r.llc.FlushDirty(func(addr int64) {
 			done := r.ctl.PersistBlock(r.now, addr, r.blockBytes(addr))
-			r.persisted[addr] = true
+			r.model.markPersisted(addr)
 			if done > r.now {
 				r.now = done
 			}
@@ -294,11 +292,12 @@ func (r *Runner) Crash() error {
 	return r.ctl.Crash(r.now)
 }
 
-// VerifyAll re-reads every persisted block and compares against the
-// plaintext model. It returns the number of verified blocks.
+// VerifyAll re-reads every persisted block, in ascending address order,
+// and compares against the plaintext model. It returns the number of
+// verified blocks.
 func (r *Runner) VerifyAll() (int, error) {
 	n := 0
-	for addr := range r.persisted {
+	err := r.model.eachPersisted(func(addr int64) error {
 		// The LLC may hold a dirtier version than NVM; only blocks whose
 		// newest version was persisted are checked against the device.
 		if r.llc.CLWB(addr) {
@@ -311,12 +310,13 @@ func (r *Runner) VerifyAll() (int, error) {
 		want := r.blockBytes(addr)
 		for i := range want {
 			if got[i] != want[i] {
-				return n, fmt.Errorf("harness: block %#x mismatch at byte %d", addr, i)
+				return fmt.Errorf("harness: block %#x mismatch at byte %d", addr, i)
 			}
 		}
 		n++
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
 }
 
 // Run executes one full experiment: setup, warm-up, PUB prefill (Thoth),

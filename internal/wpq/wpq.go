@@ -69,12 +69,6 @@ func ageLimitFor(addr int64) int64 {
 // issue, spreading drain work across calls instead of bursting.
 const maxAgeIssuesPerCall = 2
 
-// pendEntry is one coalescible queue entry.
-type pendEntry struct {
-	addr int64
-	at   int64 // first-arrival cycle
-}
-
 // WPQ is the write-pending queue timing model.
 type WPQ struct {
 	mem      *sim.Memory
@@ -82,10 +76,18 @@ type WPQ struct {
 	drainAt  int
 	writeLat int64
 
-	pending  []pendEntry        // entries waiting (coalescible), FIFO
-	pendSet  map[int64]struct{} // membership for coalescing checks
-	inFlight int                // handed to a bank, not yet retired
-	frees    []int64            // completion times of in-flight writes
+	// The coalescing window is a FIFO ring of capacity slots: count
+	// pending (coalescible) entries from slot head on, wrapping. Slot i
+	// holds a block address in addrs[i] and its first-arrival cycle in
+	// ats[i]; the addresses have their own array so the membership scan
+	// reads them densely. Occupancy never exceeds capacity, so the ring
+	// never overflows.
+	addrs    []int64
+	ats      []int64
+	head     int
+	count    int
+	inFlight int     // handed to a bank, not yet retired
+	frees    []int64 // completion times of in-flight writes
 	freeHead int
 	// onRetire is the completion callback handed to the memory banks,
 	// built once so issueOldest does not allocate a closure per write.
@@ -138,7 +140,8 @@ func New(mem *sim.Memory, capacity, drainAt int, writeLat int64) *WPQ {
 		capacity: capacity,
 		drainAt:  drainAt,
 		writeLat: writeLat,
-		pendSet:  make(map[int64]struct{}),
+		addrs:    make([]int64, capacity),
+		ats:      make([]int64, capacity),
 	}
 	w.onRetire = func(at int64) {
 		w.frees = append(w.frees, at)
@@ -150,13 +153,27 @@ func New(mem *sim.Memory, capacity, drainAt int, writeLat int64) *WPQ {
 func (w *WPQ) Capacity() int { return w.capacity }
 
 // Occupancy returns slots in use (pending + in flight).
-func (w *WPQ) Occupancy() int { return len(w.pending) + w.inFlight }
+func (w *WPQ) Occupancy() int { return w.count + w.inFlight }
 
 // Contains reports whether a pending (still coalescible) entry exists
-// for the block address.
+// for the block address. It scans the window, at most capacity entries
+// (Table I's 64): cheaper than keeping a hash set in step.
 func (w *WPQ) Contains(addr int64) bool {
-	_, ok := w.pendSet[addr]
-	return ok
+	end := w.head + w.count
+	if end <= w.capacity {
+		return hasAddr(w.addrs[w.head:end], addr)
+	}
+	return hasAddr(w.addrs[w.head:], addr) || hasAddr(w.addrs[:end-w.capacity], addr)
+}
+
+// hasAddr reports whether s holds addr.
+func hasAddr(s []int64, addr int64) bool {
+	for _, a := range s {
+		if a == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // reapFrees consumes completion events at or before cycle t.
@@ -175,45 +192,46 @@ func (w *WPQ) reapFrees(t int64) {
 // suppresses it via OnIssue, freeing the slot immediately). reason is
 // one of the obs.Drain* labels.
 func (w *WPQ) issueOldest(t int64, reason string) {
-	e := w.pending[0]
-	copy(w.pending, w.pending[1:])
-	w.pending = w.pending[:len(w.pending)-1]
-	delete(w.pendSet, e.addr)
+	addr, at := w.addrs[w.head], w.ats[w.head]
+	if w.head++; w.head == w.capacity {
+		w.head = 0
+	}
+	w.count--
 	if w.Tracer != nil {
-		residency := t - e.at
+		residency := t - at
 		if residency < 0 {
 			residency = 0 // stall-path issue can predate the arrival cycle
 		}
 		w.Tracer.Emit(obs.Event{
 			Kind:   obs.KindWPQDrain,
 			Cycle:  t,
-			Addr:   e.addr,
+			Addr:   addr,
 			Aux:    residency,
 			Scheme: w.Scheme,
 			Detail: reason,
 		})
 	}
-	if w.OnIssue != nil && w.OnIssue(e.addr) {
+	if w.OnIssue != nil && w.OnIssue(addr) {
 		w.Suppressed++
 		return
 	}
 	w.inFlight++
 	ready := t
-	if e.at > ready {
-		ready = e.at
+	if at > ready {
+		ready = at
 	}
-	w.mem.Post(e.addr, sim.Item{Ready: ready, Dur: w.writeLat, Done: w.onRetire})
+	w.mem.Post(addr, sim.Item{Ready: ready, Dur: w.writeLat, Done: w.onRetire})
 }
 
 // drainExcess issues pending entries beyond the coalescing window and
 // entries older than the age limit.
 func (w *WPQ) drainExcess(t int64) {
-	for len(w.pending) > w.drainAt {
+	for w.count > w.drainAt {
 		w.IssuedByWatermark++
 		w.issueOldest(t, obs.DrainWatermark)
 	}
-	for n := 0; n < maxAgeIssuesPerCall && len(w.pending) > 0 &&
-		w.pending[0].at+ageLimitFor(w.pending[0].addr) <= t; n++ {
+	for n := 0; n < maxAgeIssuesPerCall && w.count > 0 &&
+		w.ats[w.head]+ageLimitFor(w.addrs[w.head]) <= t; n++ {
 		w.IssuedByAge++
 		w.issueOldest(t, obs.DrainAge)
 	}
@@ -228,7 +246,7 @@ func (w *WPQ) Insert(t int64, addr int64) Result {
 	w.reapFrees(t)
 
 	w.drainExcess(t)
-	if _, ok := w.pendSet[addr]; ok {
+	if w.Contains(addr) {
 		// Coalesce into the existing entry. Its first-arrival time is
 		// kept: coalescing is only for writes arriving close in time,
 		// not a way to pin hot blocks in the queue forever.
@@ -257,7 +275,7 @@ func (w *WPQ) Insert(t int64, addr int64) Result {
 			w.mem.ForceAny()
 			continue
 		}
-		if len(w.pending) > 0 {
+		if w.count > 0 {
 			w.IssuedByStall++
 			w.issueOldest(when, obs.DrainStall)
 			continue
@@ -269,8 +287,12 @@ func (w *WPQ) Insert(t int64, addr int64) Result {
 		w.StallCycles += stall
 	}
 
-	w.pending = append(w.pending, pendEntry{addr: addr, at: when})
-	w.pendSet[addr] = struct{}{}
+	tail := w.head + w.count
+	if tail >= w.capacity {
+		tail -= w.capacity
+	}
+	w.addrs[tail], w.ats[tail] = addr, when
+	w.count++
 	w.Inserted++
 	w.drainExcess(when)
 	return Result{When: when, Stall: stall}
@@ -281,7 +303,7 @@ func (w *WPQ) Insert(t int64, addr int64) Result {
 func (w *WPQ) Flush(t int64) {
 	w.mem.CatchUp(t)
 	w.reapFrees(t)
-	for len(w.pending) > 0 {
+	for w.count > 0 {
 		w.issueOldest(t, obs.DrainFlush)
 	}
 }
