@@ -1,11 +1,8 @@
 package thoth
 
-// Benchmarks, one per table and figure of the paper's evaluation. Each
-// figure-level benchmark runs a representative scheme pair at a reduced
-// scale and reports the paper's headline statistic as a custom metric
-// (speedup, write ratio, merge rate, ...); cmd/experiments regenerates
-// the full matrices. Component micro-benchmarks cover the hot paths of
-// the controller itself.
+// Benchmarks: the whole evaluation at smoke scale (cmd/experiments
+// regenerates every figure and table; the harness golden pins their
+// cells) and component micro-benchmarks of the controller's hot paths.
 
 import (
 	"io"
@@ -14,176 +11,8 @@ import (
 	"repro/internal/config"
 	"repro/internal/harness"
 	"repro/internal/pub"
-	"repro/internal/recovery"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// benchScale keeps figure benchmarks to ~a second per iteration.
-func benchScale() harness.Scale {
-	sc := harness.QuickScale()
-	sc.MeasureTxs = 1500
-	sc.WarmupTxs = 400
-	sc.SetupKeys = 4096
-	return sc
-}
-
-func benchCfg(s config.Scheme, sc harness.Scale) config.Config {
-	cfg := config.Default().WithScheme(s)
-	cfg.MemBytes = sc.MemBytes
-	cfg.PUBBytes = sc.PUBBytes
-	cfg.LLCBytes = sc.LLCBytes
-	return cfg
-}
-
-func benchRun(b *testing.B, cfg config.Config, wl string, sc harness.Scale) *harness.Result {
-	b.Helper()
-	res, err := harness.Run(harness.RunConfig{
-		Config:     cfg,
-		Workload:   wl,
-		WarmupTxs:  sc.WarmupTxs,
-		MeasureTxs: sc.MeasureTxs,
-		SetupKeys:  sc.SetupKeys,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// BenchmarkFig3_EvictionBreakdown regenerates the Figure 3 measurement:
-// the fraction of PUB evictions that require no write-back.
-func BenchmarkFig3_EvictionBreakdown(b *testing.B) {
-	sc := benchScale()
-	var noWrite float64
-	for i := 0; i < b.N; i++ {
-		cfg := benchCfg(config.ThothWTSC, sc)
-		res := benchRun(b, cfg, "hashmap", sc)
-		noWrite = 1 - res.Stats.EvictShare(stats.EvictWrittenBack)
-	}
-	b.ReportMetric(100*noWrite, "%no-write")
-}
-
-// BenchmarkFig8_Speedup regenerates the Figure 8 headline: Thoth (WTSC)
-// speedup over the adapted-Anubis baseline at 128B transactions.
-func BenchmarkFig8_Speedup(b *testing.B) {
-	sc := benchScale()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		base := benchRun(b, benchCfg(config.BaselineStrict, sc), "btree", sc)
-		th := benchRun(b, benchCfg(config.ThothWTSC, sc), "btree", sc)
-		speedup = float64(base.Cycles) / float64(th.Cycles)
-	}
-	b.ReportMetric(speedup, "speedup")
-}
-
-// BenchmarkFig9_WriteTraffic regenerates Figure 9: Thoth's NVM write
-// traffic relative to the baseline.
-func BenchmarkFig9_WriteTraffic(b *testing.B) {
-	sc := benchScale()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		base := benchRun(b, benchCfg(config.BaselineStrict, sc), "btree", sc)
-		th := benchRun(b, benchCfg(config.ThothWTSC, sc), "btree", sc)
-		ratio = float64(th.Stats.TotalWrites()) / float64(base.Stats.TotalWrites())
-	}
-	b.ReportMetric(ratio, "write-ratio")
-}
-
-// BenchmarkFig10_TxSize regenerates one Figure 10 point: the speedup at
-// the largest (2048B) transaction size.
-func BenchmarkFig10_TxSize(b *testing.B) {
-	sc := benchScale()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		base := benchRun(b, benchCfg(config.BaselineStrict, sc).WithTxSize(2048), "hashmap", sc)
-		th := benchRun(b, benchCfg(config.ThothWTSC, sc).WithTxSize(2048), "hashmap", sc)
-		speedup = float64(base.Cycles) / float64(th.Cycles)
-	}
-	b.ReportMetric(speedup, "speedup@2048B")
-}
-
-// BenchmarkTable2_CiphertextShare regenerates a Table II cell: the
-// fraction of Thoth's writes that are ciphertext.
-func BenchmarkTable2_CiphertextShare(b *testing.B) {
-	sc := benchScale()
-	var share float64
-	for i := 0; i < b.N; i++ {
-		res := benchRun(b, benchCfg(config.ThothWTSC, sc), "rbtree", sc)
-		share = res.Stats.WriteShare(stats.WriteData)
-	}
-	b.ReportMetric(100*share, "%ciphertext")
-}
-
-// BenchmarkTable3_PCBMerge regenerates a Table III cell: the PCB merge
-// rate at 128B transactions.
-func BenchmarkTable3_PCBMerge(b *testing.B) {
-	sc := benchScale()
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		res := benchRun(b, benchCfg(config.ThothWTSC, sc), "swap", sc)
-		rate = res.Stats.PCBMergeRate()
-	}
-	b.ReportMetric(100*rate, "%merged")
-}
-
-// BenchmarkFig11_CacheSize regenerates a Figure 11 point: Thoth's
-// speedup with the largest metadata caches (1M/2M).
-func BenchmarkFig11_CacheSize(b *testing.B) {
-	sc := benchScale()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		base := benchRun(b, benchCfg(config.BaselineStrict, sc).WithMetadataCaches(1<<20, 2<<20), "btree", sc)
-		th := benchRun(b, benchCfg(config.ThothWTSC, sc).WithMetadataCaches(1<<20, 2<<20), "btree", sc)
-		speedup = float64(base.Cycles) / float64(th.Cycles)
-	}
-	b.ReportMetric(speedup, "speedup@1M/2M")
-}
-
-// BenchmarkFig12_WPQSize regenerates a Figure 12 point: Thoth's speedup
-// with a 16-entry WPQ (the paper's largest gap).
-func BenchmarkFig12_WPQSize(b *testing.B) {
-	sc := benchScale()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		base := benchRun(b, benchCfg(config.BaselineStrict, sc).WithWPQ(16), "rbtree", sc)
-		th := benchRun(b, benchCfg(config.ThothWTSC, sc).WithWPQ(16), "rbtree", sc)
-		speedup = float64(base.Cycles) / float64(th.Cycles)
-	}
-	b.ReportMetric(speedup, "speedup@WPQ16")
-}
-
-// BenchmarkSecVF_VsAnubisECC regenerates the Section V-F comparison:
-// Thoth's cycle overhead versus the ECC-co-location ideal.
-func BenchmarkSecVF_VsAnubisECC(b *testing.B) {
-	sc := benchScale()
-	var overhead float64
-	for i := 0; i < b.N; i++ {
-		ideal := benchRun(b, benchCfg(config.AnubisECC, sc), "btree", sc)
-		th := benchRun(b, benchCfg(config.ThothWTSC, sc), "btree", sc)
-		overhead = float64(th.Cycles)/float64(ideal.Cycles) - 1
-	}
-	b.ReportMetric(100*overhead, "%overhead")
-}
-
-// BenchmarkRecovery_Time regenerates the Section IV-D recovery
-// experiment: crash, merge the PUB, verify the root; the custom metric
-// is the modeled recovery time for the paper's full 64MB PUB.
-func BenchmarkRecovery_Time(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		cfg := benchCfg(config.ThothWTSC, sc)
-		res := benchRun(b, cfg, "btree", sc)
-		if err := res.Runner.Controller().Crash(res.Runner.Now()); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := recovery.Recover(cfg, res.Controller.Device()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	full := config.Default()
-	b.ReportMetric(recovery.EstimateSeconds(full, full.PUBBlocks()), "s@64MB-PUB")
-}
 
 // BenchmarkExperimentSuiteQuick times the whole evaluation at smoke
 // scale (what `cmd/experiments -quick -exp all` runs).

@@ -9,8 +9,9 @@
 //	experiments -exp all -txs 12000      # larger measured phase
 //	experiments -exp schemes -schemes baseline,wtsc,triad-relaxed-64
 //
-// Experiments: 3, 8, 9, 10, 11, 12, table2, table3, vf, recovery,
-// eadr, pubsize, arrangement, schemes, all.
+// Experiments (in report order; the -exp help lists the same names):
+// 3, 8, 9, 10, table2, table3, 11, 12, vf, recovery, eadr, pubsize,
+// arrangement, schemes, scenarios, all.
 package main
 
 import (
@@ -31,8 +32,7 @@ import (
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all",
-		"experiment to run: 3|8|9|10|11|12|table2|table3|vf|recovery|eadr|pubsize|arrangement|schemes|all")
+	exp := fs.String("exp", "all", "experiment to run: "+strings.Join(harness.ExperimentNames(), "|"))
 	schemesStr := fs.String("schemes", "",
 		"comparison set for -exp schemes, comma-separated ("+strings.Join(scheme.Names(), "|")+")")
 	quick := fs.Bool("quick", false, "smoke-test scale (10x smaller, not paper-representative)")
@@ -43,6 +43,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceFile := fs.String("trace", "", "write a controller event trace covering every run to this file")
 	traceFormat := fs.String("trace-format", "jsonl", "trace format: jsonl|chrome")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *workers < 1 {
+		fmt.Fprintln(stderr, "experiments: -workers must be at least 1")
 		return 2
 	}
 

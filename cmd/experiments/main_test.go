@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // TestRunRecoveryExperiment runs the cheapest experiment end to end at a
@@ -32,8 +36,33 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 }
 
 func TestRunRejectsBadFlag(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errw); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-exp", "vf", "-quick", "-workers", "0"},
+		{"-exp", "vf", "-quick", "-workers", "-1"},
+	} {
+		var out, errw bytes.Buffer
+		if code := run(args, &out, &errw); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+	}
+}
+
+// TestDocListsEveryExperiment keeps the package doc's list of
+// experiments equal to the one list the -exp help and ByName read.
+func TestDocListsEveryExperiment(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := f.Doc.Text()
+	i := strings.Index(doc, "Experiments (")
+	if i < 0 {
+		t.Fatalf("package doc lists no experiments:\n%s", doc)
+	}
+	list := doc[i:]
+	list = strings.Join(strings.Fields(list[strings.Index(list, ":")+1:]), " ")
+	if want := strings.Join(harness.ExperimentNames(), ", ") + "."; list != want {
+		t.Errorf("package doc lists %q, want %q", list, want)
 	}
 }

@@ -1,18 +1,18 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/recovery"
-	"repro/internal/scheme"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -74,14 +74,14 @@ type Experiments struct {
 	// Tracer, when non-nil, receives the controller events of every run
 	// the suite executes. Runs execute in parallel worker goroutines, so
 	// the tracer must be safe for concurrent use (the obs sinks are).
-	// Memoization keys ignore it: tracing does not change results.
+	// The run memo ignores it: tracing does not change results.
 	Tracer obs.Tracer
 	// Zoo, when non-empty, replaces the default comparison set of the
 	// Schemes experiment (the CLI's -schemes flag).
 	Zoo []config.Scheme
 
 	mu    sync.Mutex
-	cache map[string]*Result
+	cache map[RunConfig]*Result
 }
 
 // NewExperiments builds an experiment driver writing reports to out.
@@ -90,16 +90,8 @@ func NewExperiments(sc Scale, out io.Writer) *Experiments {
 		Scale:   sc,
 		Out:     out,
 		Workers: runtime.GOMAXPROCS(0),
-		cache:   make(map[string]*Result),
+		cache:   make(map[RunConfig]*Result),
 	}
-}
-
-func key(rc RunConfig) string {
-	c := rc.Config
-	return fmt.Sprintf("%s|%v|blk%d|tx%d|ctr%d|mac%d|wpq%d|pcb%d|pub%d|mem%d|w%d|m%d|s%d|eadr%v|after%v|shadow%v",
-		rc.Workload, c.Scheme, c.BlockSize, c.TxSize, c.CtrCacheBytes, c.MACCacheBytes,
-		c.WPQEntries, c.PCBEntries, c.PUBBytes, c.MemBytes,
-		rc.WarmupTxs, rc.MeasureTxs, rc.SetupKeys, c.EADR, c.PCBAfterWPQ, c.ShadowTracking)
 }
 
 // runConfig builds the standard RunConfig for a machine configuration.
@@ -114,69 +106,75 @@ func (e *Experiments) runConfig(cfg config.Config, wl string) RunConfig {
 	}
 }
 
-// get returns the memoized result for a run, executing it if needed.
-func (e *Experiments) get(rc RunConfig) (*Result, error) {
-	k := key(rc)
+// runs returns the results of rcs, aligned with rcs. Results are
+// memoized by the run configuration itself, with the runtime hooks
+// (Tracer, Metrics) cleared since they do not change results; runs not
+// yet in the memo execute in parallel, at most Workers at a time (one
+// at a time when Workers < 1). The first failure cancels the rest of
+// the batch: runs not yet dispatched are skipped, and already-dispatched
+// workers bail out before starting their simulation, so one poisoned
+// configuration does not burn minutes executing the remaining matrix
+// before the error surfaces.
+func (e *Experiments) runs(rcs []RunConfig) ([]*Result, error) {
+	keys := make([]RunConfig, len(rcs))
+	var todo []int // first occurrence of each missing key
 	e.mu.Lock()
-	if r, ok := e.cache[k]; ok {
-		e.mu.Unlock()
-		return r, nil
+	queued := map[RunConfig]bool{}
+	for i, rc := range rcs {
+		rc.Tracer, rc.Metrics = nil, nil
+		rc.Config.Tracer, rc.Config.Metrics = nil, nil
+		keys[i] = rc
+		if _, ok := e.cache[rc]; !ok && !queued[rc] {
+			queued[rc] = true
+			todo = append(todo, i)
+		}
 	}
 	e.mu.Unlock()
-	r, err := Run(rc)
-	if err != nil {
-		return nil, fmt.Errorf("run %s: %w", k, err)
-	}
-	// Release heavyweight state not needed by report formatting.
-	r.Controller = nil
-	r.Runner = nil
-	e.mu.Lock()
-	e.cache[k] = r
-	e.mu.Unlock()
-	return r, nil
-}
 
-// prefetch executes a batch of runs in parallel. The first failure
-// cancels the rest of the batch: runs not yet dispatched are skipped,
-// and already-dispatched workers bail out before starting their
-// simulation, so one poisoned configuration does not burn minutes
-// executing the remaining matrix before the error surfaces.
-func (e *Experiments) prefetch(rcs []RunConfig) error {
-	sem := make(chan struct{}, e.Workers)
+	sem := make(chan struct{}, max(e.Workers, 1))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
+	var errOnce sync.Once
 	var firstErr error
 	var failed atomic.Bool
-	seen := map[string]bool{}
-	for _, rc := range rcs {
-		k := key(rc)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
+	for _, i := range todo {
 		if failed.Load() {
 			break
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(rc RunConfig) {
+		go func(rc, key RunConfig) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			if failed.Load() {
 				return
 			}
-			if _, err := e.get(rc); err != nil {
+			r, err := Run(rc)
+			if err != nil {
 				failed.Store(true)
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+				errOnce.Do(func() {
+					firstErr = fmt.Errorf("run %s/%v: %w", rc.Workload, rc.Config.Scheme, err)
+				})
+				return
 			}
-		}(rc)
+			// Release heavyweight state not needed by report formatting.
+			r.Controller = nil
+			r.Runner = nil
+			e.mu.Lock()
+			e.cache[key] = r
+			e.mu.Unlock()
+		}(rcs[i], keys[i])
 	}
 	wg.Wait()
-	return firstErr
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	res := make([]*Result, len(rcs))
+	e.mu.Lock()
+	for i, k := range keys {
+		res[i] = e.cache[k]
+	}
+	e.mu.Unlock()
+	return res, nil
 }
 
 // gmean returns the geometric mean of the values. Every value must be
@@ -209,6 +207,161 @@ func mean(vs []float64) float64 {
 	return sum / float64(len(vs))
 }
 
+// blockSizes are the cache blocks of every per-block report, and
+// txSizes (headed txLabels) the transaction sizes of Figure 10 and
+// Tables II/III.
+var (
+	blockSizes = []int{128, 256}
+	txSizes    = []int{128, 512, 1024, 2048}
+	txLabels   = []string{"tx=128B", "tx=512B", "tx=1024B", "tx=2048B"}
+)
+
+// speedup, writeRatio and overhead are the cells of the comparison
+// tables: test measured against ref on the same workload.
+func speedup(ref, test *Result) float64 { return float64(ref.Cycles) / float64(test.Cycles) }
+
+func writeRatio(ref, test *Result) float64 {
+	return float64(test.Stats.TotalWrites()) / float64(ref.Stats.TotalWrites())
+}
+
+func overhead(ref, test *Result) float64 { return float64(test.Cycles)/float64(ref.Cycles) - 1 }
+
+// column is one comparison of a table: test against ref, each run on
+// every workload.
+type column struct {
+	label     string
+	ref, test config.Config
+}
+
+// vsBaseline compares scheme s with the strict baseline on machine m.
+func vsBaseline(label string, m config.Config, s config.Scheme) column {
+	return column{label, m.WithScheme(config.BaselineStrict), m.WithScheme(s)}
+}
+
+// compareTable is a report with a row per workload and a column per
+// comparison, closed by a summary row over the workloads.
+type compareTable struct {
+	title string
+	cols  []column
+	cell  func(ref, test *Result) float64
+	width int    // column width
+	pct   bool   // cells are fractions printed as percentages
+	sum   string // summary row label: the geometric mean if "gmean", else the mean
+	note  string // ends the summary row
+}
+
+// text formats one cell or summary value.
+func (t *compareTable) text(v float64) string {
+	if t.pct {
+		return fmt.Sprintf(" %*.1f%%", t.width-1, 100*v)
+	}
+	return fmt.Sprintf(" %*.3f", t.width, v)
+}
+
+// compare prints the tables of one report from a single batch of runs.
+func (e *Experiments) compare(ts ...compareTable) error {
+	wls := workload.Names()
+	var rcs []RunConfig
+	for _, t := range ts {
+		for _, wl := range wls {
+			for _, c := range t.cols {
+				rcs = append(rcs, e.runConfig(c.ref, wl), e.runConfig(c.test, wl))
+			}
+		}
+	}
+	res, err := e.runs(rcs)
+	if err != nil {
+		return err
+	}
+	for _, t := range ts {
+		fmt.Fprintf(e.Out, "\n%s\n%-10s", t.title, "workload")
+		for _, c := range t.cols {
+			fmt.Fprintf(e.Out, " %*s", t.width, c.label)
+		}
+		fmt.Fprintln(e.Out)
+		vals := make([][]float64, len(t.cols))
+		for _, wl := range wls {
+			fmt.Fprintf(e.Out, "%-10s", wl)
+			for i := range t.cols {
+				v := t.cell(res[0], res[1])
+				res = res[2:]
+				vals[i] = append(vals[i], v)
+				fmt.Fprint(e.Out, t.text(v))
+			}
+			fmt.Fprintln(e.Out)
+		}
+		fmt.Fprintf(e.Out, "%-10s", t.sum)
+		for i, c := range t.cols {
+			v := mean(vals[i])
+			if t.sum == "gmean" {
+				if v, err = gmean(vals[i]); err != nil {
+					return fmt.Errorf("%s, %s: %w", t.title, c.label, err)
+				}
+			}
+			fmt.Fprint(e.Out, t.text(v))
+		}
+		fmt.Fprintf(e.Out, "%s\n", t.note)
+	}
+	return nil
+}
+
+// machineRow is one row of a transaction-size table.
+type machineRow struct {
+	label string
+	m     config.Config
+}
+
+// txTable is Table II or III: a row per machine and a column per
+// transaction size, each cell a percentage averaged over the workloads.
+type txTable struct {
+	title  string
+	head   string // heading of the row-label column
+	width  int    // width of the row-label column
+	rows   []machineRow
+	metric func(*Result) float64
+	note   string
+}
+
+// txMeans prints a transaction-size table from a single batch of runs.
+func (e *Experiments) txMeans(t txTable) error {
+	wls := workload.Names()
+	var rcs []RunConfig
+	for _, row := range t.rows {
+		for _, tx := range txSizes {
+			for _, wl := range wls {
+				rcs = append(rcs, e.runConfig(row.m.WithTxSize(tx), wl))
+			}
+		}
+	}
+	res, err := e.runs(rcs)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(e.Out, "\n%s\n%-*s", t.title, t.width, t.head)
+	for _, l := range txLabels {
+		fmt.Fprintf(e.Out, " %9s", l)
+	}
+	fmt.Fprintln(e.Out)
+	for _, row := range t.rows {
+		fmt.Fprintf(e.Out, "%-*s", t.width, row.label)
+		for range txSizes {
+			var vs []float64
+			for _, r := range res[:len(wls)] {
+				vs = append(vs, t.metric(r))
+			}
+			res = res[len(wls):]
+			fmt.Fprintf(e.Out, " %8.2f%%", mean(vs))
+		}
+		fmt.Fprintln(e.Out)
+	}
+	fmt.Fprintln(e.Out, t.note)
+	return nil
+}
+
+// machine is the Table I configuration at the suite's scale; like
+// config.Default it runs Thoth WTSC.
+func (e *Experiments) machine() config.Config { return e.Scale.apply(config.Default()) }
+
 // Fig3 reproduces Figure 3: the breakdown of PUB-eviction outcomes for
 // FIFO buffers of 500,000 / 5,000 / 50 entries (scaled by the same
 // factor as the suite's PUB if the default scale is reduced).
@@ -217,11 +370,11 @@ func (e *Experiments) Fig3() error {
 		label   string
 		entries int64
 	}{{"A=500000", 500000}, {"B=5000", 5000}, {"C=50", 50}}
-
+	wls := workload.Names()
 	var rcs []RunConfig
-	mk := func(entries int64, wl string) RunConfig {
-		cfg := e.Scale.apply(config.Default().WithScheme(config.ThothWTSC))
-		blocks := entries / int64(cfg.PartialsPerBlock())
+	for _, sz := range sizes {
+		cfg := e.machine()
+		blocks := sz.entries / int64(cfg.PartialsPerBlock())
 		if blocks < 4 {
 			blocks = 4
 		}
@@ -231,14 +384,12 @@ func (e *Experiments) Fig3() error {
 		if int64(cfg.PCBEntries) > blocks-2 {
 			cfg.PCBEntries = int(blocks - 2)
 		}
-		return e.runConfig(cfg, wl)
-	}
-	for _, sz := range sizes {
-		for _, wl := range workload.Names() {
-			rcs = append(rcs, mk(sz.entries, wl))
+		for _, wl := range wls {
+			rcs = append(rcs, e.runConfig(cfg, wl))
 		}
 	}
-	if err := e.prefetch(rcs); err != nil {
+	res, err := e.runs(rcs)
+	if err != nil {
 		return err
 	}
 
@@ -247,12 +398,9 @@ func (e *Experiments) Fig3() error {
 		"buffer", "workload", "written-back", "already-evicted", "clean-copy", "stale-copy", "no-write(%)")
 	for _, sz := range sizes {
 		var noWrite []float64
-		for _, wl := range workload.Names() {
-			r, err := e.get(mk(sz.entries, wl))
-			if err != nil {
-				return err
-			}
-			st := &r.Stats
+		for _, wl := range wls {
+			st := &res[0].Stats
+			res = res[1:]
 			wb := 100 * st.EvictShare(stats.EvictWrittenBack)
 			ae := 100 * st.EvictShare(stats.EvictAlreadyEvicted)
 			cc := 100 * st.EvictShare(stats.EvictCleanCopy)
@@ -268,112 +416,61 @@ func (e *Experiments) Fig3() error {
 	return nil
 }
 
-// fig8Matrix lists the runs shared by Figures 8 and 9.
-func (e *Experiments) fig8Matrix() []RunConfig {
-	var rcs []RunConfig
-	for _, blk := range []int{128, 256} {
-		for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC, config.ThothWTBC} {
-			for _, wl := range workload.Names() {
-				cfg := e.Scale.apply(config.Default().WithBlockSize(blk).WithScheme(s))
-				rcs = append(rcs, e.runConfig(cfg, wl))
-			}
-		}
+// schemeCols are the columns of Figures 8 and 9: Thoth's WTSC and WTBC
+// against the baseline at 128B and 256B cache blocks.
+func (e *Experiments) schemeCols() []column {
+	var cols []column
+	for _, blk := range blockSizes {
+		m := e.machine().WithBlockSize(blk)
+		cols = append(cols,
+			vsBaseline(fmt.Sprintf("%dB/WTSC", blk), m, config.ThothWTSC),
+			vsBaseline(fmt.Sprintf("%dB/WTBC", blk), m, config.ThothWTBC))
 	}
-	return rcs
+	return cols
 }
 
 // Fig8 reproduces Figure 8: speedup of Thoth (WTSC and WTBC) over the
 // baseline at 128B transactions for 128B and 256B cache blocks.
 func (e *Experiments) Fig8() error {
-	if err := e.prefetch(e.fig8Matrix()); err != nil {
-		return err
-	}
-	fmt.Fprintf(e.Out, "\nFigure 8: Speedup over adapted-Anubis baseline (tx=128B)\n")
-	fmt.Fprintf(e.Out, "%-10s %14s %14s %14s %14s\n",
-		"workload", "128B/WTSC", "128B/WTBC", "256B/WTSC", "256B/WTBC")
-	cols := []struct {
-		blk    int
-		scheme config.Scheme
-	}{{128, config.ThothWTSC}, {128, config.ThothWTBC}, {256, config.ThothWTSC}, {256, config.ThothWTBC}}
-	sums := make([][]float64, len(cols))
-	for _, wl := range workload.Names() {
-		fmt.Fprintf(e.Out, "%-10s", wl)
-		for i, c := range cols {
-			base, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(c.blk).WithScheme(config.BaselineStrict)), wl))
-			if err != nil {
-				return err
-			}
-			th, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(c.blk).WithScheme(c.scheme)), wl))
-			if err != nil {
-				return err
-			}
-			sp := float64(base.Cycles) / float64(th.Cycles)
-			sums[i] = append(sums[i], sp)
-			fmt.Fprintf(e.Out, " %14.3f", sp)
-		}
-		fmt.Fprintln(e.Out)
-	}
-	fmt.Fprintf(e.Out, "%-10s", "gmean")
-	for i := range cols {
-		g, err := gmean(sums[i])
-		if err != nil {
-			return fmt.Errorf("fig8 %s/%v: %w", "speedup", cols[i].scheme, err)
-		}
-		fmt.Fprintf(e.Out, " %14.3f", g)
-	}
-	fmt.Fprintf(e.Out, "\n(paper averages: 1.22x at 128B, 1.16x at 256B; swap ~1.0x)\n")
-	return nil
+	return e.compare(compareTable{
+		title: "Figure 8: Speedup over adapted-Anubis baseline (tx=128B)",
+		cols:  e.schemeCols(), cell: speedup, width: 14, sum: "gmean",
+		note: "\n(paper averages: 1.22x at 128B, 1.16x at 256B; swap ~1.0x)",
+	})
 }
 
 // Fig9 reproduces Figure 9: write traffic of Thoth (WTSC/WTBC) relative
 // to the baseline, plus the write-category breakdown quoted in V-B.
 func (e *Experiments) Fig9() error {
-	if err := e.prefetch(e.fig8Matrix()); err != nil {
+	if err := e.compare(compareTable{
+		title: "Figure 9: NVM writes, normalized to baseline (tx=128B)",
+		cols:  e.schemeCols(), cell: writeRatio, width: 12, sum: "mean",
+		note: "\n(paper: -32% at 128B, -37% at 256B => ratios 0.68 / 0.63)",
+	}); err != nil {
 		return err
 	}
-	fmt.Fprintf(e.Out, "\nFigure 9: NVM writes, normalized to baseline (tx=128B)\n")
-	fmt.Fprintf(e.Out, "%-10s %12s %12s %12s %12s\n",
-		"workload", "128B/WTSC", "128B/WTBC", "256B/WTSC", "256B/WTBC")
-	cols := []struct {
-		blk    int
-		scheme config.Scheme
-	}{{128, config.ThothWTSC}, {128, config.ThothWTBC}, {256, config.ThothWTSC}, {256, config.ThothWTBC}}
-	sums := make([][]float64, len(cols))
-	for _, wl := range workload.Names() {
-		fmt.Fprintf(e.Out, "%-10s", wl)
-		for i, c := range cols {
-			base, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(c.blk).WithScheme(config.BaselineStrict)), wl))
-			if err != nil {
-				return err
-			}
-			th, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(c.blk).WithScheme(c.scheme)), wl))
-			if err != nil {
-				return err
-			}
-			ratio := float64(th.Stats.TotalWrites()) / float64(base.Stats.TotalWrites())
-			sums[i] = append(sums[i], ratio)
-			fmt.Fprintf(e.Out, " %12.3f", ratio)
-		}
-		fmt.Fprintln(e.Out)
-	}
-	fmt.Fprintf(e.Out, "%-10s", "mean")
-	for i := range cols {
-		fmt.Fprintf(e.Out, " %12.3f", mean(sums[i]))
-	}
-	fmt.Fprintf(e.Out, "\n(paper: -32%% at 128B, -37%% at 256B => ratios 0.68 / 0.63)\n")
 
 	// Category breakdown (V-B quotes baseline ctr=24.37%, mac=29.7%;
 	// Thoth pcb=3.95%, ctr=6.81%, mac=9.46%).
+	schemes := []config.Scheme{config.BaselineStrict, config.ThothWTSC}
+	wls := workload.Names()
+	var rcs []RunConfig
+	for _, wl := range wls {
+		for _, s := range schemes {
+			rcs = append(rcs, e.runConfig(e.machine().WithScheme(s), wl))
+		}
+	}
+	res, err := e.runs(rcs)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(e.Out, "\nWrite-category breakdown (128B blocks, %% of each scheme's total writes)\n")
 	fmt.Fprintf(e.Out, "%-10s %-15s %8s %8s %8s %8s %8s %8s\n",
 		"workload", "scheme", "data", "counter", "mac", "pcb", "tree", "other")
-	for _, wl := range workload.Names() {
-		for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC} {
-			r, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithScheme(s)), wl))
-			if err != nil {
-				return err
-			}
-			st := &r.Stats
+	for _, wl := range wls {
+		for _, s := range schemes {
+			st := &res[0].Stats
+			res = res[1:]
 			fmt.Fprintf(e.Out, "%-10s %-15s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
 				wl, s,
 				100*st.WriteShare(stats.WriteData), 100*st.WriteShare(stats.WriteCounter),
@@ -384,266 +481,95 @@ func (e *Experiments) Fig9() error {
 	return nil
 }
 
-// txSweepMatrix lists the runs shared by Figure 10 and Tables II/III.
-func (e *Experiments) txSweepMatrix() []RunConfig {
-	var rcs []RunConfig
-	for _, blk := range []int{128, 256} {
-		for _, tx := range []int{128, 512, 1024, 2048} {
-			for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC} {
-				for _, wl := range workload.Names() {
-					cfg := e.Scale.apply(config.Default().WithBlockSize(blk).WithTxSize(tx).WithScheme(s))
-					rcs = append(rcs, e.runConfig(cfg, wl))
-				}
-			}
+// blockSweep builds the two tables (128B and 256B cache blocks) of a
+// WTSC speedup sweep: column i compares WTSC with the baseline on the
+// machine knob(m, i). title takes the block size; note ends the second
+// table.
+func (e *Experiments) blockSweep(title string, width int, labels []string,
+	knob func(m config.Config, i int) config.Config, note string) []compareTable {
+	var ts []compareTable
+	for _, blk := range blockSizes {
+		t := compareTable{title: fmt.Sprintf(title, blk), cell: speedup, width: width, sum: "gmean"}
+		for i, label := range labels {
+			t.cols = append(t.cols, vsBaseline(label, knob(e.machine().WithBlockSize(blk), i), config.ThothWTSC))
 		}
+		ts = append(ts, t)
 	}
-	return rcs
+	ts[len(ts)-1].note = note
+	return ts
 }
 
 // Fig10 reproduces Figure 10: speedup versus transaction size.
 func (e *Experiments) Fig10() error {
-	if err := e.prefetch(e.txSweepMatrix()); err != nil {
-		return err
-	}
-	for _, blk := range []int{128, 256} {
-		fmt.Fprintf(e.Out, "\nFigure 10: Speedup vs transaction size (%dB cache block, WTSC)\n", blk)
-		fmt.Fprintf(e.Out, "%-10s %9s %9s %9s %9s\n", "workload", "tx=128B", "tx=512B", "tx=1024B", "tx=2048B")
-		sums := make([][]float64, 4)
-		for _, wl := range workload.Names() {
-			fmt.Fprintf(e.Out, "%-10s", wl)
-			for i, tx := range []int{128, 512, 1024, 2048} {
-				base, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(blk).WithTxSize(tx).WithScheme(config.BaselineStrict)), wl))
-				if err != nil {
-					return err
-				}
-				th, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(blk).WithTxSize(tx).WithScheme(config.ThothWTSC)), wl))
-				if err != nil {
-					return err
-				}
-				sp := float64(base.Cycles) / float64(th.Cycles)
-				sums[i] = append(sums[i], sp)
-				fmt.Fprintf(e.Out, " %9.3f", sp)
-			}
-			fmt.Fprintln(e.Out)
-		}
-		fmt.Fprintf(e.Out, "%-10s", "gmean")
-		for i := range sums {
-			g, err := gmean(sums[i])
-			if err != nil {
-				return fmt.Errorf("fig10 blk=%d: %w", blk, err)
-			}
-			fmt.Fprintf(e.Out, " %9.3f", g)
-		}
-		fmt.Fprintln(e.Out)
-	}
-	fmt.Fprintf(e.Out, "(paper averages 128B blk: 1.22/1.23/1.19/1.19; 256B blk: 1.16/1.17/1.14/1.19)\n")
-	return nil
+	return e.compare(e.blockSweep("Figure 10: Speedup vs transaction size (%dB cache block, WTSC)", 9, txLabels,
+		func(m config.Config, i int) config.Config { return m.WithTxSize(txSizes[i]) },
+		"\n(paper averages 128B blk: 1.22/1.23/1.19/1.19; 256B blk: 1.16/1.17/1.14/1.19)")...)
 }
 
 // Table2 reproduces Table II: the average percentage of total NVM writes
 // that are ciphertext (data) writes, for baseline and Thoth across
 // transaction sizes and block sizes.
 func (e *Experiments) Table2() error {
-	if err := e.prefetch(e.txSweepMatrix()); err != nil {
-		return err
-	}
-	fmt.Fprintf(e.Out, "\nTable II: Average %% of writes that are ciphertext\n")
-	fmt.Fprintf(e.Out, "%-28s %9s %9s %9s %9s\n", "config", "tx=128B", "tx=512B", "tx=1024B", "tx=2048B")
-	for _, row := range []struct {
-		scheme config.Scheme
-		blk    int
-	}{
-		{config.BaselineStrict, 128}, {config.BaselineStrict, 256},
-		{config.ThothWTSC, 128}, {config.ThothWTSC, 256},
-	} {
-		fmt.Fprintf(e.Out, "%-28s", fmt.Sprintf("%v(blk=%dB)", row.scheme, row.blk))
-		for _, tx := range []int{128, 512, 1024, 2048} {
-			var shares []float64
-			for _, wl := range workload.Names() {
-				r, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(row.blk).WithTxSize(tx).WithScheme(row.scheme)), wl))
-				if err != nil {
-					return err
-				}
-				shares = append(shares, 100*r.Stats.WriteShare(stats.WriteData))
-			}
-			fmt.Fprintf(e.Out, " %8.2f%%", mean(shares))
+	var rows []machineRow
+	for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC} {
+		for _, blk := range blockSizes {
+			rows = append(rows, machineRow{fmt.Sprintf("%v(blk=%dB)", s, blk), e.machine().WithBlockSize(blk).WithScheme(s)})
 		}
-		fmt.Fprintln(e.Out)
 	}
-	fmt.Fprintf(e.Out, "(paper: baseline 45-58%%, Thoth 67-76%%, rising with tx size)\n")
-	return nil
+	return e.txMeans(txTable{
+		title: "Table II: Average % of writes that are ciphertext",
+		head:  "config", width: 28, rows: rows,
+		metric: func(r *Result) float64 { return 100 * r.Stats.WriteShare(stats.WriteData) },
+		note:   "(paper: baseline 45-58%, Thoth 67-76%, rising with tx size)",
+	})
 }
 
 // Table3 reproduces Table III: the average percentage of partial updates
 // merged in the PCB across transaction sizes and block sizes.
 func (e *Experiments) Table3() error {
-	if err := e.prefetch(e.txSweepMatrix()); err != nil {
-		return err
+	var rows []machineRow
+	for _, blk := range blockSizes {
+		rows = append(rows, machineRow{fmt.Sprintf("blk=%dB", blk), e.machine().WithBlockSize(blk)})
 	}
-	fmt.Fprintf(e.Out, "\nTable III: Average %% of partial updates merged in the PCB\n")
-	fmt.Fprintf(e.Out, "%-20s %9s %9s %9s %9s\n", "cache block", "tx=128B", "tx=512B", "tx=1024B", "tx=2048B")
-	for _, blk := range []int{128, 256} {
-		fmt.Fprintf(e.Out, "%-20s", fmt.Sprintf("blk=%dB", blk))
-		for _, tx := range []int{128, 512, 1024, 2048} {
-			var rates []float64
-			for _, wl := range workload.Names() {
-				r, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(blk).WithTxSize(tx).WithScheme(config.ThothWTSC)), wl))
-				if err != nil {
-					return err
-				}
-				rates = append(rates, 100*r.Stats.PCBMergeRate())
-			}
-			fmt.Fprintf(e.Out, " %8.2f%%", mean(rates))
-		}
-		fmt.Fprintln(e.Out)
-	}
-	fmt.Fprintf(e.Out, "(paper: 74->34%% for 128B blk, 88->63%% for 256B blk as tx grows;\n shape: merge rate falls with tx size, 256B blocks merge more)\n")
-	return nil
+	return e.txMeans(txTable{
+		title: "Table III: Average % of partial updates merged in the PCB",
+		head:  "cache block", width: 20, rows: rows,
+		metric: func(r *Result) float64 { return 100 * r.Stats.PCBMergeRate() },
+		note: "(paper: 74->34% for 128B blk, 88->63% for 256B blk as tx grows;\n" +
+			" shape: merge rate falls with tx size, 256B blocks merge more)",
+	})
 }
 
 // Fig11 reproduces Figure 11: speedup sensitivity to the counter/MAC
 // cache sizes (64k/128k, 512k/1M, 1M/2M).
 func (e *Experiments) Fig11() error {
-	caches := []struct {
-		label    string
-		ctr, mac int
-	}{
-		{"64k/128k", 64 << 10, 128 << 10},
-		{"512k/1M", 512 << 10, 1 << 20},
-		{"1M/2M", 1 << 20, 2 << 20},
-	}
-	var rcs []RunConfig
-	for _, blk := range []int{128, 256} {
-		for _, cs := range caches {
-			for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC} {
-				for _, wl := range workload.Names() {
-					cfg := e.Scale.apply(config.Default().WithBlockSize(blk).WithScheme(s).WithMetadataCaches(cs.ctr, cs.mac))
-					rcs = append(rcs, e.runConfig(cfg, wl))
-				}
-			}
-		}
-	}
-	if err := e.prefetch(rcs); err != nil {
-		return err
-	}
-	for _, blk := range []int{128, 256} {
-		fmt.Fprintf(e.Out, "\nFigure 11: Speedup vs counter/MAC cache size (%dB cache block, WTSC)\n", blk)
-		fmt.Fprintf(e.Out, "%-10s %10s %10s %10s\n", "workload", "64k/128k", "512k/1M", "1M/2M")
-		sums := make([][]float64, len(caches))
-		for _, wl := range workload.Names() {
-			fmt.Fprintf(e.Out, "%-10s", wl)
-			for i, cs := range caches {
-				base, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(blk).WithScheme(config.BaselineStrict).WithMetadataCaches(cs.ctr, cs.mac)), wl))
-				if err != nil {
-					return err
-				}
-				th, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(blk).WithScheme(config.ThothWTSC).WithMetadataCaches(cs.ctr, cs.mac)), wl))
-				if err != nil {
-					return err
-				}
-				sp := float64(base.Cycles) / float64(th.Cycles)
-				sums[i] = append(sums[i], sp)
-				fmt.Fprintf(e.Out, " %10.3f", sp)
-			}
-			fmt.Fprintln(e.Out)
-		}
-		fmt.Fprintf(e.Out, "%-10s", "gmean")
-		for i := range sums {
-			g, err := gmean(sums[i])
-			if err != nil {
-				return fmt.Errorf("fig11 blk=%d: %w", blk, err)
-			}
-			fmt.Fprintf(e.Out, " %10.3f", g)
-		}
-		fmt.Fprintln(e.Out)
-	}
-	fmt.Fprintf(e.Out, "(paper: 1.22->1.34 at 128B blk, 1.16->1.28 at 256B blk: larger caches help Thoth)\n")
-	return nil
+	caches := []struct{ ctr, mac int }{{64 << 10, 128 << 10}, {512 << 10, 1 << 20}, {1 << 20, 2 << 20}}
+	return e.compare(e.blockSweep("Figure 11: Speedup vs counter/MAC cache size (%dB cache block, WTSC)", 10,
+		[]string{"64k/128k", "512k/1M", "1M/2M"},
+		func(m config.Config, i int) config.Config { return m.WithMetadataCaches(caches[i].ctr, caches[i].mac) },
+		"\n(paper: 1.22->1.34 at 128B blk, 1.16->1.28 at 256B blk: larger caches help Thoth)")...)
 }
 
 // Fig12 reproduces Figure 12: speedup sensitivity to WPQ size (64/32/16
 // entries; Thoth reserves 1/8 of entries for the PCB).
 func (e *Experiments) Fig12() error {
 	wpqs := []int{64, 32, 16}
-	var rcs []RunConfig
-	for _, blk := range []int{128, 256} {
-		for _, q := range wpqs {
-			for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC} {
-				for _, wl := range workload.Names() {
-					cfg := e.Scale.apply(config.Default().WithBlockSize(blk).WithScheme(s).WithWPQ(q))
-					rcs = append(rcs, e.runConfig(cfg, wl))
-				}
-			}
-		}
-	}
-	if err := e.prefetch(rcs); err != nil {
-		return err
-	}
-	for _, blk := range []int{128, 256} {
-		fmt.Fprintf(e.Out, "\nFigure 12: Speedup vs WPQ size (%dB cache block, WTSC)\n", blk)
-		fmt.Fprintf(e.Out, "%-10s %10s %10s %10s\n", "workload", "WPQ=64", "WPQ=32", "WPQ=16")
-		sums := make([][]float64, len(wpqs))
-		for _, wl := range workload.Names() {
-			fmt.Fprintf(e.Out, "%-10s", wl)
-			for i, q := range wpqs {
-				base, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(blk).WithScheme(config.BaselineStrict).WithWPQ(q)), wl))
-				if err != nil {
-					return err
-				}
-				th, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithBlockSize(blk).WithScheme(config.ThothWTSC).WithWPQ(q)), wl))
-				if err != nil {
-					return err
-				}
-				sp := float64(base.Cycles) / float64(th.Cycles)
-				sums[i] = append(sums[i], sp)
-				fmt.Fprintf(e.Out, " %10.3f", sp)
-			}
-			fmt.Fprintln(e.Out)
-		}
-		fmt.Fprintf(e.Out, "%-10s", "gmean")
-		for i := range sums {
-			g, err := gmean(sums[i])
-			if err != nil {
-				return fmt.Errorf("fig12 blk=%d: %w", blk, err)
-			}
-			fmt.Fprintf(e.Out, " %10.3f", g)
-		}
-		fmt.Fprintln(e.Out)
-	}
-	fmt.Fprintf(e.Out, "(paper: 1.22/1.48/1.65 at 128B blk, 1.16/1.50/1.81 at 256B: smaller WPQ widens the gap)\n")
-	return nil
+	return e.compare(e.blockSweep("Figure 12: Speedup vs WPQ size (%dB cache block, WTSC)", 10,
+		[]string{"WPQ=64", "WPQ=32", "WPQ=16"},
+		func(m config.Config, i int) config.Config { return m.WithWPQ(wpqs[i]) },
+		"\n(paper: 1.22/1.48/1.65 at 128B blk, 1.16/1.50/1.81 at 256B: smaller WPQ widens the gap)")...)
 }
 
 // SecVF reproduces the Section V-F comparison: Thoth's overhead versus
 // the hypothetical Anubis-with-ECC ideal (paper: ~7% on average).
 func (e *Experiments) SecVF() error {
-	var rcs []RunConfig
-	for _, s := range []config.Scheme{config.AnubisECC, config.ThothWTSC} {
-		for _, wl := range workload.Names() {
-			rcs = append(rcs, e.runConfig(e.Scale.apply(config.Default().WithScheme(s)), wl))
-		}
-	}
-	if err := e.prefetch(rcs); err != nil {
-		return err
-	}
-	fmt.Fprintf(e.Out, "\nSection V-F: Thoth overhead vs Anubis-with-ECC ideal (128B blocks)\n")
-	fmt.Fprintf(e.Out, "%-10s %16s\n", "workload", "overhead")
-	var ovs []float64
-	for _, wl := range workload.Names() {
-		ideal, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithScheme(config.AnubisECC)), wl))
-		if err != nil {
-			return err
-		}
-		th, err := e.get(e.runConfig(e.Scale.apply(config.Default().WithScheme(config.ThothWTSC)), wl))
-		if err != nil {
-			return err
-		}
-		ov := float64(th.Cycles)/float64(ideal.Cycles) - 1
-		ovs = append(ovs, ov)
-		fmt.Fprintf(e.Out, "%-10s %15.1f%%\n", wl, 100*ov)
-	}
-	fmt.Fprintf(e.Out, "%-10s %15.1f%%  (paper: ~7%% average)\n", "average", 100*mean(ovs))
-	return nil
+	m := e.machine()
+	return e.compare(compareTable{
+		title: "Section V-F: Thoth overhead vs Anubis-with-ECC ideal (128B blocks)",
+		cols:  []column{{"overhead", m.WithScheme(config.AnubisECC), m.WithScheme(config.ThothWTSC)}},
+		cell:  overhead, width: 16, pct: true, sum: "average",
+		note: "  (paper: ~7% average)",
+	})
 }
 
 // Recovery runs the crash/recovery experiment: each workload runs, the
@@ -686,41 +612,28 @@ func (e *Experiments) Recovery() error {
 // the gap between schemes (at the platform cost the paper cites as the
 // reason eADR is often disabled).
 func (e *Experiments) EADRAblation() error {
-	mk := func(s config.Scheme, eadr bool, wl string) RunConfig {
-		cfg := e.Scale.apply(config.Default().WithScheme(s))
-		cfg.EADR = eadr
-		return e.runConfig(cfg, wl)
-	}
+	eadr := e.machine()
+	eadr.EADR = true
+	wls := workload.Names()
 	var rcs []RunConfig
-	for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC} {
-		for _, eadr := range []bool{false, true} {
-			for _, wl := range workload.Names() {
-				rcs = append(rcs, mk(s, eadr, wl))
-			}
-		}
+	for _, wl := range wls {
+		rcs = append(rcs,
+			e.runConfig(e.machine().WithScheme(config.BaselineStrict), wl),
+			e.runConfig(e.machine(), wl),
+			e.runConfig(eadr, wl))
 	}
-	if err := e.prefetch(rcs); err != nil {
+	res, err := e.runs(rcs)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(e.Out, "\nExtension: ADR vs eADR (future work in the paper, Section II-B)\n")
 	fmt.Fprintf(e.Out, "%-10s %14s %14s %14s %12s %12s\n",
 		"workload", "base/ADR cyc", "thoth/ADR cyc", "eADR cyc", "eADR gain", "eADR writes")
-	for _, wl := range workload.Names() {
-		base, err := e.get(mk(config.BaselineStrict, false, wl))
-		if err != nil {
-			return err
-		}
-		th, err := e.get(mk(config.ThothWTSC, false, wl))
-		if err != nil {
-			return err
-		}
-		ead, err := e.get(mk(config.ThothWTSC, true, wl))
-		if err != nil {
-			return err
-		}
+	for _, wl := range wls {
+		base, th, ead := res[0], res[1], res[2]
+		res = res[3:]
 		fmt.Fprintf(e.Out, "%-10s %14d %14d %14d %11.2fx %11.1f%%\n",
-			wl, base.Cycles, th.Cycles, ead.Cycles,
-			float64(th.Cycles)/float64(ead.Cycles),
+			wl, base.Cycles, th.Cycles, ead.Cycles, speedup(th, ead),
 			100*float64(ead.Stats.TotalWrites())/float64(th.Stats.TotalWrites()))
 	}
 	fmt.Fprintf(e.Out, "(persists leave the critical path; only natural evictions write during execution)\n")
@@ -733,21 +646,18 @@ func (e *Experiments) EADRAblation() error {
 // suite's default toward nothing.
 func (e *Experiments) PUBSize() error {
 	sizes := []int64{64 << 10, 256 << 10, 1 << 20, 4 << 20}
-	mk := func(s config.Scheme, pub int64, wl string) RunConfig {
-		cfg := e.Scale.apply(config.Default().WithScheme(s))
-		if scheme.UsesPUB(s) {
-			cfg.PUBBytes = pub
-		}
-		return e.runConfig(cfg, wl)
-	}
+	wls := workload.Names()
 	var rcs []RunConfig
-	for _, wl := range workload.Names() {
-		rcs = append(rcs, mk(config.BaselineStrict, 0, wl))
+	for _, wl := range wls {
+		rcs = append(rcs, e.runConfig(e.machine().WithScheme(config.BaselineStrict), wl))
 		for _, pub := range sizes {
-			rcs = append(rcs, mk(config.ThothWTSC, pub, wl))
+			cfg := e.machine()
+			cfg.PUBBytes = pub
+			rcs = append(rcs, e.runConfig(cfg, wl))
 		}
 	}
-	if err := e.prefetch(rcs); err != nil {
+	res, err := e.runs(rcs)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(e.Out, "\nAblation: PUB size (WTSC, 128B blocks) — speedup / %%written-back at eviction\n")
@@ -756,20 +666,14 @@ func (e *Experiments) PUBSize() error {
 		fmt.Fprintf(e.Out, " %14s", fmt.Sprintf("PUB=%dKiB", pub>>10))
 	}
 	fmt.Fprintln(e.Out)
-	for _, wl := range workload.Names() {
-		base, err := e.get(mk(config.BaselineStrict, 0, wl))
-		if err != nil {
-			return err
-		}
+	for _, wl := range wls {
+		base := res[0]
 		fmt.Fprintf(e.Out, "%-10s", wl)
-		for _, pub := range sizes {
-			th, err := e.get(mk(config.ThothWTSC, pub, wl))
-			if err != nil {
-				return err
-			}
+		for _, th := range res[1 : 1+len(sizes)] {
 			wb := 100 * th.Stats.EvictShare(stats.EvictWrittenBack)
-			fmt.Fprintf(e.Out, "  %6.3f/%5.1f%%", float64(base.Cycles)/float64(th.Cycles), wb)
+			fmt.Fprintf(e.Out, "  %6.3f/%5.1f%%", speedup(base, th), wb)
 		}
+		res = res[1+len(sizes):]
 		fmt.Fprintln(e.Out)
 	}
 	fmt.Fprintf(e.Out, "(larger PUBs turn more evictions into discards — the paper's central claim)\n")
@@ -781,73 +685,72 @@ func (e *Experiments) PUBSize() error {
 // the augmented before-arrangement "can minimize the pressure on the WPQ
 // and obtain similar performance as in PCB-after-WPQ".
 func (e *Experiments) Arrangement() error {
-	mk := func(s config.Scheme, after bool, wl string) RunConfig {
-		cfg := e.Scale.apply(config.Default().WithScheme(s))
-		cfg.PCBAfterWPQ = after
-		return e.runConfig(cfg, wl)
-	}
+	after := e.machine()
+	after.PCBAfterWPQ = true
+	wls := workload.Names()
 	var rcs []RunConfig
-	for _, wl := range workload.Names() {
-		rcs = append(rcs, mk(config.BaselineStrict, false, wl))
-		rcs = append(rcs, mk(config.ThothWTSC, false, wl))
-		rcs = append(rcs, mk(config.ThothWTSC, true, wl))
+	for _, wl := range wls {
+		rcs = append(rcs,
+			e.runConfig(e.machine().WithScheme(config.BaselineStrict), wl),
+			e.runConfig(e.machine(), wl),
+			e.runConfig(after, wl))
 	}
-	if err := e.prefetch(rcs); err != nil {
+	res, err := e.runs(rcs)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(e.Out, "\nAblation: PCB arrangement (Section IV-C) — speedup over baseline\n")
 	fmt.Fprintf(e.Out, "%-10s %16s %16s %14s %14s\n",
 		"workload", "before-WPQ", "after-WPQ", "before wr", "after wr")
 	var sb, sa []float64
-	for _, wl := range workload.Names() {
-		base, err := e.get(mk(config.BaselineStrict, false, wl))
-		if err != nil {
-			return err
-		}
-		before, err := e.get(mk(config.ThothWTSC, false, wl))
-		if err != nil {
-			return err
-		}
-		after, err := e.get(mk(config.ThothWTSC, true, wl))
-		if err != nil {
-			return err
-		}
-		b := float64(base.Cycles) / float64(before.Cycles)
-		a := float64(base.Cycles) / float64(after.Cycles)
+	for _, wl := range wls {
+		base, before, after := res[0], res[1], res[2]
+		res = res[3:]
+		b, a := speedup(base, before), speedup(base, after)
 		sb = append(sb, b)
 		sa = append(sa, a)
 		fmt.Fprintf(e.Out, "%-10s %16.3f %16.3f %14d %14d\n",
 			wl, b, a, before.Stats.TotalWrites(), after.Stats.TotalWrites())
 	}
-	gb, err := gmean(sb)
-	if err != nil {
-		return fmt.Errorf("arrangement before-WPQ: %w", err)
-	}
-	ga, err := gmean(sa)
-	if err != nil {
-		return fmt.Errorf("arrangement after-WPQ: %w", err)
+	gb, errB := gmean(sb)
+	ga, errA := gmean(sa)
+	if err := errors.Join(errB, errA); err != nil {
+		return fmt.Errorf("arrangement: %w", err)
 	}
 	fmt.Fprintf(e.Out, "%-10s %16.3f %16.3f\n", "gmean", gb, ga)
 	fmt.Fprintf(e.Out, "(paper: the augmented before-arrangement performs similarly to after-WPQ)\n")
 	return nil
 }
 
+// experiments is the suite in report order: All runs every entry and
+// ByName dispatches one by its CLI name.
+var experiments = []struct {
+	name string
+	run  func(*Experiments) error
+}{
+	{"3", (*Experiments).Fig3}, {"8", (*Experiments).Fig8}, {"9", (*Experiments).Fig9},
+	{"10", (*Experiments).Fig10}, {"table2", (*Experiments).Table2}, {"table3", (*Experiments).Table3},
+	{"11", (*Experiments).Fig11}, {"12", (*Experiments).Fig12}, {"vf", (*Experiments).SecVF},
+	{"recovery", (*Experiments).Recovery}, {"eadr", (*Experiments).EADRAblation},
+	{"pubsize", (*Experiments).PUBSize}, {"arrangement", (*Experiments).Arrangement},
+	{"schemes", (*Experiments).Schemes}, {"scenarios", (*Experiments).Scenarios},
+}
+
+// ExperimentNames lists the names ByName accepts: every experiment in
+// report order, then "all".
+func ExperimentNames() []string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, x := range experiments {
+		names = append(names, x.name)
+	}
+	return append(names, "all")
+}
+
 // All runs every experiment in report order.
 func (e *Experiments) All() error {
-	steps := []struct {
-		name string
-		fn   func() error
-	}{
-		{"fig3", e.Fig3}, {"fig8", e.Fig8}, {"fig9", e.Fig9},
-		{"fig10", e.Fig10}, {"table2", e.Table2}, {"table3", e.Table3},
-		{"fig11", e.Fig11}, {"fig12", e.Fig12}, {"secVF", e.SecVF},
-		{"recovery", e.Recovery}, {"eadr", e.EADRAblation},
-		{"pubsize", e.PUBSize}, {"arrangement", e.Arrangement},
-		{"schemes", e.Schemes}, {"scenarios", e.Scenarios},
-	}
-	for _, s := range steps {
-		if err := s.fn(); err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
+	for _, x := range experiments {
+		if err := x.run(e); err != nil {
+			return fmt.Errorf("%s: %w", x.name, err)
 		}
 	}
 	return nil
@@ -855,23 +758,13 @@ func (e *Experiments) All() error {
 
 // ByName dispatches one experiment by its CLI name.
 func (e *Experiments) ByName(name string) error {
-	m := map[string]func() error{
-		"3": e.Fig3, "8": e.Fig8, "9": e.Fig9, "10": e.Fig10,
-		"table2": e.Table2, "table3": e.Table3,
-		"11": e.Fig11, "12": e.Fig12, "vf": e.SecVF, "recovery": e.Recovery,
-		"eadr": e.EADRAblation, "pubsize": e.PUBSize,
-		"arrangement": e.Arrangement, "schemes": e.Schemes,
-		"scenarios": e.Scenarios,
-		"all":       e.All,
+	if name == "all" {
+		return e.All()
 	}
-	fn, ok := m[name]
-	if !ok {
-		names := make([]string, 0, len(m))
-		for k := range m {
-			names = append(names, k)
+	for _, x := range experiments {
+		if x.name == name {
+			return x.run(e)
 		}
-		sort.Strings(names)
-		return fmt.Errorf("unknown experiment %q (have %v)", name, names)
 	}
-	return fn()
+	return fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(ExperimentNames(), "|"))
 }

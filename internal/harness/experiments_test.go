@@ -2,9 +2,12 @@ package harness
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/recovery"
@@ -24,7 +27,7 @@ func tinyScale() Scale {
 	}
 }
 
-// syncWriter guards the report buffer against the parallel prefetcher.
+// syncWriter guards the report buffer against parallel runs.
 type syncWriter struct {
 	mu sync.Mutex
 	b  strings.Builder
@@ -81,6 +84,26 @@ func TestEveryExperimentProducesAReport(t *testing.T) {
 			}
 		}
 	}
+
+	// The simulation is deterministic, so the whole report is pinned
+	// byte for byte: a drift in any figure cell, or in a report's
+	// layout, is a diff against the committed golden. Regenerate with
+	// EXPERIMENTS_UPDATE=1 after an intentional change.
+	golden := filepath.Join("testdata", "experiments_golden.txt")
+	if os.Getenv("EXPERIMENTS_UPDATE") == "1" {
+		if err := os.WriteFile(golden, []byte(report), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (EXPERIMENTS_UPDATE=1 regenerates): %v", err)
+	}
+	if report != string(want) {
+		t.Fatalf("experiment reports drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", report, want)
+	}
 }
 
 func TestByNameRejectsUnknown(t *testing.T) {
@@ -95,16 +118,91 @@ func TestExperimentCacheHits(t *testing.T) {
 	e := NewExperiments(tinyScale(), out)
 	cfg := tinyScale().apply(config.Default().WithScheme(config.ThothWTSC))
 	rc := e.runConfig(cfg, "swap")
-	a, err := e.get(rc)
+	a, err := e.runs([]RunConfig{rc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.get(rc)
+	b, err := e.runs([]RunConfig{rc, rc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if a[0] != b[0] || b[0] != b[1] {
 		t.Fatal("identical run configs must be memoized")
+	}
+}
+
+// TestRunMemoKeysOnWholeConfig pins the memo key: a run that differs
+// from a memoized one in any machine field gets its own simulation,
+// here the LLC size and the hash latency behind the serial second-level
+// MAC. The LLC shrinks rather than grows: at this scale btree's working
+// set already fits the suite's 1 MiB LLC, so a larger one changes no
+// cycle.
+func TestRunMemoKeysOnWholeConfig(t *testing.T) {
+	e := NewExperiments(tinyScale(), &syncWriter{})
+	rc := e.runConfig(tinyScale().apply(config.Default()), "btree")
+	def, err := e.runs([]RunConfig{rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	llc, hash := rc, rc
+	llc.Config.LLCBytes = 64 << 10
+	hash.Config.HashLatencyCycles *= 2
+	got, err := e.runs([]RunConfig{llc, hash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []RunConfig{llc, hash} {
+		if got[i] == def[0] {
+			t.Errorf("variant %d got the memoized default run", i)
+		}
+		direct, err := Run(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Cycles != direct.Cycles || direct.Cycles == def[0].Cycles {
+			t.Errorf("variant %d: memo gives %d cycles, a direct Run %d, the default %d",
+				i, got[i].Cycles, direct.Cycles, def[0].Cycles)
+		}
+	}
+}
+
+// TestReportRunCounts pins the runs a report executes on its own: each
+// report runs only the cells it prints.
+func TestReportRunCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 55 simulations")
+	}
+	for _, tc := range []struct {
+		name string
+		want int
+	}{{"table3", 40}, {"eadr", 15}} {
+		e := NewExperiments(tinyScale(), &syncWriter{})
+		if err := e.ByName(tc.name); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(e.cache); n != tc.want {
+			t.Errorf("%s executed %d runs, want %d", tc.name, n, tc.want)
+		}
+	}
+}
+
+// TestWorkersBelowOneRunsSerially: a driver with no workers (or a
+// negative count) runs one simulation at a time instead of blocking
+// forever or panicking.
+func TestWorkersBelowOneRunsSerially(t *testing.T) {
+	for _, w := range []int{0, -1} {
+		e := NewExperiments(tinyScale(), &syncWriter{})
+		e.Workers = w
+		done := make(chan error, 1)
+		go func() { done <- e.SecVF() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Workers=%d: %v", w, err)
+			}
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("Workers=%d: report did not complete", w)
+		}
 	}
 }
 
@@ -179,7 +277,7 @@ func TestPrefetchShortCircuitsOnError(t *testing.T) {
 		}
 	}
 
-	if err := e.prefetch(rcs); err == nil {
+	if _, err := e.runs(rcs); err == nil {
 		t.Fatal("poisoned batch must return an error")
 	}
 	// Successful runs are memoized; with cancellation none of the valid
@@ -188,6 +286,6 @@ func TestPrefetchShortCircuitsOnError(t *testing.T) {
 	n := len(e.cache)
 	e.mu.Unlock()
 	if n != 0 {
-		t.Fatalf("prefetch kept running after the failure: %d runs executed", n)
+		t.Fatalf("runs kept running after the failure: %d runs executed", n)
 	}
 }

@@ -2,9 +2,10 @@ package obs
 
 import "sync"
 
-// Ring is a bounded in-memory tracer for tests: it keeps the most
-// recent capacity events (older ones are overwritten) and counts what
-// it had to drop. Safe for concurrent use.
+// Ring is a bounded in-memory tracer: it keeps the most recent
+// capacity events (older ones are overwritten) and counts what it had
+// to drop. It serves as an in-memory trace sink and as every
+// controller's flight recorder. Safe for concurrent use.
 type Ring struct {
 	mu      sync.Mutex
 	buf     []Event
@@ -40,6 +41,11 @@ func (r *Ring) Emit(e Event) {
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.retained()
+}
+
+// retained copies the retained events, oldest first; r.mu must be held.
+func (r *Ring) retained() []Event {
 	out := make([]Event, 0, r.n)
 	start := r.head - r.n
 	if start < 0 {
