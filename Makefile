@@ -8,9 +8,9 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci fmt vet build cross test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
+.PHONY: ci fmt vet lanes build cross test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
 
-ci: fmt vet build cross test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
+ci: fmt vet lanes build cross test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
 
 # Formatting gate: fails, listing the files, when gofmt would rewrite
 # any Go file.
@@ -19,6 +19,30 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Lane-name gate: `go test -run X` passes with "no tests to run" when X
+# matches no test, so a renamed or deleted test silently empties its
+# lane. Every -run, -bench and -fuzz alternative in this Makefile must
+# make `go test <pkg> -list <alt>` list at least one test, benchmark or
+# fuzz target. `-run=NONE`, the fuzz lanes' way of running no tests, is
+# the one name exempt.
+lanes:
+	@grep -E '^	+\$$\(GO\) test .*-(run|bench|fuzz)[ =]' $(firstword $(MAKEFILE_LIST)) | tr -d "'" | \
+	awk '{ pkg = ""; for (i = 1; i <= NF; i++) if ($$i ~ /^\.(\/|$$)/) pkg = $$i; \
+		for (i = 1; i <= NF; i++) { f = ""; \
+			if ($$i == "-run" || $$i == "-bench" || $$i == "-fuzz") { f = $$i; v = $$(i + 1); i++ } \
+			else if ($$i ~ /^-(run|bench|fuzz)=/) { f = substr($$i, 1, index($$i, "=") - 1); v = substr($$i, index($$i, "=") + 1) } \
+			if (f == "") continue; \
+			n = split(v, alt, "|"); \
+			for (j = 1; j <= n; j++) if (!(f == "-run" && alt[j] == "NONE")) print pkg, alt[j] } }' | \
+	{ fail=0; checked=0; \
+	while read -r pkg alt; do \
+		checked=$$((checked + 1)); \
+		if ! out=$$($(GO) test $$pkg -list "$$alt" 2>&1); then echo "lanes: go test $$pkg -list $$alt failed:"; echo "$$out"; fail=1; \
+		elif ! echo "$$out" | grep -qv '^ok '; then echo "lanes: no test in $$pkg matches $$alt"; fail=1; fi; \
+	done; \
+	if [ $$checked -eq 0 ]; then echo "lanes: found no -run, -bench or -fuzz name"; fail=1; fi; \
+	[ $$fail -eq 0 ] && echo "lanes: all $$checked -run, -bench and -fuzz names match a test"; exit $$fail; }
 
 build:
 	$(GO) build ./...
@@ -60,12 +84,12 @@ trace-smoke:
 	$(GO) run ./cmd/thothsim -workload btree -warmup 200 -txs 600 -setup 1024 -pub 256 -trace $(TRACE_FILE)
 	$(GO) run ./cmd/tracecheck $(TRACE_FILE)
 
-# End-to-end smoke of the live observability stack: the serve-mode
-# golden /metrics scrape (validated Prometheus exposition), the /statsz
-# and /debug endpoints, the serve-vs-replay differential, and the
-# tracemetrics CLI replay differential.
+# Metrics gate: the runner's golden Prometheus exposition (native and
+# event-derived families, validated by ValidateProm) and the
+# tracemetrics CLI, whose replay of a trace must equal the registry the
+# same run fed live.
 metrics-smoke:
-	$(GO) test ./cmd/thothsim -run 'TestServe|TestRunServe' -count=1
+	$(GO) test ./internal/harness -run TestRunnerMetricsGolden -count=1
 	$(GO) test ./cmd/tracemetrics -count=1
 
 # Open-loop load generator gate: the statistical property tests (KS on
@@ -76,19 +100,18 @@ metrics-smoke:
 # percentile checked against the exact trace recomputation.
 load-smoke:
 	$(GO) test ./internal/loadgen -count=1
-	$(GO) test ./cmd/thothsim -run 'TestLoad|TestServeLoad|TestRunServeLoad' -count=1
+	$(GO) test ./cmd/thothsim -run TestLoad -count=1
 	$(GO) run ./cmd/thothsim load -scenario burst -tenants 1000 -shards 4 -check
 
 # Tail-latency anatomy gate: the per-op attribution conservation sweep
 # (200 seeded machines, controller and pool, stage cycles must sum to
 # each op's latency), the flight-recorder suite (always-on, race-hammered,
-# JSONL round-trip, FromTracer replay), the /timeseries golden, and an
-# end-to-end crash whose flight dump must validate under tracecheck.
+# JSONL round-trip, FromTracer replay), and an end-to-end crash whose
+# flight dump must validate under tracecheck.
 obs-smoke:
 	$(GO) test ./internal/obs -count=1
 	$(GO) test ./internal/core -run TestFlight -count=1
 	$(GO) test ./internal/loadgen -run TestAttribution -count=1
-	$(GO) test ./cmd/thothsim -run TestServeTimeseriesGolden -count=1
 	rm -rf $(FLIGHT_DIR)
 	$(GO) run ./cmd/thothsim -workload btree -warmup 200 -txs 600 -setup 1024 -pub 256 -crash -flight $(FLIGHT_DIR)
 	$(GO) run ./cmd/tracecheck $(FLIGHT_DIR)/flight.jsonl

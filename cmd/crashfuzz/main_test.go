@@ -52,6 +52,7 @@ func TestRunRejectsBadFlag(t *testing.T) {
 		{[]string{"-seeds", "-1"}, "-seeds must be at least 1"},
 		{[]string{"-seeds", "0"}, "-seeds must be at least 1"},
 		{[]string{"-minimize"}, "-minimize needs -replay"},
+		{[]string{"-replay", "3", "extra", "-minimize"}, `unexpected argument "extra"`},
 	} {
 		var out, errw bytes.Buffer
 		if code := run(tc.args, &out, &errw); code != 2 {

@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -45,9 +46,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "experiments: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	if *workers < 1 {
 		fmt.Fprintln(stderr, "experiments: -workers must be at least 1")
 		return 2
+	}
+
+	// Reject an unknown name before the header or a trace file is
+	// written.
+	if names := harness.ExperimentNames(); !slices.Contains(names, *exp) {
+		fmt.Fprintf(stderr, "experiments: unknown experiment %q (have %s)\n", *exp, strings.Join(names, "|"))
+		return 1
 	}
 
 	scale := harness.DefaultScale()

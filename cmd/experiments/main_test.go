@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -25,25 +27,44 @@ func TestRunRecoveryExperiment(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownExperiment requires an unknown -exp name to be
+// rejected before anything is written: no report header on stdout and
+// no trace file.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	var out, errw bytes.Buffer
-	if code := run([]string{"-exp", "nonsense"}, &out, &errw); code != 1 {
+	if code := run([]string{"-exp", "nonsense", "-quick", "-trace", trace}, &out, &errw); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 	if !strings.Contains(errw.String(), "unknown experiment") {
 		t.Errorf("stderr missing diagnosis: %s", errw.String())
 	}
+	if out.Len() != 0 {
+		t.Errorf("stdout not empty:\n%s", out.String())
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Errorf("trace file %s was created (stat: %v)", trace, err)
+	}
 }
 
 func TestRunRejectsBadFlag(t *testing.T) {
-	for _, args := range [][]string{
-		{"-no-such-flag"},
-		{"-exp", "vf", "-quick", "-workers", "0"},
-		{"-exp", "vf", "-quick", "-workers", "-1"},
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-no-such-flag"}, "no-such-flag"},
+		{[]string{"-exp", "vf", "-quick", "-workers", "0"}, "-workers must be at least 1"},
+		{[]string{"-exp", "vf", "-quick", "-workers", "-1"}, "-workers must be at least 1"},
+		// A stray argument must not end flag parsing silently: -quick
+		// after it would be dropped and a default-scale run started.
+		{[]string{"-exp", "8", "extra", "-quick"}, `unexpected argument "extra"`},
 	} {
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 {
-			t.Fatalf("%v: exit %d, want 2", args, code)
+		if code := run(tc.args, &out, &errw); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errw.String(), tc.msg) {
+			t.Errorf("%v: stderr %q does not name the problem (%q)", tc.args, errw.String(), tc.msg)
 		}
 	}
 }

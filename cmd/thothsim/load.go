@@ -66,9 +66,11 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		"decompose every op's latency into pipeline-stage cycles "+
 			"(queue/fetch/crypto/tree/wpq/persist) and print the attribution report; "+
 			"conservation — stages summing exactly to the latency — is enforced per op")
-	progress := fs.Float64("progress", 0,
-		"print a top-style gauge summary to stderr every this many wall seconds (0 = off)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "thothsim load: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 	if *shards < 0 {
@@ -136,7 +138,7 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		scn.Name, sch, *block, scn.Tenants, nShards, scn.Seed)
 
 	start := time.Now()
-	if err := runLoadLoop(d, reg, *progress, stderr); err != nil {
+	if err := d.Run(); err != nil {
 		fmt.Fprintln(stderr, "thothsim load:", err)
 		return 1
 	}
@@ -185,66 +187,6 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runLoadLoop drives the scenario to completion. With progressSec > 0
-// it runs in chunks and prints a top-style one-line summary to stderr
-// every progressSec wall seconds: completed ops, the modeled cycle,
-// live tail percentiles and the queue gauges (WPQ/PUB occupancy)
-// sampled from the shared registry. stdout is
-// untouched — the golden-tested report stays reproducible.
-func runLoadLoop(d *loadgen.Driver, reg *metrics.Registry, progressSec float64, stderr io.Writer) error {
-	if progressSec <= 0 {
-		return d.Run()
-	}
-	const chunk = 4096
-	interval := time.Duration(progressSec * float64(time.Second))
-	sampler := metrics.NewSampler(reg, 1, 0, nil)
-	last := time.Now()
-	for {
-		n, err := d.RunOps(chunk)
-		if err != nil {
-			return err
-		}
-		if now := time.Now(); now.Sub(last) >= interval || n < chunk {
-			last = now
-			sampler.Tick(d.MaxCycle())
-			printLoadProgress(stderr, d, sampler)
-		}
-		if n < chunk {
-			return nil
-		}
-	}
-}
-
-// printLoadProgress renders one progress line from the driver summary
-// and the latest gauge sample.
-func printLoadProgress(w io.Writer, d *loadgen.Driver, sampler *metrics.Sampler) {
-	sum := d.Summary()
-	fmt.Fprintf(w, "progress: ops=%d cycle=%d write p99=%s read p99=%s",
-		sum.Ops, sum.Cycles, loadQuant(sum.WriteP99), loadQuant(sum.ReadP99))
-	if last, ok := sampler.Last(); ok {
-		gaugeSum := func(prefix string) (int64, bool) {
-			var s int64
-			found := false
-			for k, v := range last.Values {
-				if strings.HasPrefix(k, prefix) {
-					s += v
-					found = true
-				}
-			}
-			return s, found
-		}
-		for _, g := range []struct{ label, prefix string }{
-			{"wpq", "thoth_wpq_occupancy"},
-			{"pub", "thoth_pub_occupancy_blocks"},
-		} {
-			if v, ok := gaugeSum(g.prefix); ok {
-				fmt.Fprintf(w, " %s=%d", g.label, v)
-			}
-		}
-	}
-	fmt.Fprintln(w)
-}
-
 // printAttribution renders the attribution report: the aggregate stage
 // breakdown always, plus per-tenant rows — the -top count when set,
 // otherwise up to eight — with a truncation note for the rest.
@@ -263,102 +205,4 @@ func printAttribution(w io.Writer, a loadgen.Attribution, top int) {
 	if rest := len(a.Tenants) - len(shown); rest > 0 {
 		fmt.Fprintf(w, "  (… %d more tenants; raise -top to widen)\n", rest)
 	}
-}
-
-// loadTraffic is the serve-mode source behind `thothsim serve -load
-// <scenario>`: rounds issue a fixed number of open-loop ops, and the
-// aggregate and per-tenant latency histograms (thoth_loadgen_*
-// families) feed the registry, so /metrics exposes per-tenant
-// percentiles mid-run.
-type loadTraffic struct {
-	d        *loadgen.Driver
-	pool     *engine.Pool
-	roundOps int
-}
-
-// newLoadServeSim builds the driver over a fresh pool of max(shards, 1)
-// controllers with the serve registry attached; the scenario's op and
-// duration budgets are lifted — serve mode runs rounds until
-// interrupted.
-func newLoadServeSim(cfg config.Config, scenario string, tenants, shards, roundOps int, sampleEvery int64) (*serveSim, error) {
-	if roundOps <= 0 {
-		return nil, fmt.Errorf("serve: round size %d must be positive", roundOps)
-	}
-	scn, err := loadgen.ScenarioByName(scenario)
-	if err != nil {
-		return nil, err
-	}
-	if tenants > 0 {
-		scn.Tenants = tenants
-	}
-	scn.Ops = 0
-	scn.DurationCycles = 0
-	reg := metrics.New()
-	cfg.Metrics = reg
-	pool, err := engine.New(cfg, max(shards, 1))
-	if err != nil {
-		return nil, err
-	}
-	// Attribution is always on in serve mode: the per-op cost is an
-	// allocation-free cursor walk, and it puts the
-	// thoth_op_stage_cycles{stage=...} histograms on /metrics so the
-	// stage mix is scrapeable live.
-	d, err := loadgen.NewDriver(scn, loadgen.NewPoolTarget(pool), cfg, reg, loadgen.Options{Attribution: true})
-	if err != nil {
-		return nil, err
-	}
-	src := &loadTraffic{d: d, pool: pool, roundOps: roundOps}
-	return startServeSim(reg, src, pool.SchemeInfo(), sampleEvery)
-}
-
-func (t *loadTraffic) round() error {
-	_, err := t.d.RunOps(int64(t.roundOps))
-	return err
-}
-
-// loadStatsz is the JSON document served at /statsz in load mode. The
-// percentiles are strings because an empty histogram's quantile is +Inf,
-// which JSON cannot encode as a number.
-type loadStatsz struct {
-	Scheme           string `json:"scheme"`
-	SchemeGuarantees string `json:"scheme_guarantees"`
-	Scenario         string `json:"scenario"`
-	Tenants          int    `json:"tenants"`
-	Shards           int    `json:"shards"`
-	Rounds           int64  `json:"rounds"`
-	Cycle            int64  `json:"cycle"`
-	Ops              int64  `json:"ops"`
-	Reads            int64  `json:"reads"`
-	Writes           int64  `json:"writes"`
-	WriteP50         string `json:"write_p50_cycles"`
-	WriteP95         string `json:"write_p95_cycles"`
-	WriteP99         string `json:"write_p99_cycles"`
-	ReadP99          string `json:"read_p99_cycles"`
-	WorstTenant      string `json:"worst_tenant"`
-	WorstTenantP99   string `json:"worst_tenant_p99_cycles"`
-	EventHash        string `json:"event_stream_sha256"`
-}
-
-func (t *loadTraffic) snapshot(rounds int64) (any, int64, error) {
-	sum := t.d.Summary()
-	info := t.pool.SchemeInfo()
-	return loadStatsz{
-		Scheme:           info.Name,
-		SchemeGuarantees: info.Guarantees,
-		Scenario:         sum.Scenario,
-		Tenants:          sum.Tenants,
-		Shards:           t.pool.Shards(),
-		Rounds:           rounds,
-		Cycle:            sum.Cycles,
-		Ops:              sum.Ops,
-		Reads:            sum.Reads,
-		Writes:           sum.Writes,
-		WriteP50:         loadQuant(sum.WriteP50),
-		WriteP95:         loadQuant(sum.WriteP95),
-		WriteP99:         loadQuant(sum.WriteP99),
-		ReadP99:          loadQuant(sum.ReadP99),
-		WorstTenant:      fmt.Sprintf("%04d", sum.WorstTenant),
-		WorstTenantP99:   loadQuant(sum.WorstP99),
-		EventHash:        sum.EventHash,
-	}, sum.Cycles, nil
 }

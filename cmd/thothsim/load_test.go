@@ -2,17 +2,16 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/loadgen"
-	"repro/internal/metrics"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // loadGoldenRuns is the fixed set of CLI invocations the load golden
 // pins: every matrix scenario through one controller, plus one pooled
@@ -112,95 +111,13 @@ func TestLoadRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"load", "-shards", "-3", "-ops", "10", "-pub", "64"}, &out, &errw); code != 2 {
 		t.Fatalf("negative -shards: exit %d, want 2", code)
 	}
-}
-
-// TestServeLoadEndpoints boots the load-backed serve sim and checks the
-// live observability surface: the thoth_loadgen_* families (aggregate
-// and per-tenant latency histograms) are scrapeable mid-run and /statsz
-// carries the open-loop snapshot.
-func TestServeLoadEndpoints(t *testing.T) {
-	sim, err := newLoadServeSim(serveTestConfig(), "steady", 4, 0, 80, serveSampleCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.round(); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(sim.mux())
-	defer srv.Close()
-
-	resp, body := get(t, srv, "/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: %s", resp.Status)
-	}
-	if _, err := metrics.ValidateProm(bytes.NewReader(body)); err != nil {
-		t.Fatalf("load scrape failed exposition validation: %v", err)
-	}
-	text := string(body)
-	for _, want := range []string{
-		`thoth_loadgen_latency_cycles_bucket{op="write",`,
-		`thoth_loadgen_tenant_latency_cycles_bucket{tenant="0000",`,
-		`thoth_loadgen_tenant_latency_cycles_bucket{tenant="0003",`,
-		`thoth_loadgen_ops_total{op="read"}`,
-		"thoth_loadgen_cycle",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %s", want)
-		}
-	}
-
-	resp, body = get(t, srv, "/statsz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /statsz: %s", resp.Status)
-	}
-	var got loadStatsz
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatalf("/statsz is not valid JSON: %v\n%s", err, body)
-	}
-	if got.Scenario != "steady" || got.Tenants != 4 || got.Rounds != 1 {
-		t.Errorf("statsz identity = %s/%d tenants/round %d, want steady/4/1",
-			got.Scenario, got.Tenants, got.Rounds)
-	}
-	if got.Ops != 80 || got.Cycle <= 0 {
-		t.Errorf("statsz progress ops=%d cycle=%d, want 80 ops at a positive cycle",
-			got.Ops, got.Cycle)
-	}
-	if got.WriteP50 == "" || got.EventHash == "" {
-		t.Errorf("statsz missing percentiles or hash: %+v", got)
-	}
-}
-
-// TestRunServeLoadCLI drives `thothsim serve -load` end to end,
-// including the pooled variant.
-func TestRunServeLoadCLI(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{
-		"serve", "-addr", "127.0.0.1:0", "-load", "hotkey", "-tenants", "4",
-		"-rounds", "2", "-round", "60", "-pub", "64",
-	}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errw.String())
-	}
-	for _, want := range []string{"serving workload=load(hotkey)", "completed 2 rounds"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-
-	out.Reset()
+	// A stray argument must not end flag parsing silently: -ops after it
+	// would be dropped and the scenario's default budget would run.
 	errw.Reset()
-	code = run([]string{
-		"serve", "-addr", "127.0.0.1:0", "-load", "steady", "-shards", "2",
-		"-rounds", "1", "-round", "60", "-pub", "64",
-	}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("pooled: exit %d, stderr: %s", code, errw.String())
+	if code := run([]string{"load", "-scenario", "steady", "bogus", "-ops", "10"}, &out, &errw); code != 2 {
+		t.Fatalf("stray argument: exit %d, want 2", code)
 	}
-	if !strings.Contains(out.String(), "serving workload=load(steady, 2 shards)") {
-		t.Errorf("pooled banner missing:\n%s", out.String())
-	}
-
-	if code := run([]string{"serve", "-load", "nonsense"}, &out, &errw); code != 1 {
-		t.Fatalf("bad -load scenario: exit %d, want 1", code)
+	if !strings.Contains(errw.String(), `unexpected argument "bogus"`) {
+		t.Errorf("stderr missing diagnosis: %q", errw.String())
 	}
 }

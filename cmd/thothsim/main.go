@@ -11,14 +11,6 @@
 //	thothsim -shards 4 -txs 20000            # sharded pool throughput
 //	thothsim -shards 4 -crash                # crash a shard subset + recover
 //
-// The serve subcommand turns the batch simulator into an observable
-// long-running process: it runs workload rounds forever (or for
-// -rounds) while serving live Prometheus metrics, a JSON stats
-// snapshot, expvar and pprof over HTTP:
-//
-//	thothsim serve -addr 127.0.0.1:8077 -workload btree
-//	curl localhost:8077/metrics
-//
 // The load subcommand replaces the closed-loop harness with an
 // open-loop multi-tenant traffic generator: seeded arrival processes
 // (Poisson, uniform, constant, bursty) issue operations on a modeled
@@ -27,7 +19,6 @@
 //
 //	thothsim load -list
 //	thothsim load -scenario burst -tenants 1000 -shards 4
-//	thothsim serve -load hotkey   # live per-tenant percentiles
 package main
 
 import (
@@ -45,9 +36,6 @@ import (
 )
 
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "serve" {
-		return runServe(args[1:], stdout, stderr)
-	}
 	if len(args) > 0 && args[0] == "load" {
 		return runLoad(args[1:], stdout, stderr)
 	}
@@ -83,6 +71,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"harness (-txs seeded random block persists in batches of -persist-batch; "+
 			"N must divide the 1 GiB module — powers of two work; 0 = harness)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "thothsim: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 	if *shards < 0 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,6 +90,26 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-shards", "-2", "-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16"}, &out, &errw); code != 2 {
 		t.Fatalf("negative -shards: exit %d, want 2", code)
+	}
+	// A stray argument ends flag parsing; every flag after it would be
+	// dropped and a default-scale run started. The removed serve
+	// subcommand is one such argument.
+	for _, tc := range []struct {
+		args []string
+		arg  string
+	}{
+		{[]string{"-workload", "swap", "-txs", "30", "bogus"}, "bogus"},
+		{[]string{"-workload", "swap", "bogus", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16"}, "bogus"},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-rounds", "1", "-round", "50",
+			"-setup", "64", "-warmup", "5", "-pub", "64"}, "serve"},
+	} {
+		errw.Reset()
+		if code := run(tc.args, &out, &errw); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", tc.args, code)
+		}
+		if want := fmt.Sprintf("unexpected argument %q", tc.arg); !strings.Contains(errw.String(), want) {
+			t.Errorf("%v: stderr %q, want %q", tc.args, errw.String(), want)
+		}
 	}
 }
 

@@ -1,13 +1,9 @@
 package main
 
-// The -shards modes: instead of the single-controller workload harness,
-// drive a sharded engine.Pool with seeded random block persists and
-// report aggregate throughput. The batch mode (`thothsim -shards N`)
-// measures ops/sec and optionally crashes a shard subset and recovers
-// it; the serve mode (`thothsim serve -shards N`) runs persist rounds
-// forever behind the same /metrics, /statsz and /debug endpoints, with
-// the engine's per-shard families (thoth_pool_shard_*) live in the
-// registry.
+// The -shards mode: instead of the single-controller workload harness,
+// drive a sharded engine.Pool with seeded random block persists, report
+// aggregate throughput (ops/sec), and optionally crash a shard subset
+// and recover it.
 
 import (
 	"fmt"
@@ -18,7 +14,6 @@ import (
 
 	thoth "repro"
 	"repro/internal/config"
-	"repro/internal/metrics"
 )
 
 // dumpFlight writes one flight-recorder snapshot as a JSONL trace file
@@ -203,71 +198,4 @@ func runPoolBench(cfg config.Config, shards, blocks, depth int, crash, verify bo
 	}
 	fmt.Fprintf(stdout, "recovery verified: %d blocks match the pre-crash payloads\n", len(golden))
 	return 0
-}
-
-// poolTraffic is the serve-mode source behind `thothsim serve -shards
-// N`: rounds persist seeded random blocks through the sharded engine,
-// whose per-shard thoth_pool_shard_* families feed the registry.
-type poolTraffic struct {
-	pool        *thoth.Pool
-	rng         *poolRNG
-	roundBlocks int
-}
-
-func newPoolServeSim(cfg config.Config, shards, roundBlocks int, sampleEvery int64) (*serveSim, error) {
-	if roundBlocks <= 0 {
-		return nil, fmt.Errorf("serve: round size %d must be positive", roundBlocks)
-	}
-	reg := metrics.New()
-	cfg.Metrics = reg
-	pool, err := thoth.NewPool(cfg, shards)
-	if err != nil {
-		return nil, fmt.Errorf("serve: pool: %w", err)
-	}
-	src := &poolTraffic{pool: pool, rng: &poolRNG{s: uint64(cfg.Seed)}, roundBlocks: roundBlocks}
-	return startServeSim(reg, src, pool.SchemeInfo(), sampleEvery)
-}
-
-func (t *poolTraffic) round() error {
-	return t.pool.PersistBatch(poolBatch(t.pool, t.rng, t.roundBlocks, nil))
-}
-
-// poolStatsz is the JSON document served at /statsz in pool mode.
-type poolStatsz struct {
-	Scheme           string  `json:"scheme"`
-	SchemeGuarantees string  `json:"scheme_guarantees"`
-	Shards           int     `json:"shards"`
-	Rounds           int64   `json:"rounds"`
-	Cycle            int64   `json:"cycle"`
-	BlocksPersisted  int64   `json:"blocks_persisted"`
-	TotalWrites      int64   `json:"total_writes"`
-	NVMReads         int64   `json:"nvm_reads"`
-	CtrHitRate       float64 `json:"ctr_hit_rate"`
-	MACHitRate       float64 `json:"mac_hit_rate"`
-	MTHitRate        float64 `json:"mt_hit_rate"`
-	PUBEvictions     int64   `json:"pub_evictions"`
-	CtrOverflows     int64   `json:"ctr_overflows"`
-}
-
-func (t *poolTraffic) snapshot(rounds int64) (any, int64, error) {
-	snap, err := t.pool.Stats()
-	if err != nil {
-		return nil, 0, err
-	}
-	info := t.pool.SchemeInfo()
-	return poolStatsz{
-		Scheme:           info.Name,
-		SchemeGuarantees: info.Guarantees,
-		Shards:           t.pool.Shards(),
-		Rounds:           rounds,
-		Cycle:            snap.Cycles,
-		BlocksPersisted:  rounds * int64(t.roundBlocks),
-		TotalWrites:      snap.TotalWrites(),
-		NVMReads:         snap.NVMReads,
-		CtrHitRate:       snap.CtrHitRate(),
-		MACHitRate:       snap.MACHitRate(),
-		MTHitRate:        snap.MTHitRate(),
-		PUBEvictions:     snap.PUBEvictions,
-		CtrOverflows:     snap.CtrOverflows,
-	}, snap.Cycles, nil
 }

@@ -1,14 +1,13 @@
 // Command tracemetrics replays a JSONL controller event trace (as
 // written by `thothsim -trace run.jsonl` or the experiments driver)
-// into the same metrics registry the live `thothsim serve` mode feeds,
-// and prints the result — so the post-hoc view of a run and the live
-// view agree metric-for-metric (the serve-mode differential test pins
-// this).
+// through the metrics.FromTracer adapter into a fresh registry, and
+// prints the result — so the post-hoc view of a run agrees
+// metric-for-metric with a registry the same adapter fed during the run
+// (TestReplayMatchesLive pins this).
 //
 // Usage:
 //
 //	tracemetrics run.jsonl             # Prometheus text format
-//	tracemetrics -format expvar run.jsonl
 //	tracemetrics -format summary run.jsonl
 //	thothsim -trace /dev/stdout ... | tracemetrics -   # read the trace from stdin
 package main
@@ -24,7 +23,7 @@ import (
 )
 
 // replay folds every event of the JSONL stream in r into a fresh
-// registry via the same FromTracer adapter the serve mode uses.
+// registry via the FromTracer adapter.
 func replay(r io.Reader) (*metrics.Registry, int, error) {
 	reg := metrics.New()
 	ad := metrics.FromTracer(reg)
@@ -35,9 +34,9 @@ func replay(r io.Reader) (*metrics.Registry, int, error) {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracemetrics", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	format := fs.String("format", "prom", "output format: prom|expvar|summary")
+	format := fs.String("format", "prom", "output format: prom|summary")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: tracemetrics [-format prom|expvar|summary] trace.jsonl ('-' reads stdin)")
+		fmt.Fprintln(stderr, "usage: tracemetrics [-format prom|summary] trace.jsonl ('-' reads stdin)")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -48,9 +47,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch *format {
-	case "prom", "expvar", "summary":
+	case "prom", "summary":
 	default:
-		fmt.Fprintf(stderr, "tracemetrics: unknown format %q (prom|expvar|summary)\n", *format)
+		fmt.Fprintf(stderr, "tracemetrics: unknown format %q (prom|summary)\n", *format)
 		return 2
 	}
 
@@ -71,22 +70,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	switch *format {
-	case "prom":
-		if err := metrics.WriteProm(stdout, reg); err != nil {
-			fmt.Fprintln(stderr, "tracemetrics:", err)
-			return 1
-		}
-	case "expvar":
-		fmt.Fprintln(stdout, metrics.ExpvarVar(reg).String())
-	case "summary":
+	if *format == "summary" {
 		fmt.Fprintf(stdout, "events=%d families=%d\n", n, len(reg.FamilyNames()))
 		for _, name := range reg.FamilyNames() {
 			fmt.Fprintf(stdout, "  %s\n", name)
 		}
-	default:
-		fmt.Fprintf(stderr, "tracemetrics: unknown format %q (prom|expvar|summary)\n", *format)
-		return 2
+		return 0
+	}
+	if err := metrics.WriteProm(stdout, reg); err != nil {
+		fmt.Fprintln(stderr, "tracemetrics:", err)
+		return 1
 	}
 	return 0
 }

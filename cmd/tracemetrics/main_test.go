@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,19 +82,20 @@ func TestReplayOutputValidates(t *testing.T) {
 	}
 }
 
+// TestExpvarAndSummaryFormats pins the output formats: summary lists
+// the replayed families, and expvar, whose bridge is gone, is rejected
+// as an unknown format.
 func TestExpvarAndSummaryFormats(t *testing.T) {
 	path, _ := recordRun(t)
 
 	var out, errw bytes.Buffer
-	if code := run([]string{"-format", "expvar", path}, nil, &out, &errw); code != 0 {
-		t.Fatalf("expvar: exit %d, stderr: %s", code, errw.String())
+	if code := run([]string{"-format", "expvar", path}, nil, &out, &errw); code != 2 {
+		t.Fatalf("expvar: exit %d, want 2 (stdout: %s)", code, out.String())
 	}
-	var payload map[string]any
-	if err := json.Unmarshal(out.Bytes(), &payload); err != nil {
-		t.Fatalf("expvar output is not valid JSON: %v", err)
+	if !strings.Contains(errw.String(), `unknown format "expvar"`) {
+		t.Errorf("stderr missing diagnosis: %s", errw.String())
 	}
 
-	out.Reset()
 	if code := run([]string{"-format", "summary", path}, nil, &out, &errw); code != 0 {
 		t.Fatalf("summary: exit %d, stderr: %s", code, errw.String())
 	}

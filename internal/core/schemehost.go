@@ -81,5 +81,5 @@ func (c *Controller) FlushDirtyTreeNodes() {
 func (c *Controller) HashLatency() int64 { return c.hashLat() }
 
 // SchemeInfo describes the controller's persistence scheme (name,
-// guarantees, tunables) for banners and /statsz.
+// guarantees, tunables).
 func (c *Controller) SchemeInfo() scheme.Info { return c.sch.Info() }

@@ -119,6 +119,9 @@ func (e *Experiments) runs(rcs []RunConfig) ([]*Result, error) {
 	keys := make([]RunConfig, len(rcs))
 	var todo []int // first occurrence of each missing key
 	e.mu.Lock()
+	if e.cache == nil { // an Experiments built as a struct literal
+		e.cache = make(map[RunConfig]*Result)
+	}
 	queued := map[RunConfig]bool{}
 	for i, rc := range rcs {
 		rc.Tracer, rc.Metrics = nil, nil

@@ -206,6 +206,25 @@ func TestWorkersBelowOneRunsSerially(t *testing.T) {
 	}
 }
 
+// TestStructLiteralExperiments: Experiments is public (as
+// thoth.Experiments), so a driver built as a struct literal, without
+// NewExperiments and its memo, must run a report, and print what the
+// constructed driver prints.
+func TestStructLiteralExperiments(t *testing.T) {
+	var lit, built syncWriter
+	if err := (&Experiments{Scale: tinyScale(), Out: &lit, Workers: 1}).SecVF(); err != nil {
+		t.Fatal(err)
+	}
+	e := NewExperiments(tinyScale(), &built)
+	e.Workers = 1
+	if err := e.SecVF(); err != nil {
+		t.Fatal(err)
+	}
+	if lit.String() == "" || lit.String() != built.String() {
+		t.Fatalf("struct-literal report differs:\n%s\nwant:\n%s", lit.String(), built.String())
+	}
+}
+
 func TestRunnerCrashMidStream(t *testing.T) {
 	// Integration: drive a workload through the full runner, crash in
 	// the middle, recover, and verify that all persisted data reads back

@@ -19,7 +19,7 @@ type ReplayResult struct {
 }
 
 // Replay drives the secure memory controller from a textual memory
-// trace in the tracegen format — one operation per line:
+// trace, one operation per line:
 //
 //	L <addr> <size>   load
 //	S <addr> <size>   store

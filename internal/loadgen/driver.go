@@ -7,7 +7,7 @@
 // silently throttling the offered load. Latencies are modeled cycles
 // (completion − arrival = queueing delay + service) and flow into
 // internal/metrics histograms: an aggregate read/write family plus one
-// series per tenant, scraped live by `thothsim serve` and summarized as
+// series per tenant, rendered by metrics.WriteProm and summarized as
 // P50/P95/P99 by Summary. Everything derives from the scenario seed:
 // same seed, same event stream, same histograms.
 package loadgen
@@ -111,8 +111,7 @@ type tenant struct {
 }
 
 // Driver generates and executes one scenario against one target. Not
-// safe for concurrent use; the metrics registry it feeds is (scrape it
-// from other goroutines freely).
+// safe for concurrent use; the metrics registry it feeds is.
 type Driver struct {
 	scn  Scenario
 	tgt  Target
@@ -446,9 +445,6 @@ func (d *Driver) SetTarget(t Target) error {
 // Issued returns the number of ops generated so far.
 func (d *Driver) Issued() int64 { return d.issued }
 
-// MaxCycle returns the latest completion cycle observed.
-func (d *Driver) MaxCycle() int64 { return d.maxDone }
-
 // MinLatency returns the smallest observed latency (0 before any op).
 // Open-loop latencies are never negative — arrival-aware targets start
 // service no earlier than the arrival — and the crash-under-load test
@@ -472,9 +468,6 @@ func (d *Driver) Ops() []Op { return d.ops }
 // Golden returns the acknowledged payload of every written block
 // (Options.TrackGolden).
 func (d *Driver) Golden() map[int64][]byte { return d.golden }
-
-// Registry returns the registry the driver feeds.
-func (d *Driver) Registry() *metrics.Registry { return d.reg }
 
 // TenantOps returns per-tenant completed-op counts (reads + writes) —
 // the crash-under-load test asserts these and the histogram counts only

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/metrics"
 )
 
 // fakeTarget is a fixed-service-time target: completion = max(arrival,
@@ -110,6 +111,53 @@ func TestDriverDeterminism(t *testing.T) {
 		}
 		if a.Ops != s.Ops {
 			t.Fatalf("%s: completed %d ops, want %d", s.Name, a.Ops, s.Ops)
+		}
+	}
+}
+
+// TestDriverMetricFamilies runs every scenario against a registry and
+// checks the exposition: it validates, it is the same on a second run,
+// and it carries the aggregate and per-tenant thoth_loadgen_* series
+// with the counters and clock at the run's summary.
+func TestDriverMetricFamilies(t *testing.T) {
+	for _, s := range Scenarios() {
+		s := tinyScenario(s)
+		run := func() (Summary, string) {
+			reg := metrics.New()
+			tgt := &fakeTarget{bs: 256, size: 4 * 256 * 256, service: 1500}
+			d, err := NewDriver(s, tgt, config.Default(), reg, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+			if err := d.Run(); err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+			var prom strings.Builder
+			if err := metrics.WriteProm(&prom, reg); err != nil {
+				t.Fatal(err)
+			}
+			return d.Summary(), prom.String()
+		}
+		sum, prom := run()
+		if _, again := run(); again != prom {
+			t.Fatalf("%s: expositions diverge between identical runs", s.Name)
+		}
+		if _, err := metrics.ValidateProm(strings.NewReader(prom)); err != nil {
+			t.Fatalf("%s: exposition invalid: %v", s.Name, err)
+		}
+		want := []string{
+			`thoth_loadgen_latency_cycles_bucket{op="write",`,
+			fmt.Sprintf("thoth_loadgen_ops_total{op=\"read\"} %d\n", sum.Reads),
+			fmt.Sprintf("thoth_loadgen_ops_total{op=\"write\"} %d\n", sum.Writes),
+			fmt.Sprintf("thoth_loadgen_cycle %d\n", sum.Cycles),
+		}
+		for i := 0; i < s.Tenants; i++ {
+			want = append(want, fmt.Sprintf(`thoth_loadgen_tenant_latency_cycles_bucket{tenant="%04d",`, i))
+		}
+		for _, w := range want {
+			if !strings.Contains(prom, w) {
+				t.Errorf("%s: exposition missing %q", s.Name, w)
+			}
 		}
 	}
 }

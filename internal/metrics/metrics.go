@@ -7,15 +7,15 @@
 //
 // The aggregate counters in internal/stats answer "how much" for one
 // run and the events in internal/obs answer "when"; this package
-// answers "how is it distributed, right now": every metric is readable
-// concurrently with the simulation (all state is atomic), so a live
-// HTTP endpoint (`thothsim serve`) can expose the distribution of PCB
-// batch fill, PUB entry age at eviction, WPQ residency or write
-// critical-path cycles while the workload is still running.
+// answers "how is it distributed": the distribution of PCB batch fill,
+// PUB entry age at eviction, WPQ residency or write critical-path
+// cycles. Every metric is atomic, so a registry may be read while the
+// simulation writes to it.
 //
-// Three expositions are provided: Prometheus text format (WriteProm,
-// golden-tested and validated by ValidateProm), an expvar.Var bridge
-// (ExpvarVar), and direct programmatic access (Value/Snapshot).
+// Two expositions are provided: Prometheus text format (WriteProm,
+// golden-tested and validated by ValidateProm) and direct programmatic
+// access (Value/Snapshot). cmd/tracemetrics rebuilds the event-derived
+// families from a recorded JSONL trace.
 package metrics
 
 import (

@@ -38,35 +38,6 @@ func WriteProm(w io.Writer, r *Registry) error {
 	return bw.Flush()
 }
 
-// WritePromSelected is WriteProm restricted to the families for which
-// keep returns true (e.g. the tracer-derived families, for the
-// live-vs-replay differential).
-func WritePromSelected(w io.Writer, r *Registry, keep func(family string) bool) error {
-	bw := bufio.NewWriter(w)
-	var lastFam *family
-	r.each(func(f *family, s *series) {
-		if !keep(f.name) {
-			return
-		}
-		if f != lastFam {
-			lastFam = f
-			if f.help != "" {
-				fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-			}
-			fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		}
-		switch v := s.value.(type) {
-		case *Counter:
-			fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, v.Value())
-		case *Gauge:
-			fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, v.Value())
-		case *Histogram:
-			writePromHistogram(bw, f.name, s.labels, v)
-		}
-	})
-	return bw.Flush()
-}
-
 // writePromHistogram renders one histogram series. The le label is
 // appended to the series' constant labels.
 func writePromHistogram(w *bufio.Writer, name, labels string, h *Histogram) {
@@ -114,7 +85,8 @@ func escapeHelp(s string) string {
 // decrease, a final +Inf bucket equal to _count, and matching _sum and
 // _count samples. It returns the number of sample lines validated and
 // the first violation found (with its 1-based line number). The
-// metrics-smoke CI lane runs a live scrape through this validator.
+// metrics-smoke CI lane runs the runner's golden exposition through this
+// validator.
 func ValidateProm(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)

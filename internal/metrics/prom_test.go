@@ -94,22 +94,6 @@ func TestWritePromHistogramShape(t *testing.T) {
 	}
 }
 
-func TestWritePromSelected(t *testing.T) {
-	r := goldenRegistry()
-	var buf bytes.Buffer
-	keep := func(name string) bool { return name == "thoth_events_total" }
-	if err := WritePromSelected(&buf, r, keep); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "thoth_events_total") {
-		t.Errorf("selected family missing:\n%s", out)
-	}
-	if strings.Contains(out, "thoth_wpq_residency_cycles") {
-		t.Errorf("unselected family present:\n%s", out)
-	}
-}
-
 func TestValidatePromRejects(t *testing.T) {
 	cases := []struct {
 		name  string

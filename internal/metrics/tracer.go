@@ -6,22 +6,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TracerFamilies lists every metric family the FromTracer adapter can
-// populate. The live-vs-replay differential restricts its comparison to
-// these: they are fully determined by the event stream, unlike the
-// controller's native families (write critical-path cycles, PUB
-// occupancy) which need in-process state a trace replay cannot see.
-var TracerFamilies = []string{
-	"thoth_events_total",
-	"thoth_events_invalid_total",
-	"thoth_wpq_drain_total",
-	"thoth_pub_evict_total",
-	"thoth_wpq_residency_cycles",
-	"thoth_pcb_flush_entries",
-	"thoth_pub_entry_age_cycles",
-	"thoth_recovery_phase_cycles",
-}
-
 // pubEvictOutcomes are the Figure-3 outcome tags carried in
 // KindPUBEvict.Detail (see the obs.KindPUBEvict doc).
 var pubEvictOutcomes = []string{"written-back", "already-evicted", "clean-copy", "stale-copy"}

@@ -145,28 +145,3 @@ func BenchmarkFromTracer(b *testing.B) {
 		a.Emit(drain)
 	}
 }
-
-// TestTracerFamiliesRegistered pins the exported family list against
-// what FromTracer actually registers: every listed family exists, and
-// every family the adapter creates is listed (the differential test's
-// filter must not silently miss one).
-func TestTracerFamiliesRegistered(t *testing.T) {
-	r := New()
-	FromTracer(r)
-	have := make(map[string]bool)
-	for _, name := range r.FamilyNames() {
-		have[name] = true
-	}
-	listed := make(map[string]bool)
-	for _, name := range TracerFamilies {
-		listed[name] = true
-		if !have[name] {
-			t.Errorf("TracerFamilies lists %s, but FromTracer does not register it", name)
-		}
-	}
-	for name := range have {
-		if !listed[name] {
-			t.Errorf("FromTracer registers %s, missing from TracerFamilies", name)
-		}
-	}
-}

@@ -115,7 +115,7 @@ type Tunable struct {
 	Value string `json:"value"`
 }
 
-// Info describes a scheme instance for banners, /statsz and docs.
+// Info describes a scheme instance for reports and docs.
 type Info struct {
 	// Name is the canonical scheme name (config.Scheme.String()).
 	Name string `json:"name"`
@@ -131,7 +131,7 @@ type Info struct {
 type PersistScheme interface {
 	// Scheme returns the config value the instance was built from.
 	Scheme() config.Scheme
-	// Info describes the scheme for banners and /statsz.
+	// Info describes the scheme (name, guarantee, tunables).
 	Info() Info
 	// UsesPUB reports whether the scheme runs the PCB/PUB machinery
 	// (and therefore needs the ring, the ADR PCB flush, and the

@@ -52,11 +52,10 @@ var goldenStreams = map[string]uint64{
 	"btree":  0x436c04d694dd9ea1,
 	"ctree":  0xe0616c1cabde27b5,
 	"rbtree": 0x46d720f1e7b47c0b,
-	"ycsb":   0x500fe982b2cc9dfd,
 }
 
 func TestGoldenSeedStreams(t *testing.T) {
-	for _, name := range []string{"btree", "ctree", "rbtree", "ycsb"} {
+	for _, name := range []string{"btree", "ctree", "rbtree"} {
 		t.Run(name, func(t *testing.T) {
 			got := opStreamHash(t, name, 42, 200)
 			if again := opStreamHash(t, name, 42, 200); again != got {

@@ -55,9 +55,6 @@ type Workload interface {
 // the evaluation figures).
 func Names() []string { return []string{"btree", "ctree", "hashmap", "rbtree", "swap"} }
 
-// AllNames adds the extension benchmarks (ycsb) to Names.
-func AllNames() []string { return append(Names(), "ycsb") }
-
 // Params configures a benchmark instance.
 type Params struct {
 	// HeapBase is the first usable data address; HeapSize bounds
@@ -101,10 +98,8 @@ func New(name string, p Params) (Workload, error) {
 		return newRBTree(h, r, p), nil
 	case "swap":
 		return newSwap(h, r, p.TxSize), nil
-	case "ycsb":
-		return newYCSB(h, r, p), nil
 	default:
-		return nil, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, AllNames())
+		return nil, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, Names())
 	}
 }
 

@@ -32,7 +32,7 @@ func TestNewRejectsBadArgs(t *testing.T) {
 }
 
 func TestAllBenchmarksRun(t *testing.T) {
-	for _, name := range AllNames() {
+	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			w := mk(t, name, 128, 7)
 			s := NewCountingSink()
@@ -58,7 +58,7 @@ func TestAllBenchmarksRun(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	for _, name := range AllNames() {
+	for _, name := range Names() {
 		a := mk(t, name, 128, 42)
 		b := mk(t, name, 128, 42)
 		sa, sb := NewCountingSink(), NewCountingSink()
@@ -212,27 +212,6 @@ func TestSwapCountsTransactions(t *testing.T) {
 	}
 	if w.Swaps() != 500 {
 		t.Fatalf("swap count = %d, want 500", w.Swaps())
-	}
-}
-
-func TestYCSBMix(t *testing.T) {
-	w := mk(t, "ycsb", 128, 31).(*ycsb)
-	s := NewCountingSink()
-	w.Setup(s)
-	loadsAfterSetup := s.Loads
-	for i := 0; i < 2000; i++ {
-		w.Tx(s)
-	}
-	reads, updates := w.Mix()
-	if reads+updates != 2000 {
-		t.Fatalf("mix %d+%d != 2000", reads, updates)
-	}
-	// A 50/50 mix over 2000 txs lands well inside [35%,65%].
-	if reads < 700 || reads > 1300 {
-		t.Fatalf("reads = %d, want ~1000", reads)
-	}
-	if s.Loads == loadsAfterSetup {
-		t.Fatal("ycsb must issue loads")
 	}
 }
 

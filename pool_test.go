@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // poolConfig shrinks the geometry for pool tests: small module so the
@@ -477,5 +479,44 @@ func TestPoolShardStatsSum(t *testing.T) {
 	if info.Name != cfg.Scheme.String() {
 		t.Fatalf("SchemeInfo name %q, want %q", info.Name, cfg.Scheme.String())
 	}
-	_ = fmt.Sprintf("%v", info) // SchemeInfo must be printable in serve banners
+}
+
+// TestPoolShardMetricFamilies checks that a pool built with
+// Config.Metrics exposes the engine's per-shard families in a valid
+// exposition: one series per shard, with each shard's cycle gauge at its
+// snapshot's clock.
+func TestPoolShardMetricFamilies(t *testing.T) {
+	cfg := poolConfig()
+	reg := NewMetricsRegistry()
+	cfg.Metrics = reg
+	pool, err := NewPool(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Shutdown()
+	driveOps(t, 3, pool.DataSize(), int64(cfg.BlockSize), pool.Write, pool.PersistBatch)
+
+	var buf bytes.Buffer
+	if err := WriteMetricsProm(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := metrics.ValidateProm(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("pool exposition invalid: %v", err)
+	}
+	text := buf.String()
+	for i := 0; i < pool.Shards(); i++ {
+		st, err := pool.ShardStats(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf(`thoth_pool_shard_ops_total{shard="%d"} `, i),
+			fmt.Sprintf(`thoth_pool_shard_blocks_total{shard="%d"} `, i),
+			fmt.Sprintf("thoth_pool_shard_cycles{shard=\"%d\"} %d\n", i, st.Cycles),
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("exposition missing per-shard sample %q\n%s", want, text)
+			}
+		}
+	}
 }

@@ -118,8 +118,7 @@ func DefaultConfig() Config { return config.Default() }
 
 // SchemeInfo describes a persistence scheme: its canonical name, a
 // human-readable statement of the persistence guarantees it provides,
-// and its tunables (eviction policy, checkpoint epoch, ...). It is what
-// `thothsim serve` prints in its banner and serves in /statsz.
+// and its tunables (eviction policy, checkpoint epoch, ...).
 type SchemeInfo = scheme.Info
 
 // SchemeTunable is one name/value tunable of a SchemeInfo.
@@ -245,13 +244,12 @@ type FlightRecord = obs.FlightRecord
 // wrap the same registry with MetricsFromTracer and install the result
 // as the Tracer to also derive per-event counters and cycle-latency
 // histograms (WPQ residency, PCB batch fill, PUB entry age, recovery
-// phases) from the event stream. `thothsim serve` exposes such a
-// registry live over HTTP, and cmd/tracemetrics rebuilds one from a
-// recorded JSONL trace.
+// phases) from the event stream. cmd/tracemetrics rebuilds the
+// event-derived families from a recorded JSONL trace.
 
 // MetricsRegistry collects named counters, gauges and log2-bucketed
 // cycle histograms. All updates are atomic: a registry may be read
-// (scraped) concurrently while the simulation writes to it.
+// concurrently while the simulation writes to it.
 type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry returns an empty registry.
@@ -264,7 +262,7 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
 func MetricsFromTracer(reg *MetricsRegistry) Tracer { return metrics.FromTracer(reg) }
 
 // WriteMetricsProm renders reg in Prometheus text exposition format
-// (version 0.0.4), exactly as `thothsim serve` answers /metrics.
+// (version 0.0.4), as cmd/tracemetrics prints it.
 func WriteMetricsProm(w io.Writer, reg *MetricsRegistry) error { return metrics.WriteProm(w, reg) }
 
 // System is a secure NVM system: the processor-side controller plus the
@@ -569,8 +567,8 @@ func RunWorkload(rc RunConfig) (*RunResult, error) { return harness.Run(rc) }
 type ReplayResult = harness.ReplayResult
 
 // Replay drives the secure memory controller from a textual memory
-// trace (the cmd/tracegen format: L/S/P ops with addresses and sizes,
-// F for fences, # comments). Externally captured traces run against
+// trace (L/S/P ops with addresses and sizes, F for fences, # comments;
+// the format is documented on harness.Replay). Externally captured traces run against
 // any configured scheme with the same LLC filter and persistence
 // semantics as the built-in benchmarks.
 func Replay(cfg Config, r io.Reader) (*ReplayResult, error) {
