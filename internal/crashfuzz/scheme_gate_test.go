@@ -12,24 +12,41 @@ import (
 	"repro/internal/config"
 )
 
-// schemeGoldenSeeds is how many crashfuzz seeds the refactor gate pins.
-// Every seed runs under all three pre-existing schemes regardless of the
-// scheme set its derivation picked, so the oracle covers WTSC, WTBC and
-// the strict baseline uniformly.
+// schemeGoldenSeeds is how many crashfuzz seeds the scheme gate pins.
+// Every seed runs under every variant of schemeGoldenVariants
+// regardless of the scheme set its derivation picked, so the oracle
+// covers all five schemes and both PCB arrangements uniformly.
 const schemeGoldenSeeds = 50
 
-// schemeGoldenFile is the committed pre-extraction oracle. It was
-// generated BEFORE the PersistScheme interface extraction; the gate
-// pins that the refactor changed zero bytes (crash image, recovered
-// image, statistics, modeled cycles, recovery report) for the schemes
-// that existed before it. Regenerate only for an INTENTIONAL behavior
-// change:
+// schemeGoldenVariants are the pinned configurations, in oracle order.
+// The first three were pinned before the others existed; new variants
+// are appended so the older fingerprints never move.
+var schemeGoldenVariants = []struct {
+	label       string
+	scheme      config.Scheme
+	pcbAfterWPQ bool
+}{
+	{"thoth-wtsc", config.ThothWTSC, false},
+	{"thoth-wtbc", config.ThothWTBC, false},
+	{"baseline-strict", config.BaselineStrict, false},
+	{"anubis-ecc", config.AnubisECC, false},
+	{"triad-relaxed-8", config.TriadRelaxed(8), false},
+	{"thoth-wtsc/pcb-after-wpq", config.ThothWTSC, true},
+}
+
+// schemeGoldenFile is the committed oracle. It pins every persistence
+// policy's observable behavior (crash image, recovered image,
+// statistics, modeled cycles, recovery report), so a refactor of the
+// persist, PUB-eviction or recovery paths must change zero bytes.
+// Regenerate only for an INTENTIONAL behavior change:
 //
 //	SCHEME_GOLDEN_UPDATE=1 go test ./internal/crashfuzz -run TestSchemeRefactorGolden
 const schemeGoldenFile = "testdata/scheme_golden.json"
 
-// schemeGoldenRun is one (seed, scheme) execution's fingerprint.
+// schemeGoldenRun is one (seed, variant) execution's fingerprint.
 type schemeGoldenRun struct {
+	// Scheme is the variant's label: the scheme name, suffixed with
+	// "/pcb-after-wpq" under that arrangement.
 	Scheme string `json:"scheme"`
 	// CrashImage / RecoveredImage are sha256 hex digests of the
 	// serialized device image at crash time and after recovery.
@@ -56,15 +73,16 @@ type schemeGoldenCase struct {
 	Runs []schemeGoldenRun `json:"runs"`
 }
 
-// schemeGateFingerprint executes one seed under one scheme — trace
+// schemeGateFingerprint executes one seed under one variant — trace
 // prefix, crash, recovery — and fingerprints every observable artifact.
-func schemeGateFingerprint(t *testing.T, seed int64, sch config.Scheme) schemeGoldenRun {
+func schemeGateFingerprint(t *testing.T, seed int64, label string, sch config.Scheme, pcbAfterWPQ bool) schemeGoldenRun {
 	t.Helper()
 	c := DeriveCase(seed)
 	cfg := c.ConfigFor(sch)
+	cfg.PCBAfterWPQ = pcbAfterWPQ
 	sys, err := thoth.New(cfg)
 	if err != nil {
-		t.Fatalf("seed %d %v: new: %v", seed, sch, err)
+		t.Fatalf("seed %d %s: new: %v", seed, label, err)
 	}
 	for i, op := range c.Trace[:c.CrashIdx] {
 		switch op.Kind {
@@ -74,27 +92,27 @@ func schemeGateFingerprint(t *testing.T, seed int64, sch config.Scheme) schemeGo
 			_, err = sys.Read(op.Addr, op.Len)
 		}
 		if err != nil {
-			t.Fatalf("seed %d %v: op %d: %v", seed, sch, i, err)
+			t.Fatalf("seed %d %s: op %d: %v", seed, label, i, err)
 		}
 	}
 	snap := sys.Stats()
 	statsJSON, err := json.Marshal(snap)
 	if err != nil {
-		t.Fatalf("seed %d %v: marshal stats: %v", seed, sch, err)
+		t.Fatalf("seed %d %s: marshal stats: %v", seed, label, err)
 	}
 	img, err := sys.Crash()
 	if err != nil {
-		t.Fatalf("seed %d %v: crash: %v", seed, sch, err)
+		t.Fatalf("seed %d %s: crash: %v", seed, label, err)
 	}
 	run := schemeGoldenRun{
-		Scheme:     sch.String(),
+		Scheme:     label,
 		CrashImage: imageHash(t, img),
 		Stats:      hex.EncodeToString(sha256sum(statsJSON)),
 		Cycles:     snap.Cycles,
 	}
 	rep, err := thoth.Recover(cfg, img)
 	if err != nil {
-		t.Fatalf("seed %d %v: recover: %v", seed, sch, err)
+		t.Fatalf("seed %d %s: recover: %v", seed, label, err)
 	}
 	run.RecoveredImage = imageHash(t, img)
 	run.PUBBlocks = rep.PUBBlocks
@@ -123,20 +141,17 @@ func imageHash(t *testing.T, dev *thoth.Device) string {
 }
 
 // TestSchemeRefactorGolden is the differential no-op refactor gate: it
-// replays schemeGoldenSeeds crashfuzz seeds under each pre-extraction
-// scheme and compares crash-image bytes, recovered-image bytes, the
-// statistics snapshot, modeled cycles and the recovery report against
-// the oracle committed before the PersistScheme interface extraction.
-// Any divergence means the refactor was not a no-op for an existing
-// scheme.
+// replays schemeGoldenSeeds crashfuzz seeds under every variant of
+// schemeGoldenVariants and compares crash-image bytes, recovered-image
+// bytes, the statistics snapshot, modeled cycles and the recovery
+// report against the committed oracle. Any divergence means a change
+// meant as a refactor altered a persistence policy's behavior.
 func TestSchemeRefactorGolden(t *testing.T) {
-	schemes := []config.Scheme{config.ThothWTSC, config.ThothWTBC, config.BaselineStrict}
-
 	fresh := make([]schemeGoldenCase, 0, schemeGoldenSeeds)
 	for seed := int64(1); seed <= schemeGoldenSeeds; seed++ {
 		gc := schemeGoldenCase{Seed: seed}
-		for _, sch := range schemes {
-			gc.Runs = append(gc.Runs, schemeGateFingerprint(t, seed, sch))
+		for _, v := range schemeGoldenVariants {
+			gc.Runs = append(gc.Runs, schemeGateFingerprint(t, seed, v.label, v.scheme, v.pcbAfterWPQ))
 		}
 		fresh = append(fresh, gc)
 	}
@@ -152,13 +167,13 @@ func TestSchemeRefactorGolden(t *testing.T) {
 		if err := os.WriteFile(schemeGoldenFile, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d seeds x %d schemes)", schemeGoldenFile, schemeGoldenSeeds, len(schemes))
+		t.Logf("wrote %s (%d seeds x %d variants)", schemeGoldenFile, schemeGoldenSeeds, len(schemeGoldenVariants))
 		return
 	}
 
 	raw, err := os.ReadFile(schemeGoldenFile)
 	if err != nil {
-		t.Fatalf("missing pre-extraction oracle %s (generate with SCHEME_GOLDEN_UPDATE=1): %v", schemeGoldenFile, err)
+		t.Fatalf("missing oracle %s (generate with SCHEME_GOLDEN_UPDATE=1): %v", schemeGoldenFile, err)
 	}
 	var want []schemeGoldenCase
 	if err := json.Unmarshal(raw, &want); err != nil {
@@ -172,16 +187,19 @@ func TestSchemeRefactorGolden(t *testing.T) {
 		if w.Seed != g.Seed {
 			t.Fatalf("case %d: oracle seed %d vs run seed %d", i, w.Seed, g.Seed)
 		}
+		if len(w.Runs) != len(g.Runs) {
+			t.Fatalf("seed %d: oracle holds %d runs, gate ran %d", w.Seed, len(w.Runs), len(g.Runs))
+		}
 		for j := range w.Runs {
 			wr, gr := w.Runs[j], g.Runs[j]
 			if wr != gr {
-				t.Errorf("seed %d scheme %s diverged from the pre-extraction oracle:\n  want %+v\n  got  %+v",
+				t.Errorf("seed %d variant %s diverged from the oracle:\n  want %+v\n  got  %+v",
 					w.Seed, wr.Scheme, wr, gr)
 			}
 		}
 	}
 	if t.Failed() {
-		t.Log("the PersistScheme extraction must be byte-identical for pre-existing schemes; " +
+		t.Log("a refactor must leave every persistence policy byte-identical; " +
 			"reproduce one seed with crashfuzz.Replay(seed)")
 	}
 }
