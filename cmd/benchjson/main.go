@@ -317,7 +317,7 @@ func suite() []bench {
 }
 
 // benchPersistScheme measures the steady-state persist critical path of
-// one persistence scheme through the PersistScheme dispatch: a 256-block
+// one persistence scheme through the controller's policy switch: a 256-block
 // hot set keeps the metadata caches warm, so ns/op isolates the
 // per-write scheme work (strict in-place persists for the baseline and
 // triad — plus triad's periodic tree checkpoint — versus the PCB/PUB

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/scheme"
 )
@@ -114,12 +115,29 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 func TestParseScheme(t *testing.T) {
-	for in, wantErr := range map[string]bool{
-		"baseline": false, "thoth-wtsc": false, "WTBC": false, "ideal": false,
-		"triad-relaxed-16": false, "bogus": true,
+	for in, want := range map[string]config.Scheme{
+		"baseline": config.BaselineStrict, "baseline-strict": config.BaselineStrict,
+		"thoth": config.ThothWTSC, "wtsc": config.ThothWTSC, "thoth-wtsc": config.ThothWTSC,
+		"WTBC": config.ThothWTBC, "thoth-wtbc": config.ThothWTBC,
+		"anubis": config.AnubisECC, "ideal": config.AnubisECC, "anubis-ecc": config.AnubisECC,
+		"triad": config.TriadRelaxed(64), "triad-relaxed": config.TriadRelaxed(64),
+		"triad-8": config.TriadRelaxed(8), "triad-relaxed-16": config.TriadRelaxed(16),
+		" Triad-Relaxed-16 ": config.TriadRelaxed(16),
 	} {
-		if _, err := scheme.Parse(in); (err != nil) != wantErr {
-			t.Errorf("scheme.Parse(%q) err=%v, wantErr=%v", in, err, wantErr)
+		if got, err := scheme.Parse(in); err != nil || got != want {
+			t.Errorf("scheme.Parse(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", "", "triad-0", "triad-relaxed-x", "triad-relaxed-"} {
+		if got, err := scheme.Parse(in); err == nil {
+			t.Errorf("scheme.Parse(%q) = %v, want an error", in, got)
+		}
+	}
+	// Every scheme's canonical name resolves back to it.
+	for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC, config.ThothWTBC,
+		config.AnubisECC, config.TriadRelaxed(8)} {
+		if got, err := scheme.Parse(s.String()); err != nil || got != s {
+			t.Errorf("scheme.Parse(%q) = %v, %v; want %v", s.String(), got, err, s)
 		}
 	}
 }

@@ -121,9 +121,8 @@ func runPoolBench(cfg config.Config, shards, blocks, depth int, crash, verify bo
 		return 1
 	}
 	cycle, _ := pool.Elapsed()
-	info := pool.SchemeInfo()
 	fmt.Fprintf(stdout, "pool shards=%d scheme=%s block=%dB blocks=%d batch=%d\n",
-		shards, info.Name, cfg.BlockSize, blocks, depth)
+		shards, cfg.Scheme, cfg.BlockSize, blocks, depth)
 	fmt.Fprintf(stdout, "wall=%v ops/sec=%.0f cycles=%d (makespan across shards)\n",
 		elapsed.Round(time.Millisecond), float64(blocks)/elapsed.Seconds(), cycle)
 	fmt.Fprintln(stdout, st.String())

@@ -272,16 +272,26 @@ func TestNodeHashZeroAlloc(t *testing.T) {
 		t.Errorf("two updates + node bytes + root: %.2f allocs, want 0", a)
 	}
 	// Releasing buffered blocks never allocates, even the first time
-	// more of them are released at once than ever before.
-	for i := int64(0); i < 100; i++ {
-		tr.Update(i*layout.TreeArity, ctr)
+	// more of them are released at once than ever before: the first
+	// root of each fresh tree releases 100. The process-wide malloc
+	// count brackets all of those roots at once, so it fails when they
+	// average at least one allocation each — the rounding AllocsPerRun
+	// applies — and not on one stray runtime allocation.
+	fresh := make([]*Tree, 100)
+	for j := range fresh {
+		fresh[j] = New(lay, eng)
+		for i := int64(0); i < 100; i++ {
+			fresh[j].Update(i*layout.TreeArity, ctr)
+		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tr.Root()
+	for _, f := range fresh {
+		f.Root()
+	}
 	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("root releasing 100 buffered blocks: %d allocs, want 0", n)
+	if n := after.Mallocs - before.Mallocs; n >= uint64(len(fresh)) {
+		t.Errorf("%d fresh roots releasing 100 buffered blocks each: %d allocs, want under %d", len(fresh), n, len(fresh))
 	}
 }
 

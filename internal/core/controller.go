@@ -7,13 +7,13 @@
 // the off-chip partial updates buffer (PUB) with the WTSC or WTBC
 // eviction policy.
 //
-// The persistence policy is pluggable: config.Scheme resolves through
-// scheme.For to a scheme.PersistScheme (baseline-strict, thoth-wtsc,
-// thoth-wtbc, anubis-ecc, triad-relaxed-N), and the controller
-// dispatches every policy decision — metadata persist, PUB-eviction
-// write-back, tree write-back on cache eviction — through that
-// interface. The controller itself is the scheme.Host mechanism
-// surface (see schemehost.go).
+// The persistence policy is config.Scheme's closed set of five
+// (baseline-strict, thoth-wtsc, thoth-wtbc, anubis-ecc,
+// triad-relaxed-N). Each policy decision is one switch on
+// cfg.Scheme.Kind() where it acts: persistMetadata for what a persist
+// writes, writeBackOnEvict for whether an evicted PUB partial still
+// owes a full-block write-back, and the MT-cache victim callback for
+// whether a dirty tree node persists on natural eviction.
 //
 // Functional and timing state advance together: every write is applied
 // byte-accurately to the NVM device the moment it enters the ADR domain,
@@ -33,7 +33,6 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/pub"
-	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/wpq"
@@ -49,14 +48,9 @@ type Controller struct {
 	q   *wpq.WPQ
 	st  *stats.Stats
 
-	// sch is the resolved persistence policy; every former
-	// scheme-switch branch dispatches through it. wctx is the reusable
-	// write context handed to sch.PersistMetadata (the persist hot path
-	// allocates nothing). persistTreeOnEvict caches
-	// sch.PersistTreeOnCacheEvict for the mtCache eviction callback.
-	sch                scheme.PersistScheme
-	wctx               scheme.WriteCtx
-	persistTreeOnEvict bool
+	// sinceCheckpoint counts persisted blocks since the last tree
+	// checkpoint (triad-relaxed only).
+	sinceCheckpoint int
 
 	ctrCache *cache.Cache // payload: counter block bytes
 	macCache *cache.Cache // payload: MAC block bytes
@@ -149,7 +143,7 @@ func New(cfg config.Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return attach(cfg, lay, nvm.New(lay.Total, cfg.BlockSize))
+	return attach(cfg, lay, nvm.New(lay.Total, cfg.BlockSize)), nil
 }
 
 // Attach builds a controller over an existing device image (post-recovery
@@ -165,10 +159,7 @@ func Attach(cfg config.Config, dev *nvm.Device) (*Controller, error) {
 	if dev.BlockSize() != cfg.BlockSize || dev.Capacity() < lay.Total {
 		return nil, fmt.Errorf("core: device geometry does not fit layout")
 	}
-	c, err := attach(cfg, lay, dev)
-	if err != nil {
-		return nil, err
-	}
+	c := attach(cfg, lay, dev)
 	// Rebuild the eager tree from the device so the on-chip root matches
 	// the persisted state.
 	dev.ForEachWritten(lay.CtrBase, lay.CtrBytes, func(addr int64, block []byte) {
@@ -177,11 +168,7 @@ func Attach(cfg config.Config, dev *nvm.Device) (*Controller, error) {
 	return c, nil
 }
 
-func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) (*Controller, error) {
-	sch, err := scheme.For(cfg)
-	if err != nil {
-		return nil, err
-	}
+func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) *Controller {
 	mem := sim.NewMemoryRW(cfg.NVMBanks, cfg.BlockSize, cfg.ReadBehindWrites)
 	drainAt := int(float64(cfg.WPQEntries) * cfg.WPQDrainFraction)
 	if drainAt < 1 {
@@ -211,10 +198,8 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) (*Controller
 		reencBuf:    make([]byte, cfg.BlockSize),
 		reencMinors: make([]uint8, cfg.BlocksPerPage()),
 	}
-	c.sch = sch
-	c.persistTreeOnEvict = sch.PersistTreeOnCacheEvict()
 	c.tree = bmt.New(lay, c.eng)
-	if sch.UsesPUB() {
+	if cfg.Scheme.IsThoth() {
 		// Thoth reserves PCB entries out of the WPQ (Section IV-C).
 		qEntries = cfg.WPQEntries - cfg.PCBEntries
 		drainAt = int(float64(qEntries) * cfg.WPQDrainFraction)
@@ -252,7 +237,7 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) (*Controller
 		c.mBatchFill = cfg.Metrics.Histogram("thoth_persist_batch_fill",
 			"Requests per PersistBatch call.",
 			metrics.Label{Key: "scheme", Value: c.schemeTag})
-		if sch.UsesPUB() {
+		if c.ring != nil {
 			c.mPUBOcc = cfg.Metrics.Gauge("thoth_pub_occupancy_blocks",
 				"Live PUB ring occupancy in packed blocks.",
 				metrics.Label{Key: "scheme", Value: c.schemeTag})
@@ -261,7 +246,7 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) (*Controller
 			"Live WPQ occupancy in slots (pending + in flight).",
 			metrics.Label{Key: "scheme", Value: c.schemeTag})
 	}
-	if sch.UsesPUB() && cfg.PCBAfterWPQ {
+	if cfg.PCBAfterWPQ {
 		c.afterEntries = make(map[int64][]pub.Entry)
 		c.q.OnIssue = c.afterIssue
 	}
@@ -282,14 +267,14 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) (*Controller
 	}
 	c.mtCache.OnEvict = func(v cache.Line) {
 		c.emit(obs.KindCacheEvict, c.nowCycle, v.Addr, dirtyAux(v.Dirty), "mt", "")
-		// Relaxed schemes drop dirty tree victims (the tree is
-		// reconstructible from the strictly persisted counter region and
-		// only persists at checkpoints); all others write back lazily.
-		if v.Dirty && c.persistTreeOnEvict {
+		// Triad drops dirty tree victims (the tree is reconstructible
+		// from the strictly persisted counter region and only persists at
+		// checkpoints); all others write back lazily.
+		if v.Dirty && c.cfg.Scheme.Kind() != config.KindTriadRelaxed {
 			c.persistTreeNode(v.Addr)
 		}
 	}
-	return c, nil
+	return c
 }
 
 // emit hands one event to the flight recorder and, when tracing is

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"repro/internal/cache"
+	"repro/internal/config"
 	"repro/internal/ctr"
 	"repro/internal/macs"
 	"repro/internal/obs"
 	"repro/internal/pub"
-	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -84,12 +85,7 @@ func (c *Controller) evictCtrPartial(t, pubAddr int64, e pub.Entry) {
 	c.st.AddEvict(outcome)
 	c.emit(obs.KindPUBEvict, t, ca, pubAddr, "ctr", evictOutcomeTag[outcome])
 
-	if c.sch.PersistOnPUBEvict(scheme.EvictCtx{
-		LinePresent: line != nil,
-		LineDirty:   line != nil && line.Dirty,
-		Current:     current,
-		WasDirty:    e.Status&pub.StatusCtrWasDirty != 0,
-	}) {
+	if c.writeBackOnEvict(line, current, e.Status&pub.StatusCtrWasDirty != 0) {
 		c.persistCtrLine(ca, line.Data)
 		line.Dirty = false
 		line.Mask = 0
@@ -130,14 +126,24 @@ func (c *Controller) evictMACPartial(t, pubAddr int64, e pub.Entry) {
 	c.st.AddEvict(outcome)
 	c.emit(obs.KindPUBEvict, t, ma, pubAddr, "mac", evictOutcomeTag[outcome])
 
-	if c.sch.PersistOnPUBEvict(scheme.EvictCtx{
-		LinePresent: line != nil,
-		LineDirty:   line != nil && line.Dirty,
-		Current:     current,
-		WasDirty:    e.Status&pub.StatusMACWasDirty != 0,
-	}) {
+	if c.writeBackOnEvict(line, current, e.Status&pub.StatusMACWasDirty != 0) {
 		c.persistMACLine(ma, line.Data)
 		line.Dirty = false
 		line.Mask = 0
 	}
+}
+
+// writeBackOnEvict is the eviction policy's action for one partial of
+// an evicted entry: whether its metadata block, cached in line (nil
+// when no longer cached), still owes a full write-back. current reports
+// that the entry is the newest update to its slot (the cached value
+// matches and the slot's fine-grain dirty bit is set); wasDirty is the
+// entry's status bit.
+func (c *Controller) writeBackOnEvict(line *cache.Line, current, wasDirty bool) bool {
+	if c.cfg.Scheme.Kind() == config.KindThothWTBC {
+		return current
+	}
+	// WTSC: this update transitioned the block clean→dirty and the
+	// block is still cached dirty.
+	return !wasDirty && line != nil && line.Dirty
 }

@@ -29,7 +29,7 @@ import (
 // AnubisECC co-locates.
 func (c *Controller) VerifyCrashConsistency() error {
 	c.checkAlive()
-	if !c.sch.UsesPUB() {
+	if c.ring == nil {
 		return c.verifyInPlace()
 	}
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/config"
 	"repro/internal/crypt"
 	"repro/internal/ctr"
 	"repro/internal/macs"
@@ -12,6 +14,12 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// ErrIntegrity is wrapped by the panic value of a read whose data block
+// fails MAC verification: the NVM image was tampered with or corrupted.
+// Front-ends that recover the panic (internal/engine) return it as an
+// error, so callers can test it with errors.Is.
+var ErrIntegrity = errors.New("integrity violation")
 
 // now tracks the controller-local notion of current time so that
 // internal callbacks (cache evictions) can stamp channel work. It is
@@ -58,7 +66,7 @@ func (c *Controller) ReadBlock(t int64, addr int64) (int64, []byte) {
 	want := c.macBuf[:size]
 	c.eng.MACInto(want, ciphertext, addr, counter)
 	if !macs.Equal(macLine.Data, c.lay.MACSlot(addr), size, want) {
-		panic(fmt.Sprintf("core: MAC verification failed reading %#x (integrity violation)", addr))
+		panic(fmt.Errorf("core: MAC verification failed reading %#x (%w)", addr, ErrIntegrity))
 	}
 	plain := c.readBuf
 	copy(plain, ciphertext)
@@ -196,20 +204,11 @@ func (c *Controller) PersistBlock(t int64, addr int64, plain []byte) int64 {
 	done := res.When
 	cur.Charge(obs.SpanWPQ, done)
 
-	// Metadata persistence is the scheme's call: fill the reusable write
-	// context and dispatch. A scheme that adds nothing to the critical
-	// path (AnubisECC co-location) returns tCrypto, which never raises
-	// done (the WPQ completes at or after the insert cycle).
-	w := &c.wctx
-	w.Addr = addr
-	w.BlockIndex = uint32(addr / int64(c.cfg.BlockSize))
-	w.CtrLine = ctrLine
-	w.MACLine = macLine
-	w.Counter = counter
-	w.MAC1 = mac1
-	w.WasCtrDirty = wasCtrDirty
-	w.WasMACDirty = wasMACDirty
-	done = max64(done, c.sch.PersistMetadata(c, tCrypto, w))
+	// Metadata persistence follows the scheme. A scheme that adds
+	// nothing to the critical path (AnubisECC co-location) returns
+	// tCrypto, which never raises done (the WPQ completes at or after
+	// the insert cycle).
+	done = max64(done, c.persistMetadata(tCrypto, addr, ctrLine, macLine, counter.Minor, mac1, wasCtrDirty, wasMACDirty))
 	cur.Charge(obs.SpanPersist, done)
 
 	// Anubis shadow tracking: record both metadata updates so recovery
@@ -227,6 +226,89 @@ func (c *Controller) PersistBlock(t int64, addr int64, plain []byte) int64 {
 		c.mWPQOcc.Set(int64(c.q.Occupancy()))
 	}
 	return done
+}
+
+// persistMetadata makes the counter and MAC updates of the data block
+// at addr durable under the configured scheme, starting at cycle t, and
+// returns the cycle at which they are (never before t). minor is the
+// block's post-bump minor counter and mac1 its first-level MAC;
+// wasCtrDirty and wasMACDirty are the lines' dirty bits before this
+// update, which the Thoth status bits record.
+func (c *Controller) persistMetadata(t, addr int64, ctrLine, macLine *cache.Line, minor uint8, mac1 []byte, wasCtrDirty, wasMACDirty bool) int64 {
+	switch c.cfg.Scheme.Kind() {
+	case config.KindThothWTSC, config.KindThothWTBC:
+		// The lines stay dirty (write-back); a packed partial update
+		// enters the PCB, and the PUB eviction policy decides when a full
+		// block write-back is still owed.
+		ctrLine.Dirty = true
+		macLine.Dirty = true
+		e := pub.Entry{
+			BlockIndex: uint32(addr / int64(c.cfg.BlockSize)),
+			MAC2:       c.eng.MAC2(mac1),
+			Minor:      minor,
+		}
+		t += c.hashLat() // second-level MAC computation
+		if wasCtrDirty {
+			e.Status |= pub.StatusCtrWasDirty
+		}
+		if wasMACDirty {
+			e.Status |= pub.StatusMACWasDirty
+		}
+		c.st.PartialUpdates++
+		if c.cfg.PCBAfterWPQ {
+			return c.persistThothAfter(t, addr, e)
+		}
+		return c.pcbInsert(t, e)
+	case config.KindAnubisECC:
+		// Co-location (Section V-F): the counter rides in the ECC bits
+		// and the MAC on a parallel chip, so both persist with the data
+		// write — device bytes update and the lines clean, but no WPQ
+		// slot, channel time or write is accounted.
+		c.dev.WriteBlock(c.lay.CtrBlockAddr(addr), ctrLine.Data)
+		c.dev.WriteBlock(c.lay.MACBlockAddr(addr), macLine.Data)
+		ctrLine.Dirty = false
+		macLine.Dirty = false
+		return t
+	}
+	// Baseline and triad: strictly write the full counter block, then
+	// the full MAC block queued behind its completion, through the WPQ.
+	tc := c.persistStrict(t, c.lay.CtrBlockAddr(addr), ctrLine, stats.WriteCounter)
+	tm := c.persistStrict(tc, c.lay.MACBlockAddr(addr), macLine, stats.WriteMAC)
+	if c.cfg.Scheme.Kind() == config.KindTriadRelaxed {
+		// Triad holds dirty tree nodes back from natural eviction and
+		// checkpoints all of them once every epoch persisted blocks.
+		c.sinceCheckpoint++
+		if c.sinceCheckpoint >= c.cfg.Scheme.TriadEpoch() {
+			c.sinceCheckpoint = 0
+			c.flushDirtyTreeNodes()
+		}
+	}
+	return max64(tc, tm)
+}
+
+// persistStrict writes the metadata block held in line to its home
+// address through the WPQ at cycle t, cleans the line, and returns the
+// completion cycle.
+func (c *Controller) persistStrict(t, addr int64, line *cache.Line, cat stats.WriteCategory) int64 {
+	c.dev.WriteBlock(addr, line.Data)
+	res := c.q.Insert(t, addr)
+	if !res.Coalesced {
+		c.st.AddWrite(cat)
+	}
+	line.Dirty = false
+	line.Mask = 0
+	return res.When
+}
+
+// flushDirtyTreeNodes persists every dirty Merkle-tree cache node in
+// place and cleans it: the triad checkpoint.
+func (c *Controller) flushDirtyTreeNodes() {
+	c.mtCache.ForEach(func(l *cache.Line) {
+		if l.Dirty {
+			c.persistTreeNode(l.Addr)
+			l.Dirty = false
+		}
+	})
 }
 
 // pcbInsert coalesces or appends one partial update into the PCB

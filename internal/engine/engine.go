@@ -39,7 +39,6 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/recovery"
-	"repro/internal/scheme"
 	"repro/internal/stats"
 )
 
@@ -133,7 +132,7 @@ func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i in
 	if cfg.Tracer != nil {
 		// Callers on distinct shards emit concurrently; serialize for
 		// plain tracers.
-		scfg.Tracer = &lockedTracer{t: cfg.Tracer}
+		scfg.Tracer = obs.Serialized(cfg.Tracer)
 	}
 	lay, err := layout.New(scfg)
 	if err != nil {
@@ -361,12 +360,6 @@ func (p *Pool) Elapsed() (int64, error) {
 	return st.Cycles, nil
 }
 
-// SchemeInfo reports the persistence scheme the shards run under (all
-// shards share one configuration).
-func (p *Pool) SchemeInfo() scheme.Info {
-	return p.shards[0].ctl.SchemeInfo()
-}
-
 // Device returns shard i's device image, i in [0, Shards()): live
 // while the pool runs (tampering with it models an attacker), the
 // power-down image once it has crashed or shut down.
@@ -466,13 +459,18 @@ func (s *shard) acquire() {
 }
 
 // release ends a service begun by acquire. It converts a panic in the
-// service (bad geometry, a device range violation) into an error, so one
-// poisoned request cannot take the pool down; uninstalls any request
-// span, which a panic mid-service may have left on the controller; and
-// unlocks the shard.
+// service (bad geometry, a device range violation, a failed MAC
+// verification) into an error, so one poisoned request cannot take the
+// pool down; an error panic value is wrapped, so errors.Is still finds
+// core.ErrIntegrity. It also uninstalls any request span, which a panic
+// mid-service may have left on the controller, and unlocks the shard.
 func (s *shard) release(err *error) {
 	if v := recover(); v != nil {
-		*err = fmt.Errorf("engine: shard %d: panic: %v", s.idx, v)
+		if e, ok := v.(error); ok {
+			*err = fmt.Errorf("engine: shard %d: panic: %w", s.idx, e)
+		} else {
+			*err = fmt.Errorf("engine: shard %d: panic: %v", s.idx, v)
+		}
 	}
 	s.ctl.SetSpan(nil)
 	if s.mCycles != nil {
@@ -564,19 +562,4 @@ func (s *shard) powerDown(crash bool) (dev *nvm.Device, flight obs.FlightRecord,
 		s.now, err = s.ctl.Shutdown(s.now)
 	}
 	return s.ctl.Device(), s.ctl.FlightRecord(), err
-}
-
-// lockedTracer serializes Emit calls issued concurrently by callers on
-// distinct shards (and by RecoverPool's per-shard recoveries) so plain,
-// non-concurrency-safe tracers can observe a pool.
-type lockedTracer struct {
-	mu sync.Mutex
-	t  obs.Tracer
-}
-
-// Emit forwards one event under the lock.
-func (l *lockedTracer) Emit(e obs.Event) {
-	l.mu.Lock()
-	l.t.Emit(e)
-	l.mu.Unlock()
 }

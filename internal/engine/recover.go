@@ -99,7 +99,7 @@ func RecoverPool(cfg config.Config, shards int, img *PoolImage, opts recovery.Re
 		}
 	}
 	if scfg.Tracer != nil {
-		scfg.Tracer = &lockedTracer{t: scfg.Tracer}
+		scfg.Tracer = obs.Serialized(scfg.Tracer)
 	}
 	rep := &PoolReport{
 		Shards:  make([]*recovery.Report, shards),

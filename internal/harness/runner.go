@@ -16,7 +16,6 @@ import (
 	"repro/internal/llc"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/scheme"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -333,7 +332,7 @@ func Run(rc RunConfig) (*Result, error) {
 	if rc.WarmupTxs > 0 {
 		r.RunTxs(rc.WarmupTxs)
 	}
-	if scheme.UsesPUB(rc.Config.Scheme) {
+	if rc.Config.Scheme.IsThoth() {
 		if err := r.ctl.PrefillPUB(); err != nil {
 			return nil, fmt.Errorf("harness: prefill: %w", err)
 		}

@@ -36,13 +36,13 @@ type schemeRow struct {
 }
 
 // Schemes publishes the cross-scheme comparison ("scheme zoo"): every
-// registered persistence scheme runs the identical workloads, and the
+// scheme of the comparison set runs the identical workloads, and the
 // report compares the persist path (execution cycles of the measured
 // phase), NVM write amplification (total block writes per data-block
 // write), tree-node write traffic, and the modeled recovery bill after
-// a crash at the end of the measured phase (each scheme's own
-// RecoveryCycles model: zero for the strict schemes, the PUB replay for
-// Thoth, the full tree rebuild for relaxed persistence).
+// a crash at the end of the measured phase (recovery's per-scheme
+// model: zero for the strict baseline and co-location, the PUB replay
+// for Thoth, the full tree rebuild for relaxed persistence).
 //
 // The comparison set is Experiments.Zoo when set (the CLI's -schemes
 // flag) and schemeZoo otherwise.

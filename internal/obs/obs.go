@@ -18,7 +18,10 @@
 // encode pay for what they keep.
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Kind identifies the event type.
 type Kind uint8
@@ -235,4 +238,21 @@ func (m multi) Emit(e Event) {
 	for _, t := range m {
 		t.Emit(e)
 	}
+}
+
+// Serialized wraps t so that Emit calls from concurrent goroutines run
+// one at a time, letting plain (non-concurrency-safe) tracers observe
+// concurrent producers: a sharded pool's callers and the workers of a
+// parallel recovery.
+func Serialized(t Tracer) Tracer { return &serialized{t: t} }
+
+type serialized struct {
+	mu sync.Mutex
+	t  Tracer
+}
+
+func (s *serialized) Emit(e Event) {
+	s.mu.Lock()
+	s.t.Emit(e)
+	s.mu.Unlock()
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/pub"
-	"repro/internal/scheme"
 )
 
 // RecoverOpts configures RecoverParallel.
@@ -102,21 +101,6 @@ func emitPhase(cfg config.Config, phase string, shard int64, begin, end int64) {
 	})
 }
 
-// lockedTracer serializes Emit calls issued by concurrent shard
-// goroutines, so callers can pass ordinary (non-concurrency-safe)
-// tracers — the Chrome exporter, ring buffers — to RecoverParallel.
-type lockedTracer struct {
-	mu sync.Mutex
-	t  obs.Tracer
-}
-
-// Emit forwards one event under the lock.
-func (l *lockedTracer) Emit(e obs.Event) {
-	l.mu.Lock()
-	l.t.Emit(e)
-	l.mu.Unlock()
-}
-
 // RecoverParallel restores a crashed device image in place like Recover,
 // but shards the PUB merge and the tree rebuild across worker
 // goroutines. The result — device bytes, error (same sentinels, test
@@ -134,10 +118,6 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sch, err := scheme.For(cfg)
-	if err != nil {
-		return nil, err
-	}
 	lay, err := layout.New(cfg)
 	if err != nil {
 		return nil, err
@@ -152,7 +132,7 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 	read := cfg.ReadLatencyCycles()
 	hash := int64(cfg.HashLatencyCycles)
 
-	if sch.UsesPUB() {
+	if cfg.Scheme.IsThoth() {
 		// Phase 1 — scan: walk the ring oldest-to-youngest exactly like
 		// the serial pass, stamping each entry with its serial-model
 		// cycle, and queue it on the shard owning its metadata group.
@@ -176,7 +156,9 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 		mergeStart := time.Now()
 		mcfg := cfg
 		if cfg.Tracer != nil {
-			mcfg.Tracer = &lockedTracer{t: cfg.Tracer}
+			// Callers may pass plain tracers (the Chrome exporter, ring
+			// buffers); the shard goroutines emit concurrently.
+			mcfg.Tracer = obs.Serialized(cfg.Tracer)
 		}
 		shardReps := make([]Report, workers)
 		shardWall := make([]int64, workers)
@@ -216,15 +198,10 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 				rep.ScanCycles, rep.ScanCycles+sr.MergeCycles)
 		}
 		emitPhase(cfg, obs.PhaseMerge, 0, rep.ScanCycles, rep.ScanCycles+rep.MergeCycles)
-
-		rep.EstimatedCycles = EstimateCyclesParallel(cfg, rep.PUBBlocks, workers)
-		rep.EstimatedSeconds = float64(rep.EstimatedCycles) / (cfg.CPUFreqGHz * 1e9)
-	} else {
-		// Non-PUB schemes: the scheme's own recovery model (zero for the
-		// strict schemes, the tree-rebuild bill for relaxed persistence).
-		rep.EstimatedCycles = sch.RecoveryCycles(cfg, 0, writtenCtrBlocks(lay, dev))
-		rep.EstimatedSeconds = float64(rep.EstimatedCycles) / (cfg.CPUFreqGHz * 1e9)
 	}
+
+	rep.EstimatedCycles = recoveryCycles(cfg, lay, dev, rep.PUBBlocks, workers)
+	rep.EstimatedSeconds = float64(rep.EstimatedCycles) / (cfg.CPUFreqGHz * 1e9)
 
 	if cfg.ShadowTracking {
 		estimateShadow(cfg, lay, dev, rep)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -284,13 +283,10 @@ func TestRecoverParallelWallClockSpeedup(t *testing.T) {
 func TestRecoverParallelPhaseEvents(t *testing.T) {
 	cfg := testConfig(config.ThothWTSC)
 	const workers = 4
-	var mu sync.Mutex
+	// A plain tracer, unsafe for concurrent use: RecoverParallel must
+	// serialize the merge workers' emits itself (the race lane checks).
 	var events []obs.Event
-	cfg.Tracer = obs.Func(func(e obs.Event) {
-		mu.Lock()
-		events = append(events, e)
-		mu.Unlock()
-	})
+	cfg.Tracer = obs.Func(func(e obs.Event) { events = append(events, e) })
 	c, _ := runAndCrash(t, cfg, 200, 4096)
 	if _, err := RecoverParallel(cfg, c.Device(), RecoverOpts{Workers: workers}); err != nil {
 		t.Fatal(err)

@@ -39,7 +39,6 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/pub"
-	"repro/internal/scheme"
 )
 
 // ErrRootMismatch is returned when the rebuilt tree root does not match
@@ -171,10 +170,6 @@ func Recover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sch, err := scheme.For(cfg)
-	if err != nil {
-		return nil, err
-	}
 	lay, err := layout.New(cfg)
 	if err != nil {
 		return nil, err
@@ -187,17 +182,14 @@ func Recover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 		return nil, fmt.Errorf("%w: no persisted root: %v", ErrNoControlState, err)
 	}
 
-	if sch.UsesPUB() {
+	if cfg.Scheme.IsThoth() {
 		m := newMerger(cfg, lay, eng, dev, rep)
 		if err := scanPUB(cfg, lay, dev, rep, m.mergeEntry); err != nil {
 			return nil, err
 		}
 	}
 
-	// The scheme models its own recovery bill: PUB replay for the Thoth
-	// schemes, a full tree rebuild for relaxed tree persistence, zero
-	// for the strict baseline and co-location.
-	rep.EstimatedCycles = sch.RecoveryCycles(cfg, rep.PUBBlocks, writtenCtrBlocks(lay, dev))
+	rep.EstimatedCycles = recoveryCycles(cfg, lay, dev, rep.PUBBlocks, 1)
 	rep.EstimatedSeconds = float64(rep.EstimatedCycles) / (cfg.CPUFreqGHz * 1e9)
 
 	if cfg.ShadowTracking {
@@ -211,8 +203,24 @@ func Recover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 	return rep, nil
 }
 
-// writtenCtrBlocks counts the written blocks of the counter region —
-// the size of the tree-rebuild bill a relaxed scheme pays at recovery.
+// recoveryCycles models the scheme's recovery bill over an image whose
+// PUB held pubBlocks at the crash: footnote 5's PUB replay for the
+// Thoth schemes, its merge divided across workers; for triad, a full
+// bottom-up tree rebuild (one read plus a per-level hash chain per
+// written counter block) in place of trusting the lazily written-back
+// tree region; nothing for the strict baseline and co-location.
+func recoveryCycles(cfg config.Config, lay *layout.Layout, dev *nvm.Device, pubBlocks int64, workers int) int64 {
+	switch cfg.Scheme.Kind() {
+	case config.KindThothWTSC, config.KindThothWTBC:
+		return EstimateCyclesParallel(cfg, pubBlocks, workers)
+	case config.KindTriadRelaxed:
+		perBlock := cfg.ReadLatencyCycles() + int64(cfg.NVMTreeLevels)*int64(cfg.HashLatencyCycles)
+		return writtenCtrBlocks(lay, dev) * perBlock
+	}
+	return 0
+}
+
+// writtenCtrBlocks counts the written blocks of the counter region.
 func writtenCtrBlocks(lay *layout.Layout, dev *nvm.Device) int64 {
 	var n int64
 	dev.ForEachWritten(lay.CtrBase, lay.CtrBytes, func(int64, []byte) { n++ })
@@ -226,8 +234,7 @@ func estimateShadow(cfg config.Config, lay *layout.Layout, dev *nvm.Device, rep 
 	ctrSus, macSus := core.ShadowSuspects(lay, dev.Peek)
 	rep.ShadowCtrSuspects = int64(len(ctrSus))
 	rep.ShadowMACSuspects = int64(len(macSus))
-	var written int64
-	dev.ForEachWritten(lay.CtrBase, lay.CtrBytes, func(int64, []byte) { written++ })
+	written := writtenCtrBlocks(lay, dev)
 	read := cfg.ReadLatencyCycles()
 	write := cfg.WriteLatencyCycles()
 	hash := int64(cfg.HashLatencyCycles)
@@ -376,12 +383,10 @@ func (m *merger) emit(cyc, dataAddr int64, detail string) {
 }
 
 // EstimateCycles models the PUB-merge recovery cost (footnote 5 of the
-// paper): for each PUB block, one block read; for each entry, reads of
-// the counter block, ciphertext and MAC block, two MAC computations, and
-// writes of the counter and MAC blocks. The formula lives with the
-// Thoth scheme implementation (scheme.PUBReplayCycles).
+// paper): for each PUB block, one block read, then entryCycles for each
+// of its entries.
 func EstimateCycles(cfg config.Config, pubBlocks int64) int64 {
-	return scheme.PUBReplayCycles(cfg, pubBlocks)
+	return pubBlocks * (cfg.ReadLatencyCycles() + int64(cfg.PartialsPerBlock())*entryCycles(cfg))
 }
 
 // EstimateSeconds converts EstimateCycles to wall-clock seconds.

@@ -475,10 +475,6 @@ func TestPoolShardStatsSum(t *testing.T) {
 	if pooled.TotalWrites() == 0 {
 		t.Fatal("pool did no work")
 	}
-	info := pool.SchemeInfo()
-	if info.Name != cfg.Scheme.String() {
-		t.Fatalf("SchemeInfo name %q, want %q", info.Name, cfg.Scheme.String())
-	}
 }
 
 // TestPoolShardMetricFamilies checks that a pool built with

@@ -45,6 +45,7 @@ import (
 	"io"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/layout"
@@ -52,20 +53,24 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/recovery"
-	"repro/internal/scheme"
 	"repro/internal/stats"
 )
 
-// Sentinel errors for the two access-failure classes. They are wrapped
-// with call-site detail; test with errors.Is. The same sentinels are
-// returned by both System and Pool (the values live in internal/engine
-// so the sharded front-end can share them without an import cycle).
+// Sentinel errors for the three access-failure classes. They are
+// wrapped with call-site detail; test with errors.Is. The same sentinels
+// are returned by both System and Pool (the values live in
+// internal/engine, or internal/core where the check runs, so the sharded
+// front-end can share them without an import cycle).
 var (
 	// ErrCrashed reports an operation on a system that has crashed (or
 	// shut down). Recover the device image and Open a new system.
 	ErrCrashed = engine.ErrCrashed
 	// ErrOutOfRange reports an access outside the protected data region.
 	ErrOutOfRange = engine.ErrOutOfRange
+	// ErrIntegrity reports a read, or the read half of a partial write,
+	// whose data block failed MAC verification: the NVM image was
+	// tampered with or corrupted.
+	ErrIntegrity = core.ErrIntegrity
 )
 
 // Config is the machine configuration (Table I parameters plus sweep
@@ -108,21 +113,13 @@ func TriadRelaxed(epoch int) Scheme { return config.TriadRelaxed(epoch) }
 // ParseScheme decodes a Scheme.String() name ("thoth-wtsc",
 // "triad-relaxed-64", ...) back into the Scheme — the strict inverse
 // used by trace/JSONL schemeTag consumers. CLI-style aliases ("wtsc",
-// "thoth", "triad") are handled by the scheme registry in the command
+// "thoth", "triad") are handled by the scheme name table in the command
 // front-ends, not here.
 func ParseScheme(name string) (Scheme, error) { return config.ParseScheme(name) }
 
 // DefaultConfig returns the paper's Table I configuration with the WTSC
 // scheme, 128-byte cache blocks and a 64MB PUB.
 func DefaultConfig() Config { return config.Default() }
-
-// SchemeInfo describes a persistence scheme: its canonical name, a
-// human-readable statement of the persistence guarantees it provides,
-// and its tunables (eviction policy, checkpoint epoch, ...).
-type SchemeInfo = scheme.Info
-
-// SchemeTunable is one name/value tunable of a SchemeInfo.
-type SchemeTunable = scheme.Tunable
 
 // Device is the byte-accurate NVM module image. It survives crashes and
 // can be carried across System instances.
@@ -341,8 +338,8 @@ func (s *System) PersistBatch(reqs []WriteReq) error { return s.pool.PersistBatc
 
 // Read returns n bytes from the given offset, decrypting and verifying
 // every covered block. A block whose MAC does not verify against its
-// ciphertext, address and counter fails the read with an error naming
-// the integrity violation.
+// ciphertext, address and counter fails the read with an error wrapping
+// ErrIntegrity.
 func (s *System) Read(addr int64, n int) ([]byte, error) { return s.pool.Read(addr, n) }
 
 // ReadAt implements io.ReaderAt over the protected data region. Reads
@@ -406,10 +403,6 @@ func (s *System) FlightRecord() FlightRecord { return s.pool.FlightRecord(0) }
 
 // Root returns the current on-chip integrity-tree root.
 func (s *System) Root() uint64 { return s.pool.Root(0) }
-
-// SchemeInfo reports the persistence scheme this system runs under:
-// canonical name, persistence guarantees, and tunables.
-func (s *System) SchemeInfo() SchemeInfo { return s.pool.SchemeInfo() }
 
 // VerifyCrashConsistency checks, without perturbing the system, that a
 // crash at this instant would be recoverable: every security-metadata

@@ -452,17 +452,83 @@ func TestDataSizeIsWholeDataRegion(t *testing.T) {
 	}
 }
 
-// TestReadOfTamperedBlockErrors pins that a read whose MAC does not
-// verify fails with an error naming the violation instead of panicking.
+// TestReadOfTamperedBlockErrors pins that an access to a data block
+// whose MAC does not verify fails with an error wrapping ErrIntegrity
+// and naming the violation, instead of panicking: a read under the
+// strict, Thoth and relaxed persist paths, a read through a 4-shard
+// pool, a partial write whose read-modify-write reads the block, and a
+// read after a tampered crash image recovered and reopened cleanly (the
+// MAC, not the counter-only tree, is what catches a data-block flip).
 func TestReadOfTamperedBlockErrors(t *testing.T) {
-	s := mustSys(t, testConfig(WTSC))
-	if err := s.Write(0, bytes.Repeat([]byte{0x42}, 128)); err != nil {
-		t.Fatal(err)
+	block := bytes.Repeat([]byte{0x42}, 128)
+	flip := func(dev *Device, addr int64) {
+		blk := dev.Peek(addr)
+		blk[0] ^= 1
+		dev.WriteBlock(addr, blk)
 	}
-	blk := s.Device().Peek(0)
-	blk[0] ^= 1
-	s.Device().WriteBlock(0, blk)
-	if _, err := s.Read(0, 128); err == nil || !strings.Contains(err.Error(), "MAC verification failed") {
-		t.Fatalf("read of a tampered block: err = %v, want a MAC verification failure", err)
+	// onSystem writes block 0 under scheme, flips one bit of its
+	// ciphertext in the live device, then runs op.
+	onSystem := func(scheme Scheme, op func(*System) error) func(*testing.T) error {
+		return func(t *testing.T) error {
+			s := mustSys(t, testConfig(scheme))
+			if err := s.Write(0, block); err != nil {
+				t.Fatal(err)
+			}
+			flip(s.Device(), 0)
+			return op(s)
+		}
+	}
+	read := func(s *System) error {
+		_, err := s.Read(0, len(block))
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T) error
+	}{
+		{"baseline-strict", onSystem(BaselineStrict, read)},
+		{"thoth-wtsc", onSystem(WTSC, read)},
+		{"triad-relaxed-8", onSystem(TriadRelaxed(8), read)},
+		{"partial-write", onSystem(WTSC, func(s *System) error { return s.Write(16, block[:16]) })},
+		{"pool-4-shards", func(t *testing.T) error {
+			p, err := NewPool(poolConfig(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := p.GroupBytes() // shard 1's first data block
+			if err := p.Write(addr, block); err != nil {
+				t.Fatal(err)
+			}
+			flip(p.Device(1), 0)
+			_, err = p.Read(addr, len(block))
+			return err
+		}},
+		{"crash-image", func(t *testing.T) error {
+			cfg := testConfig(BaselineStrict)
+			s := mustSys(t, cfg)
+			if err := s.Write(0, block); err != nil {
+				t.Fatal(err)
+			}
+			img, err := s.Crash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			flip(img, 0)
+			if _, err := Recover(cfg, img); err != nil {
+				t.Fatalf("recover of an image with a flipped data bit: %v", err)
+			}
+			s2, err := Open(cfg, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return read(s2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run(t)
+			if !errors.Is(err, ErrIntegrity) || !strings.Contains(err.Error(), "MAC verification failed") {
+				t.Fatalf("access to a tampered block: err = %v, want ErrIntegrity with a MAC verification failure", err)
+			}
+		})
 	}
 }
