@@ -8,9 +8,9 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci fmt vet lanes build cross test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
+.PHONY: ci fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
 
-ci: fmt vet lanes build cross test race bench-mod crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
+ci: fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
 
 # Formatting gate: fails, listing the files, when gofmt would rewrite
 # any Go file.
@@ -68,6 +68,19 @@ bench-mod:
 	cd bench && GOWORK=off GOPROXY=off $(GO) vet ./...
 	cd bench && GOWORK=off GOPROXY=off $(GO) test -short ./...
 
+# Examples gate: run every example twice. Each must exit 0 and print
+# the same bytes both times — the examples print modeled counts, which
+# the seeded simulator must reproduce exactly.
+examples:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for d in examples/*/; do \
+		for i in 1 2; do \
+			$(GO) run ./$${d%/} > "$$tmp/$$i" || { echo "examples: $${d%/} exited non-zero"; exit 1; }; \
+		done; \
+		diff "$$tmp/1" "$$tmp/2" || { echo "examples: $${d%/} printed different output on two runs"; exit 1; }; \
+		echo "examples: $${d%/} ok"; \
+	done
+
 # Randomized crash-injection sweep (deterministic per seed; failures
 # print `crashfuzz.Replay(seed)` for one-line reproduction). Every seed
 # runs its whole variant matrix: five schemes on one controller, each
@@ -84,7 +97,7 @@ trace-smoke:
 	$(GO) run ./cmd/thothsim -workload btree -warmup 200 -txs 600 -setup 1024 -pub 256 -trace $(TRACE_FILE)
 	$(GO) run ./cmd/tracecheck $(TRACE_FILE)
 
-# Metrics gate: the runner's golden Prometheus exposition (native and
+# Metrics gate: the runner's golden Prometheus exposition (the
 # event-derived families, validated by ValidateProm) and the
 # tracemetrics CLI, whose replay of a trace must equal the registry the
 # same run fed live.

@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/scheme"
@@ -42,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	setup := fs.Int("setup", 0, "override benchmark population size")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation runs")
 	traceFile := fs.String("trace", "", "write a controller event trace covering every run to this file")
-	traceFormat := fs.String("trace-format", "jsonl", "trace format: jsonl|chrome")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -96,16 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer f.Close()
-		var sink obs.Sink
-		switch strings.ToLower(*traceFormat) {
-		case "jsonl":
-			sink = obs.NewJSONL(f)
-		case "chrome":
-			sink = obs.NewChrome(f, config.Default().CPUFreqGHz)
-		default:
-			fmt.Fprintf(stderr, "experiments: unknown trace format %q (jsonl|chrome)\n", *traceFormat)
-			return 1
-		}
+		sink := obs.NewJSONL(f)
 		defer func() {
 			if err := sink.Close(); err != nil {
 				fmt.Fprintln(stderr, "experiments: trace:", err)
@@ -113,8 +102,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "trace: %d events -> %s\n", sink.Count(), *traceFile)
 		}()
-		// The suite interleaves parallel runs into one stream; the obs
-		// sinks serialize writes internally.
+		// The suite interleaves parallel runs into one stream; JSONL
+		// serializes writes internally.
 		e.Tracer = sink
 	}
 

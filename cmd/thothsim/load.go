@@ -22,7 +22,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/engine"
 	"repro/internal/loadgen"
-	"repro/internal/metrics"
 	"repro/internal/scheme"
 )
 
@@ -117,15 +116,13 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	reg := metrics.New()
-	cfg.Metrics = reg
 	nShards := max(*shards, 1)
 	pool, err := engine.New(cfg, nShards)
 	if err != nil {
 		fmt.Fprintln(stderr, "thothsim load:", err)
 		return 1
 	}
-	d, err := loadgen.NewDriver(scn, loadgen.NewPoolTarget(pool), cfg, reg, loadgen.Options{
+	d, err := loadgen.NewDriver(scn, loadgen.NewPoolTarget(pool), cfg, nil, loadgen.Options{
 		RecordLatencies: *check,
 		Attribution:     *attr,
 	})

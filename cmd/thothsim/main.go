@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shadow := fs.Bool("shadow", false, "enable Anubis shadow-table tracking (fast recovery)")
 	eadr := fs.Bool("eadr", false, "enhanced ADR: persistent cache hierarchy (extension)")
 	traceFile := fs.String("trace", "", "write a controller event trace to this file")
-	traceFormat := fs.String("trace-format", "jsonl", "trace format: jsonl|chrome")
 	flightDir := fs.String("flight", "",
 		"with -crash, dump the flight recorder (the always-on ring of recent "+
 			"controller events) to JSONL files in this directory alongside the crash image")
@@ -83,6 +82,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *persistBatch != 0 && *shards <= 0 {
 		fmt.Fprintln(stderr, "thothsim: -persist-batch needs -shards")
+		return 2
+	}
+	if *flightDir != "" && !*crash {
+		fmt.Fprintln(stderr, "thothsim: -flight needs -crash")
+		return 2
+	}
+	if *recoveryWorkers != 0 && !*crash {
+		fmt.Fprintln(stderr, "thothsim: -recovery-workers needs -crash")
 		return 2
 	}
 
@@ -111,16 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer f.Close()
-		var sink obs.Sink
-		switch strings.ToLower(*traceFormat) {
-		case "jsonl":
-			sink = obs.NewJSONL(f)
-		case "chrome":
-			sink = obs.NewChrome(f, cfg.CPUFreqGHz)
-		default:
-			fmt.Fprintf(stderr, "thothsim: unknown trace format %q (jsonl|chrome)\n", *traceFormat)
-			return 1
-		}
+		sink := obs.NewJSONL(f)
 		// Close the sink after the whole run — crash and recovery
 		// included, since recovery emits events through the same tracer.
 		defer func() {

@@ -45,36 +45,29 @@ func TestRunCrashRecover(t *testing.T) {
 }
 
 func TestRunWritesValidTraces(t *testing.T) {
-	for _, format := range []string{"jsonl", "chrome"} {
-		path := filepath.Join(t.TempDir(), "trace."+format)
-		var out, errw bytes.Buffer
-		code := run([]string{
-			"-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16",
-			"-trace", path, "-trace-format", format,
-		}, &out, &errw)
-		if code != 0 {
-			t.Fatalf("%s: exit %d, stderr: %s", format, code, errw.String())
-		}
-		if !strings.Contains(out.String(), "trace: ") {
-			t.Errorf("%s: output missing trace summary:\n%s", format, out.String())
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var n int
-		if format == "jsonl" {
-			n, err = obs.ValidateJSONL(f)
-		} else {
-			n, err = obs.ValidateChrome(f)
-		}
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s trace invalid: %v", format, err)
-		}
-		if n == 0 {
-			t.Errorf("%s trace is empty", format)
-		}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	var out, errw bytes.Buffer
+	code := run([]string{
+		"-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16",
+		"-trace", path,
+	}, &out, &errw)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "trace: ") {
+		t.Errorf("output missing trace summary:\n%s", out.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := obs.DecodeJSONL(f, func(obs.Event) {})
+	f.Close()
+	if err != nil {
+		t.Fatalf("trace invalid: %v", err)
+	}
+	if n == 0 {
+		t.Error("trace is empty")
 	}
 }
 
@@ -91,6 +84,27 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-shards", "-2", "-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16"}, &out, &errw); code != 2 {
 		t.Fatalf("negative -shards: exit %d, want 2", code)
+	}
+	// -flight and -recovery-workers act on the crash image alone;
+	// without -crash they would be silently dropped.
+	flightDir := filepath.Join(t.TempDir(), "flight")
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16", "-flight", flightDir}, "-flight"},
+		{[]string{"-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16", "-recovery-workers", "4"}, "-recovery-workers"},
+	} {
+		errw.Reset()
+		if code := run(tc.args, &out, &errw); code != 2 {
+			t.Fatalf("%s without -crash: exit %d, want 2", tc.flag, code)
+		}
+		if want := tc.flag + " needs -crash"; !strings.Contains(errw.String(), want) {
+			t.Errorf("%s without -crash: stderr %q, want %q", tc.flag, errw.String(), want)
+		}
+	}
+	if _, err := os.Stat(flightDir); !os.IsNotExist(err) {
+		t.Errorf("-flight without -crash created %s (stat err %v)", flightDir, err)
 	}
 	// A stray argument ends flag parsing; every flag after it would be
 	// dropped and a default-scale run started. The removed serve

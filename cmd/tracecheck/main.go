@@ -1,12 +1,11 @@
 // Command tracecheck validates a controller event trace written by
 // thothsim or experiments with -trace. It checks the JSONL schema (one
-// JSON object per line, required fields, known event kinds) or the
-// Chrome trace_event structure, and reports the event count.
+// JSON object per line, required fields, known event kinds) and reports
+// the event count.
 //
 // Usage:
 //
 //	tracecheck trace.jsonl
-//	tracecheck -format chrome trace.json
 package main
 
 import (
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -22,12 +20,11 @@ import (
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	format := fs.String("format", "jsonl", "trace format: jsonl|chrome")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: tracecheck [-format jsonl|chrome] <file>")
+		fmt.Fprintln(stderr, "usage: tracecheck <file>")
 		return 2
 	}
 	f, err := os.Open(fs.Arg(0))
@@ -37,16 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer f.Close()
 
-	var n int
-	switch strings.ToLower(*format) {
-	case "jsonl":
-		n, err = obs.ValidateJSONL(f)
-	case "chrome":
-		n, err = obs.ValidateChrome(f)
-	default:
-		fmt.Fprintf(stderr, "tracecheck: unknown format %q (jsonl|chrome)\n", *format)
-		return 2
-	}
+	n, err := obs.DecodeJSONL(f, func(obs.Event) {})
 	if err != nil {
 		fmt.Fprintf(stderr, "tracecheck: %s: %v\n", fs.Arg(0), err)
 		return 1

@@ -10,21 +10,16 @@ import (
 	"repro/internal/obs"
 )
 
-// writeTrace writes a tiny trace in the given format and returns its path.
-func writeTrace(t *testing.T, format string) string {
+// writeTrace writes a tiny JSONL trace and returns its path.
+func writeTrace(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "trace."+format)
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var sink obs.Sink
-	if format == "jsonl" {
-		sink = obs.NewJSONL(f)
-	} else {
-		sink = obs.NewChrome(f, 4)
-	}
+	sink := obs.NewJSONL(f)
 	sink.Emit(obs.Event{Kind: obs.KindPCBFlush, Cycle: 10, Addr: 0x1000, Aux: 4, Scheme: "thoth-wtsc"})
 	sink.Emit(obs.Event{Kind: obs.KindWPQDrain, Cycle: 20, Addr: 0x80, Scheme: "thoth-wtsc", Detail: obs.DrainAge})
 	if err := sink.Close(); err != nil {
@@ -34,15 +29,12 @@ func writeTrace(t *testing.T, format string) string {
 }
 
 func TestValidTraces(t *testing.T) {
-	for _, format := range []string{"jsonl", "chrome"} {
-		path := writeTrace(t, format)
-		var out, errw bytes.Buffer
-		if code := run([]string{"-format", format, path}, &out, &errw); code != 0 {
-			t.Fatalf("%s: exit %d, stderr: %s", format, code, errw.String())
-		}
-		if got := out.String(); got != "ok: 2 events\n" {
-			t.Errorf("%s: output %q, want \"ok: 2 events\\n\"", format, got)
-		}
+	var out, errw bytes.Buffer
+	if code := run([]string{writeTrace(t)}, &out, &errw); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw.String())
+	}
+	if got := out.String(); got != "ok: 2 events\n" {
+		t.Errorf("output %q, want \"ok: 2 events\\n\"", got)
 	}
 }
 
@@ -97,8 +89,8 @@ func TestUsageErrors(t *testing.T) {
 	if code := run(nil, &out, &errw); code != 2 {
 		t.Fatalf("no file: exit %d, want 2", code)
 	}
-	if code := run([]string{"-format", "xml", writeTrace(t, "jsonl")}, &out, &errw); code != 2 {
-		t.Fatalf("bad format: exit %d, want 2", code)
+	if code := run([]string{"-format", "jsonl", writeTrace(t)}, &out, &errw); code != 2 {
+		t.Fatalf("-format (not a flag): exit %d, want 2", code)
 	}
 	if code := run([]string{"/no/such/file.jsonl"}, &out, &errw); code != 1 {
 		t.Fatalf("missing file: exit %d, want 1", code)

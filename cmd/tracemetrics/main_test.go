@@ -31,13 +31,13 @@ func recordRun(t *testing.T) (string, *metrics.Registry) {
 	cfg.MemBytes = 1 << 30
 	cfg.PUBBytes = 128 << 10
 	cfg.LLCBytes = 1 << 20
+	cfg.Tracer = obs.Multi(sink, metrics.FromTracer(liveReg))
 	if _, err := harness.Run(harness.RunConfig{
 		Config:     cfg,
 		Workload:   "hashmap",
 		WarmupTxs:  50,
 		MeasureTxs: 300,
 		SetupKeys:  256,
-		Tracer:     obs.Multi(sink, metrics.FromTracer(liveReg)),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -289,16 +288,6 @@ type Config struct {
 	// geometry — Validate ignores it and experiment memo keys exclude
 	// it.
 	Tracer obs.Tracer
-
-	// Metrics, when non-nil, receives the controller's native
-	// instrumentation: the write critical-path cycles histogram and the
-	// PUB occupancy gauge — latencies that need an in-controller start
-	// timestamp the event stream cannot carry. (Event-derived metrics
-	// need no hook here: wrap metrics.FromTracer into Tracer instead.)
-	// Like Tracer, Metrics is a runtime hook, not machine geometry —
-	// Validate ignores it. nil disables native instrumentation at the
-	// cost of one pointer check per persisted block.
-	Metrics *metrics.Registry
 }
 
 // Default returns the Table I configuration with the 128B cache block and

@@ -25,9 +25,6 @@ func (c *Controller) PersistBatch(t int64, reqs []WriteReq) int64 {
 				i, len(reqs[i].Data), c.cfg.BlockSize))
 		}
 	}
-	if c.mBatchFill != nil {
-		c.mBatchFill.Observe(int64(len(reqs)))
-	}
 	for i := range reqs {
 		t = c.PersistBlock(t, reqs[i].Addr, reqs[i].Data)
 	}

@@ -29,7 +29,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/crypt"
 	"repro/internal/layout"
-	"repro/internal/metrics"
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/pub"
@@ -89,17 +88,6 @@ type Controller struct {
 	// persist) so the stage cycles sum exactly to completion − entry.
 	// nil disables charging at one branch per boundary.
 	span *obs.Span
-
-	// Native metrics handles, resolved once from cfg.Metrics in attach
-	// (nil when metrics are disabled). These cover the two signals the
-	// event stream cannot derive: the write critical-path latency needs
-	// the PersistBlock entry cycle, and the PUB occupancy gauge needs
-	// the live ring length. Observing is atomic adds only — the hot
-	// path stays allocation-free either way.
-	mWriteCycles *metrics.Histogram
-	mPUBOcc      *metrics.Gauge
-	mWPQOcc      *metrics.Gauge
-	mBatchFill   *metrics.Histogram // requests per PersistBatch call
 
 	crashed bool
 	// inADRFlush marks the residual-power drain at crash/shutdown:
@@ -230,22 +218,6 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) *Controller 
 		c.q.Tracer = c.flight
 	}
 	c.q.Scheme = c.schemeTag
-	if cfg.Metrics != nil {
-		c.mWriteCycles = cfg.Metrics.Histogram("thoth_write_cycles",
-			"Critical-path cycles per PersistBlock (entry to durability).",
-			metrics.Label{Key: "scheme", Value: c.schemeTag})
-		c.mBatchFill = cfg.Metrics.Histogram("thoth_persist_batch_fill",
-			"Requests per PersistBatch call.",
-			metrics.Label{Key: "scheme", Value: c.schemeTag})
-		if c.ring != nil {
-			c.mPUBOcc = cfg.Metrics.Gauge("thoth_pub_occupancy_blocks",
-				"Live PUB ring occupancy in packed blocks.",
-				metrics.Label{Key: "scheme", Value: c.schemeTag})
-		}
-		c.mWPQOcc = cfg.Metrics.Gauge("thoth_wpq_occupancy",
-			"Live WPQ occupancy in slots (pending + in flight).",
-			metrics.Label{Key: "scheme", Value: c.schemeTag})
-	}
 	if cfg.PCBAfterWPQ {
 		c.afterEntries = make(map[int64][]pub.Entry)
 		c.q.OnIssue = c.afterIssue

@@ -364,9 +364,8 @@ func TestResetStats(t *testing.T) {
 	}
 	c.ResetStats()
 	c.SyncStats()
-	if c.Stats().TotalWrites() != 0 || c.Stats().PCBInserted != 0 ||
-		c.Device().TotalWrites() != 0 {
-		t.Fatal("ResetStats must zero all counters")
+	if got := *c.Stats(); got != (stats.Stats{}) || c.Device().TotalWrites() != 0 {
+		t.Fatalf("ResetStats must zero all counters: %+v, device writes %d", got, c.Device().TotalWrites())
 	}
 	// The controller still works after a reset.
 	c.PersistBlock(now, 0, blockOf(c, 1))

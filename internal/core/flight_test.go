@@ -53,9 +53,10 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 }
 
 // TestFlightRecordReplaysThroughFromTracer closes the loop the crash
-// tooling relies on: dump the black box as JSONL, validate it, then
-// replay it through metrics.FromTracer — the per-kind event counters
-// must account for every dumped event, with none rejected as invalid.
+// tooling relies on: dump the black box as JSONL, then decode it
+// (validating the schema) through metrics.FromTracer — the per-kind
+// event counters must account for every dumped event, with none
+// rejected as invalid.
 func TestFlightRecordReplaysThroughFromTracer(t *testing.T) {
 	rec := runToCrash(t, testConfig(config.ThothWTSC))
 
@@ -63,10 +64,6 @@ func TestFlightRecordReplaysThroughFromTracer(t *testing.T) {
 	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := obs.ValidateJSONL(bytes.NewReader(buf.Bytes())); err != nil || n != len(rec.Events) {
-		t.Fatalf("dump invalid: n=%d err=%v", n, err)
-	}
-
 	reg := metrics.New()
 	ad := metrics.FromTracer(reg)
 	n, err := obs.DecodeJSONL(bytes.NewReader(buf.Bytes()), ad.Emit)

@@ -215,16 +215,6 @@ func (c *Controller) PersistBlock(t int64, addr int64, plain []byte) int64 {
 	// knows which blocks may have been lost with the caches.
 	c.shadowUpdate(tCrypto, shadowCtr, ctrLine.Slot(), c.lay.CtrBlockAddr(addr))
 	c.shadowUpdate(tCrypto, shadowMAC, macLine.Slot(), c.lay.MACBlockAddr(addr))
-
-	if c.mWriteCycles != nil {
-		c.mWriteCycles.Observe(done - t)
-	}
-	if c.mPUBOcc != nil {
-		c.mPUBOcc.Set(c.ring.Len())
-	}
-	if c.mWPQOcc != nil {
-		c.mWPQOcc.Set(int64(c.q.Occupancy()))
-	}
 	return done
 }
 

@@ -29,13 +29,11 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"strconv"
 	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/layout"
-	"repro/internal/metrics"
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/recovery"
@@ -66,7 +64,7 @@ type WriteReq struct {
 
 // shard is one controller partition: mu guards ctl, the modeled clock
 // now and the batch scratch, and every service runs on its caller's
-// goroutine between acquire and release.
+// goroutine between s.mu.Lock and release.
 type shard struct {
 	mu  sync.Mutex
 	idx int
@@ -76,12 +74,6 @@ type shard struct {
 	// batch holds the shard's translated share of a PersistBatch,
 	// reused across calls so steady-state batching does not allocate.
 	batch []core.WriteReq
-
-	// Per-shard observability, nil when the pool config carries no
-	// metrics registry.
-	mOps    *metrics.Counter
-	mBlocks *metrics.Counter
-	mCycles *metrics.Gauge
 }
 
 // Pool is the sharded multi-controller system over one logical data
@@ -165,17 +157,7 @@ func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i in
 		if err != nil {
 			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		sh := &shard{idx: i, ctl: ctl}
-		if cfg.Metrics != nil {
-			lbl := metrics.Label{Key: "shard", Value: strconv.Itoa(i)}
-			sh.mOps = cfg.Metrics.Counter("thoth_pool_shard_ops_total",
-				"Requests processed by this pool shard.", lbl)
-			sh.mBlocks = cfg.Metrics.Counter("thoth_pool_shard_blocks_total",
-				"Data blocks persisted by this pool shard.", lbl)
-			sh.mCycles = cfg.Metrics.Gauge("thoth_pool_shard_cycles",
-				"Modeled cycle clock of this pool shard.", lbl)
-		}
-		p.shards[i] = sh
+		p.shards[i] = &shard{idx: i, ctl: ctl}
 	}
 	return p, nil
 }
@@ -449,20 +431,11 @@ func (p *Pool) Shutdown() (*PoolImage, error) {
 	return p.CrashShards(make([]bool, p.n))
 }
 
-// acquire begins a service on the shard: it takes the lock and counts
-// the request. Defer release right after.
-func (s *shard) acquire() {
-	s.mu.Lock()
-	if s.mOps != nil {
-		s.mOps.Inc()
-	}
-}
-
-// release ends a service begun by acquire. It converts a panic in the
-// service (bad geometry, a device range violation, a failed MAC
-// verification) into an error, so one poisoned request cannot take the
-// pool down; an error panic value is wrapped, so errors.Is still finds
-// core.ErrIntegrity. It also uninstalls any request span, which a panic
+// release ends a service begun by locking s.mu; defer it right after
+// the lock. It converts a panic in the service (bad geometry, a device
+// range violation, a failed MAC verification) into an error, so one
+// poisoned request cannot take the pool down; an error panic value is
+// wrapped, so errors.Is still finds core.ErrIntegrity. It also uninstalls any request span, which a panic
 // mid-service may have left on the controller, and unlocks the shard.
 func (s *shard) release(err *error) {
 	if v := recover(); v != nil {
@@ -473,9 +446,6 @@ func (s *shard) release(err *error) {
 		}
 	}
 	s.ctl.SetSpan(nil)
-	if s.mCycles != nil {
-		s.mCycles.Set(s.now)
-	}
 	s.mu.Unlock()
 }
 
@@ -487,7 +457,7 @@ func (s *shard) release(err *error) {
 // the controller for the service itself, so its stage cycles sum exactly
 // to the completion − arrival.
 func (s *shard) serve(write bool, arrival, addr int64, buf []byte, span *obs.Span) (done int64, err error) {
-	s.acquire()
+	s.mu.Lock()
 	defer s.release(&err)
 	if arrival > s.now {
 		s.now = arrival
@@ -501,10 +471,6 @@ func (s *shard) serve(write bool, arrival, addr int64, buf []byte, span *obs.Spa
 		return s.now, nil
 	}
 	s.now = s.ctl.WriteRange(s.now, addr, buf)
-	if s.mBlocks != nil {
-		bs := int64(s.ctl.Layout().BlockSize)
-		s.mBlocks.Add((addr+int64(len(buf))-1)/bs - addr/bs + 1)
-	}
 	return s.now, nil
 }
 
@@ -512,7 +478,7 @@ func (s *shard) serve(write bool, arrival, addr int64, buf []byte, span *obs.Spa
 // requests it owns, in submission order, translated into its scratch
 // under its lock.
 func (s *shard) persistBatch(p *Pool, reqs []WriteReq) (err error) {
-	s.acquire()
+	s.mu.Lock()
 	defer s.release(&err)
 	s.batch = s.batch[:0]
 	for i := range reqs {
@@ -524,9 +490,6 @@ func (s *shard) persistBatch(p *Pool, reqs []WriteReq) (err error) {
 		}
 	}
 	s.now = s.ctl.PersistBatch(s.now, s.batch)
-	if s.mBlocks != nil {
-		s.mBlocks.Add(int64(len(s.batch)))
-	}
 	clear(s.batch) // drop payload references until the next batch
 	return nil
 }
@@ -534,7 +497,7 @@ func (s *shard) persistBatch(p *Pool, reqs []WriteReq) (err error) {
 // stats returns the shard's statistics snapshot, Cycles stamped to its
 // clock.
 func (s *shard) stats() (snap stats.Stats, err error) {
-	s.acquire()
+	s.mu.Lock()
 	defer s.release(&err)
 	s.ctl.SyncStats()
 	snap = *s.ctl.Stats()
@@ -544,7 +507,7 @@ func (s *shard) stats() (snap stats.Stats, err error) {
 
 // verify checks the shard's crash-recoverability invariant.
 func (s *shard) verify() (err error) {
-	s.acquire()
+	s.mu.Lock()
 	defer s.release(&err)
 	return s.ctl.VerifyCrashConsistency()
 }
@@ -554,7 +517,7 @@ func (s *shard) verify() (err error) {
 // is taken after the power-down so the black box includes the ADR flush
 // events of the crash sequence itself.
 func (s *shard) powerDown(crash bool) (dev *nvm.Device, flight obs.FlightRecord, err error) {
-	s.acquire()
+	s.mu.Lock()
 	defer s.release(&err)
 	if crash {
 		err = s.ctl.Crash(s.now)

@@ -96,19 +96,19 @@ func NewExperiments(sc Scale, out io.Writer) *Experiments {
 
 // runConfig builds the standard RunConfig for a machine configuration.
 func (e *Experiments) runConfig(cfg config.Config, wl string) RunConfig {
+	cfg.Tracer = e.Tracer
 	return RunConfig{
 		Config:     cfg,
 		Workload:   wl,
 		WarmupTxs:  e.Scale.WarmupTxs,
 		MeasureTxs: e.Scale.MeasureTxs,
 		SetupKeys:  e.Scale.SetupKeys,
-		Tracer:     e.Tracer,
 	}
 }
 
 // runs returns the results of rcs, aligned with rcs. Results are
-// memoized by the run configuration itself, with the runtime hooks
-// (Tracer, Metrics) cleared since they do not change results; runs not
+// memoized by the run configuration itself, with Config.Tracer cleared
+// since tracing does not change results; runs not
 // yet in the memo execute in parallel, at most Workers at a time (one
 // at a time when Workers < 1). The first failure cancels the rest of
 // the batch: runs not yet dispatched are skipped, and already-dispatched
@@ -124,8 +124,7 @@ func (e *Experiments) runs(rcs []RunConfig) ([]*Result, error) {
 	}
 	queued := map[RunConfig]bool{}
 	for i, rc := range rcs {
-		rc.Tracer, rc.Metrics = nil, nil
-		rc.Config.Tracer, rc.Config.Metrics = nil, nil
+		rc.Config.Tracer = nil
 		keys[i] = rc
 		if _, ok := e.cache[rc]; !ok && !queued[rc] {
 			queued[rc] = true

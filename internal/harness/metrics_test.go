@@ -11,25 +11,22 @@ import (
 )
 
 // TestRunnerMetricsGolden pins the Prometheus exposition of a runner
-// fed through both metrics seams at once: the FromTracer adapter for
-// the event-derived families and RunConfig.Metrics for the controller's
-// native histograms. The protocol mirrors Run's measurement phase
-// (setup, warm-up, PUB prefill, stats reset), then two 200-transaction
-// rounds. The exposition must validate and match the committed golden
-// byte for byte; EXPERIMENTS_UPDATE=1 regenerates it with the
-// experiments golden.
+// whose events feed the FromTracer adapter. The protocol mirrors Run's
+// measurement phase (setup, warm-up, PUB prefill, stats reset), then
+// two 200-transaction rounds. The exposition must validate and match
+// the committed golden byte for byte; EXPERIMENTS_UPDATE=1 regenerates
+// it with the experiments golden.
 func TestRunnerMetricsGolden(t *testing.T) {
 	cfg := config.Default().WithScheme(config.ThothWTSC)
 	cfg.MemBytes = 1 << 30
 	cfg.PUBBytes = 256 << 10
 	cfg.LLCBytes = 1 << 20
 	reg := metrics.New()
+	cfg.Tracer = metrics.FromTracer(reg)
 	r, err := NewRunner(RunConfig{
 		Config:    cfg,
 		Workload:  "btree",
 		SetupKeys: 512,
-		Tracer:    metrics.FromTracer(reg),
-		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/llc"
-	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -39,13 +37,6 @@ type RunConfig struct {
 	// SetupKeys overrides the benchmark population size (0 = the
 	// paper-scale default).
 	SetupKeys int
-	// Tracer, when non-nil, receives every controller event of the run
-	// (setup, warm-up and measurement alike). It overrides Config.Tracer.
-	Tracer obs.Tracer
-	// Metrics, when non-nil, receives the controller's native
-	// instrumentation (write critical-path cycles, PUB occupancy) for
-	// the whole run. It overrides Config.Metrics.
-	Metrics *metrics.Registry
 }
 
 // Result is the outcome of one run.
@@ -89,12 +80,6 @@ type Runner struct {
 // (each stream gets a disjoint heap slice and its own seed), mirroring
 // the paper's 4-core setup where every core executes the benchmark.
 func NewRunner(rc RunConfig) (*Runner, error) {
-	if rc.Tracer != nil {
-		rc.Config.Tracer = rc.Tracer
-	}
-	if rc.Metrics != nil {
-		rc.Config.Metrics = rc.Metrics
-	}
 	ctl, err := core.New(rc.Config)
 	if err != nil {
 		return nil, err

@@ -8,8 +8,8 @@
 // The aggregate counters in internal/stats answer "how much" for one
 // run and the events in internal/obs answer "when"; this package
 // answers "how is it distributed": the distribution of PCB batch fill,
-// PUB entry age at eviction, WPQ residency or write critical-path
-// cycles. Every metric is atomic, so a registry may be read while the
+// PUB entry age at eviction, WPQ residency or open-loop op latency.
+// Every metric is atomic, so a registry may be read while the
 // simulation writes to it.
 //
 // Two expositions are provided: Prometheus text format (WriteProm,

@@ -48,8 +48,8 @@ type TracerAdapter struct {
 // FromTracer registers the derived families in reg and returns the
 // adapter. Pass it as (or inside an obs.Multi as part of) Config.Tracer;
 // every existing emission site then feeds the registry with no new
-// instrumentation calls. Registration is idempotent, so an adapter may
-// share a registry with the controller's native Config.Metrics hooks.
+// instrumentation calls. Registration is idempotent, so several adapters
+// may share one registry.
 func FromTracer(reg *Registry) *TracerAdapter {
 	a := &TracerAdapter{
 		invalid: reg.Counter("thoth_events_invalid_total",

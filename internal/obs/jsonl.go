@@ -91,13 +91,15 @@ func writeJSONLine(w *bufio.Writer, e Event) error {
 }
 
 // DecodeJSONL parses a JSONL event stream (as written by JSONL) and
-// calls fn for each decoded Event. It enforces the same schema as
-// ValidateJSONL — required fields present, no unknown fields, a kind
+// calls fn for each decoded Event. It enforces the schema — every line
+// a JSON object with the required fields and no unknown ones, a kind
 // name that KindByName resolves (so events with an undeclared Kind are
-// rejected, never silently replayed), a non-negative cycle — and stops
-// at the first violation, returning the number of events delivered and
-// the error (with its 1-based line number). cmd/tracemetrics uses this
-// to replay a recorded trace into a metrics registry.
+// rejected, never silently replayed), integer cycle/addr/aux and string
+// scheme/part/detail values, a non-negative cycle and a non-empty
+// scheme — and stops at the first violation, returning the number of
+// events delivered and the error (with its 1-based line number).
+// cmd/tracecheck validates a trace with it; cmd/tracemetrics replays a
+// trace into a metrics registry.
 func DecodeJSONL(r io.Reader, fn func(Event)) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
@@ -169,72 +171,4 @@ var jsonlFields = map[string]bool{
 	"part":   false,
 	"detail": false,
 	"aux":    false,
-}
-
-// ValidateJSONL checks a JSONL event stream against the schema: every
-// line must be a JSON object with the required kind/cycle/addr/scheme
-// fields, a known kind name, a non-negative cycle, integer numerics,
-// and no unknown fields. It returns the number of events validated and
-// the first violation (with its 1-based line number).
-func ValidateJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	n := 0
-	for line := 1; sc.Scan(); line++ {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(sc.Bytes(), &obj); err != nil {
-			return n, fmt.Errorf("line %d: not a JSON object: %w", line, err)
-		}
-		for name, required := range jsonlFields {
-			if _, ok := obj[name]; required && !ok {
-				return n, fmt.Errorf("line %d: missing required field %q", line, name)
-			}
-		}
-		for name := range obj {
-			if _, ok := jsonlFields[name]; !ok {
-				return n, fmt.Errorf("line %d: unknown field %q", line, name)
-			}
-		}
-		var kind string
-		if err := json.Unmarshal(obj["kind"], &kind); err != nil {
-			return n, fmt.Errorf("line %d: kind is not a string: %w", line, err)
-		}
-		if _, ok := KindByName(kind); !ok {
-			return n, fmt.Errorf("line %d: unknown kind %q", line, kind)
-		}
-		for _, name := range []string{"cycle", "addr", "aux"} {
-			raw, ok := obj[name]
-			if !ok {
-				continue
-			}
-			var v int64
-			if err := json.Unmarshal(raw, &v); err != nil {
-				return n, fmt.Errorf("line %d: %s is not an integer: %w", line, name, err)
-			}
-			if name == "cycle" && v < 0 {
-				return n, fmt.Errorf("line %d: negative cycle %d", line, v)
-			}
-		}
-		for _, name := range []string{"scheme", "part", "detail"} {
-			raw, ok := obj[name]
-			if !ok {
-				continue
-			}
-			var s string
-			if err := json.Unmarshal(raw, &s); err != nil {
-				return n, fmt.Errorf("line %d: %s is not a string: %w", line, name, err)
-			}
-			if name == "scheme" && s == "" {
-				return n, fmt.Errorf("line %d: empty scheme", line)
-			}
-		}
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		return n, err
-	}
-	return n, nil
 }

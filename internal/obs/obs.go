@@ -70,16 +70,13 @@ const (
 	// KindRecoveryPhase: a recovery phase started or finished. Part is
 	// the phase name (PhaseScan, PhaseMerge, PhaseRebuild, PhaseVerify),
 	// Detail is PhaseBegin or PhaseEnd, Cycle is the modeled recovery
-	// cycle at the boundary, and Aux selects the track: 0 for the
-	// whole-phase span, shard+1 for a per-shard span of the parallel
-	// engine. The Chrome exporter renders begin/end pairs as duration
-	// slices on per-shard tracks.
+	// cycle at the boundary, and Aux selects the span: 0 for the whole
+	// phase, shard+1 for a per-shard span of the parallel engine.
 	KindRecoveryPhase
 	numKinds
 )
 
-// String returns the stable wire name of the kind (used by the JSONL
-// schema and the Chrome exporter).
+// String returns the stable wire name of the kind (the JSONL "kind").
 func (k Kind) String() string {
 	switch k {
 	case KindPCBFlush:
@@ -151,16 +148,6 @@ const (
 	PhaseEnd = "end"
 )
 
-// isPhaseName reports whether name is one of the recovery phase labels
-// (used by the Chrome validator for "B"/"E" duration elements).
-func isPhaseName(name string) bool {
-	switch name {
-	case PhaseScan, PhaseMerge, PhaseRebuild, PhaseVerify:
-		return true
-	}
-	return false
-}
-
 // WPQ drain reasons (Event.Detail for KindWPQDrain).
 const (
 	// DrainWatermark: occupancy crossed the drain fraction.
@@ -200,18 +187,9 @@ type Event struct {
 // Tracer receives controller events. Implementations used from
 // cmd/experiments must be safe for concurrent Emit calls (parallel runs
 // share one tracer); the in-process tracers in this package that buffer
-// or write (Ring, JSONL, Chrome) all are.
+// or write (Ring, JSONL) both are.
 type Tracer interface {
 	Emit(Event)
-}
-
-// Sink is a Tracer that accumulates into an underlying stream: Close
-// flushes (and finalizes any framing) without closing the underlying
-// writer, and Count reports how many events were emitted.
-type Sink interface {
-	Tracer
-	Close() error
-	Count() int64
 }
 
 // Nop is the explicit no-op tracer. A nil config.Config.Tracer is the

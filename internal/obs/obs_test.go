@@ -129,7 +129,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if j.Count() != 3 {
 		t.Fatalf("count = %d, want 3", j.Count())
 	}
-	n, err := ValidateJSONL(bytes.NewReader(buf.Bytes()))
+	n, err := DecodeJSONL(bytes.NewReader(buf.Bytes()), func(Event) {})
 	if err != nil {
 		t.Fatalf("emitted stream does not validate: %v\n%s", err, buf.String())
 	}
@@ -138,7 +138,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidateJSONLRejects validates streams the way cmd/tracecheck
+// does (DecodeJSONL with a discarding callback): each bad line, after
+// a good one, stops validation with one event counted and the bad
+// line's number in the error.
 func TestValidateJSONLRejects(t *testing.T) {
+	const good = `{"kind":"pcb-flush","cycle":1,"addr":0,"scheme":"x"}` + "\n"
 	cases := map[string]string{
 		"not JSON":       "pcb-flush 812\n",
 		"missing field":  `{"kind":"pcb-flush","cycle":1,"addr":0}` + "\n",
@@ -149,8 +154,13 @@ func TestValidateJSONLRejects(t *testing.T) {
 		"empty scheme":   `{"kind":"pcb-flush","cycle":1,"addr":0,"scheme":""}` + "\n",
 	}
 	for name, line := range cases {
-		if _, err := ValidateJSONL(strings.NewReader(line)); err == nil {
+		n, err := DecodeJSONL(strings.NewReader(good+line), func(Event) {})
+		if err == nil {
 			t.Errorf("%s accepted: %s", name, line)
+			continue
+		}
+		if n != 1 || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: validated %d events, error %q; want 1 and line 2", name, n, err)
 		}
 	}
 }
@@ -202,38 +212,5 @@ func TestDecodeJSONLRejects(t *testing.T) {
 		if delivered != 0 {
 			t.Errorf("%s delivered %d events before failing", name, delivered)
 		}
-	}
-}
-
-func TestChromeWellFormed(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewChrome(&buf, 4.0)
-	c.Emit(Event{Kind: KindPCBFlush, Cycle: 4000, Addr: 0x100200, Aux: 9, Scheme: "thoth-wtsc"})
-	c.Emit(Event{Kind: KindCacheEvict, Cycle: 4100, Addr: 0x80, Aux: 1, Scheme: "thoth-wtsc", Part: "mac"})
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := ValidateChrome(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("chrome export invalid: %v\n%s", err, buf.String())
-	}
-	if n != 2 || c.Count() != 2 {
-		t.Fatalf("validated %d events (count %d), want 2", n, c.Count())
-	}
-	// Emit after Close must not corrupt the file.
-	c.Emit(Event{Kind: KindPCBFlush})
-	if _, err := ValidateChrome(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("post-Close emit corrupted output: %v", err)
-	}
-}
-
-func TestChromeEmptyIsWellFormed(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewChrome(&buf, 4.0)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ValidateChrome(bytes.NewReader(buf.Bytes())); err != nil || n != 0 {
-		t.Fatalf("empty export: n=%d err=%v\n%s", n, err, buf.String())
 	}
 }

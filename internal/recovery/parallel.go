@@ -156,8 +156,8 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 		mergeStart := time.Now()
 		mcfg := cfg
 		if cfg.Tracer != nil {
-			// Callers may pass plain tracers (the Chrome exporter, ring
-			// buffers); the shard goroutines emit concurrently.
+			// Callers may pass plain tracers (an obs.Func closure that
+			// appends to a slice); the shard goroutines emit concurrently.
 			mcfg.Tracer = obs.Serialized(cfg.Tracer)
 		}
 		shardReps := make([]Report, workers)

@@ -278,8 +278,8 @@ func TestRecoverParallelWallClockSpeedup(t *testing.T) {
 }
 
 // TestRecoverParallelPhaseEvents checks that a traced parallel recovery
-// emits balanced begin/end spans for every phase, per-shard merge spans,
-// and that the whole stream renders to a valid Chrome trace.
+// emits balanced begin/end spans for every phase and per-shard merge
+// spans.
 func TestRecoverParallelPhaseEvents(t *testing.T) {
 	cfg := testConfig(config.ThothWTSC)
 	const workers = 4
@@ -323,19 +323,5 @@ func TestRecoverParallelPhaseEvents(t *testing.T) {
 		if begins[sp] != 1 || ends[sp] != 1 {
 			t.Fatalf("merge shard %d: %d begins / %d ends, want 1/1", s-1, begins[sp], ends[sp])
 		}
-	}
-
-	// The recorded stream (controller events + recovery spans) must
-	// round-trip through the Chrome exporter.
-	var buf bytes.Buffer
-	ch := obs.NewChrome(&buf, cfg.CPUFreqGHz)
-	for _, e := range events {
-		ch.Emit(e)
-	}
-	if err := ch.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ValidateChrome(&buf); err != nil {
-		t.Fatalf("exported trace invalid: %v", err)
 	}
 }

@@ -288,28 +288,27 @@ func TestRunConfigTracer(t *testing.T) {
 	cfg := testConfig(WTSC)
 	cfg.LLCBytes = 1 << 20
 	ring := NewTraceRing(1 << 16)
+	cfg.Tracer = ring
 	_, err := RunWorkload(RunConfig{
 		Config:     cfg,
 		Workload:   "swap",
 		MeasureTxs: 50,
 		SetupKeys:  64,
-		Tracer:     ring,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ring.Len() == 0 {
-		t.Fatal("RunConfig.Tracer received no events")
+		t.Fatal("RunConfig.Config.Tracer received no events")
 	}
 }
 
 // TestMetricsThroughPublicAPI covers the re-exported metrics surface:
-// native controller instrumentation via Config.Metrics, event-derived
-// series via MetricsFromTracer, and the Prometheus renderer.
+// event-derived series via MetricsFromTracer and the Prometheus
+// renderer.
 func TestMetricsThroughPublicAPI(t *testing.T) {
 	cfg := testConfig(WTSC)
 	reg := NewMetricsRegistry()
-	cfg.Metrics = reg
 	cfg.Tracer = MetricsFromTracer(reg)
 	s := mustSys(t, cfg)
 	for i := 0; i < 200; i++ {
@@ -323,9 +322,7 @@ func TestMetricsThroughPublicAPI(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"thoth_write_cycles",         // native: critical-path histogram
-		"thoth_pub_occupancy_blocks", // native: PUB gauge
-		"thoth_events_total",         // derived: per-kind counters
+		"thoth_events_total", // per-kind counters
 		"thoth_wpq_residency_cycles",
 	} {
 		if !strings.Contains(out, want) {

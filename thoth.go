@@ -150,12 +150,12 @@ type Stats = stats.Stats
 // (StatsDelta) to measure intervals.
 type StatsSnapshot = stats.Stats
 
-// Tracing. Set Config.Tracer (or RunConfig.Tracer) to a Tracer and the
-// controller streams every notable internal event to it: PCB flushes,
-// PUB evictions with their Figure-3 outcome, counter overflows, WPQ
-// drains with their reason, metadata-cache evictions, tree updates, and
-// recovery merges. A nil tracer is free: the disabled path performs no
-// allocation and no call.
+// Tracing. Set Config.Tracer to a Tracer and the controller streams
+// every notable internal event to it: PCB flushes, PUB evictions with
+// their Figure-3 outcome, counter overflows, WPQ drains with their
+// reason, metadata-cache evictions, tree updates, and recovery merges.
+// A nil tracer is free: the disabled path performs no allocation and no
+// call.
 
 // Tracer receives controller events. Implementations must be cheap;
 // they run inline in the simulation loop.
@@ -194,8 +194,7 @@ const (
 	TraceRecoveryMerge = obs.KindRecoveryMerge
 	// TraceRecoveryPhase: a recovery phase boundary (Part is scan, merge,
 	// rebuild or verify; Detail is begin or end; Aux is 0 for the whole
-	// phase, shard+1 for a parallel worker's slice). The Chrome exporter
-	// renders these as duration spans on per-shard tracks.
+	// phase, shard+1 for a parallel worker's slice).
 	TraceRecoveryPhase = obs.KindRecoveryPhase
 )
 
@@ -214,18 +213,6 @@ type JSONLTracer = obs.JSONL
 // NewJSONLTracer returns a JSONLTracer writing to w.
 func NewJSONLTracer(w io.Writer) *JSONLTracer { return obs.NewJSONL(w) }
 
-// ChromeTracer exports events in Chrome trace_event format: load the
-// output in Perfetto (ui.perfetto.dev) or chrome://tracing to see each
-// event kind on its own track along the modeled timeline.
-type ChromeTracer = obs.Chrome
-
-// NewChromeTracer returns a ChromeTracer writing to w, converting
-// cycles to microseconds at cpuGHz (pass cfg.CPUFreqGHz; values <= 0
-// fall back to 1 GHz). Call Close to terminate the JSON array.
-func NewChromeTracer(w io.Writer, cpuGHz float64) *ChromeTracer {
-	return obs.NewChrome(w, cpuGHz)
-}
-
 // MultiTracer fans one event stream out to several tracers.
 func MultiTracer(ts ...Tracer) Tracer { return obs.Multi(ts...) }
 
@@ -236,13 +223,11 @@ func MultiTracer(ts ...Tracer) Tracer { return obs.Multi(ts...) }
 // JSONL trace schema cmd/tracecheck validates.
 type FlightRecord = obs.FlightRecord
 
-// Metrics. Set Config.Metrics to a MetricsRegistry and the controller
-// natively records write critical-path latency and PUB ring occupancy;
-// wrap the same registry with MetricsFromTracer and install the result
-// as the Tracer to also derive per-event counters and cycle-latency
+// Metrics. Wrap a MetricsRegistry with MetricsFromTracer and install the
+// result as Config.Tracer to derive per-event counters and cycle-latency
 // histograms (WPQ residency, PCB batch fill, PUB entry age, recovery
-// phases) from the event stream. cmd/tracemetrics rebuilds the
-// event-derived families from a recorded JSONL trace.
+// phases) from the event stream. cmd/tracemetrics rebuilds the same
+// families from a recorded JSONL trace.
 
 // MetricsRegistry collects named counters, gauges and log2-bucketed
 // cycle histograms. All updates are atomic: a registry may be read
