@@ -92,10 +92,10 @@ crashfuzz:
 	$(GO) run ./cmd/crashfuzz -seeds $(SWEEP_SEEDS) -start 201
 
 # Trace a quick workload and validate the emitted JSONL event stream
-# against the schema (cmd/tracecheck exits non-zero on any violation).
+# against the schema (tracemetrics exits non-zero on any violation).
 trace-smoke:
 	$(GO) run ./cmd/thothsim -workload btree -warmup 200 -txs 600 -setup 1024 -pub 256 -trace $(TRACE_FILE)
-	$(GO) run ./cmd/tracecheck $(TRACE_FILE)
+	$(GO) run ./cmd/tracemetrics -format summary $(TRACE_FILE)
 
 # Metrics gate: the runner's golden Prometheus exposition (the
 # event-derived families, validated by ValidateProm) and the
@@ -120,14 +120,14 @@ load-smoke:
 # (200 seeded machines, controller and pool, stage cycles must sum to
 # each op's latency), the flight-recorder suite (always-on, race-hammered,
 # JSONL round-trip, FromTracer replay), and an end-to-end crash whose
-# flight dump must validate under tracecheck.
+# flight dump must validate under tracemetrics.
 obs-smoke:
 	$(GO) test ./internal/obs -count=1
 	$(GO) test ./internal/core -run TestFlight -count=1
 	$(GO) test ./internal/loadgen -run TestAttribution -count=1
 	rm -rf $(FLIGHT_DIR)
 	$(GO) run ./cmd/thothsim -workload btree -warmup 200 -txs 600 -setup 1024 -pub 256 -crash -flight $(FLIGHT_DIR)
-	$(GO) run ./cmd/tracecheck $(FLIGHT_DIR)/flight.jsonl
+	$(GO) run ./cmd/tracemetrics -format summary $(FLIGHT_DIR)/flight.jsonl
 
 # Prove the zero-allocation hot paths stay that way: the disabled-tracer
 # emit, the steady-state secure read, histogram Observe, the

@@ -49,6 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *seeds < 1:
 		fmt.Fprintf(stderr, "crashfuzz: -seeds must be at least 1 (got %d)\n", *seeds)
 		return 2
+	case *workers < 1:
+		fmt.Fprintf(stderr, "crashfuzz: -workers must be at least 1 (got %d)\n", *workers)
+		return 2
 	case *minimize && !set["replay"]:
 		fmt.Fprintln(stderr, "crashfuzz: -minimize needs -replay (a sweep is not minimized)")
 		return 2

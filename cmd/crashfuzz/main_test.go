@@ -51,6 +51,8 @@ func TestRunRejectsBadFlag(t *testing.T) {
 		{[]string{"-no-such-flag"}, "no-such-flag"},
 		{[]string{"-seeds", "-1"}, "-seeds must be at least 1"},
 		{[]string{"-seeds", "0"}, "-seeds must be at least 1"},
+		{[]string{"-seeds", "1", "-workers", "0"}, "-workers must be at least 1"},
+		{[]string{"-seeds", "1", "-workers", "-2"}, "-workers must be at least 1"},
 		{[]string{"-minimize"}, "-minimize needs -replay"},
 		{[]string{"-replay", "3", "extra", "-minimize"}, `unexpected argument "extra"`},
 	} {

@@ -72,8 +72,8 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "thothsim load: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	if *shards < 0 {
-		fmt.Fprintln(stderr, "thothsim load: -shards must not be negative")
+	if n := negativeFlag(fs, "tenants", "shards", "ops", "duration", "top"); n != "" {
+		fmt.Fprintf(stderr, "thothsim load: -%s must not be negative\n", n)
 		return 2
 	}
 

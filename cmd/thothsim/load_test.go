@@ -108,8 +108,17 @@ func TestLoadRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"load", "-scheme", "nonsense"}, &out, &errw); code != 1 {
 		t.Fatalf("bad scheme: exit %d, want 1", code)
 	}
-	if code := run([]string{"load", "-shards", "-3", "-ops", "10", "-pub", "64"}, &out, &errw); code != 2 {
-		t.Fatalf("negative -shards: exit %d, want 2", code)
+	// A negative count is rejected, not dropped in favour of the
+	// scenario default.
+	for _, flag := range []string{"-shards", "-tenants", "-ops", "-duration", "-top"} {
+		errw.Reset()
+		args := []string{"load", "-ops", "10", "-pub", "64", flag, "-3"}
+		if code := run(args, &out, &errw); code != 2 {
+			t.Errorf("%s -3: exit %d, want 2", flag, code)
+		}
+		if want := flag + " must not be negative"; !strings.Contains(errw.String(), want) {
+			t.Errorf("%s -3: stderr %q, want %q", flag, errw.String(), want)
+		}
 	}
 	// A stray argument must not end flag parsing silently: -ops after it
 	// would be dropped and the scenario's default budget would run.

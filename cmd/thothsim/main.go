@@ -8,8 +8,6 @@
 //	thothsim -workload btree -scheme thoth-wtsc
 //	thothsim -workload swap -scheme baseline -block 256 -tx 512
 //	thothsim -workload rbtree -scheme thoth-wtsc -crash  # crash + recover
-//	thothsim -shards 4 -txs 20000            # sharded pool throughput
-//	thothsim -shards 4 -crash                # crash a shard subset + recover
 //
 // The load subcommand replaces the closed-loop harness with an
 // open-loop multi-tenant traffic generator: seeded arrival processes
@@ -26,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/config"
@@ -56,19 +56,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	crash := fs.Bool("crash", false, "crash after the run and recover the image")
 	recoveryWorkers := fs.Int("recovery-workers", 0,
 		"recover with the sharded parallel engine at N workers (0 = serial reference)")
-	persistBatch := fs.Int("persist-batch", 0,
-		"with -shards, persist in batches of this many blocks (0 = 64)")
 	verify := fs.Bool("verify", false, "verify all persisted data after the run")
 	shadow := fs.Bool("shadow", false, "enable Anubis shadow-table tracking (fast recovery)")
 	eadr := fs.Bool("eadr", false, "enhanced ADR: persistent cache hierarchy (extension)")
 	traceFile := fs.String("trace", "", "write a controller event trace to this file")
 	flightDir := fs.String("flight", "",
 		"with -crash, dump the flight recorder (the always-on ring of recent "+
-			"controller events) to JSONL files in this directory alongside the crash image")
-	shards := fs.Int("shards", 0,
-		"run the sharded pool throughput mode at N controllers instead of the workload "+
-			"harness (-txs seeded random block persists in batches of -persist-batch; "+
-			"N must divide the 1 GiB module — powers of two work; 0 = harness)")
+			"controller events) to flight.jsonl in this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -76,12 +70,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "thothsim: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	if *shards < 0 {
-		fmt.Fprintln(stderr, "thothsim: -shards must not be negative")
-		return 2
-	}
-	if *persistBatch != 0 && *shards <= 0 {
-		fmt.Fprintln(stderr, "thothsim: -persist-batch needs -shards")
+	if n := negativeFlag(fs, "warmup", "recovery-workers"); n != "" {
+		fmt.Fprintf(stderr, "thothsim: -%s must not be negative\n", n)
 		return 2
 	}
 	if *flightDir != "" && !*crash {
@@ -131,11 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Tracer = sink
 	}
 
-	if *shards > 0 {
-		return runPoolBench(cfg, *shards, *txs, *persistBatch, *crash, *verify,
-			*recoveryWorkers, *flightDir, stdout, stderr)
-	}
-
 	res, err := harness.Run(harness.RunConfig{
 		Config:     cfg,
 		Workload:   *wl,
@@ -164,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *flightDir != "" {
 			rec := res.Runner.Controller().FlightRecord()
-			if err := dumpFlight(*flightDir, "flight.jsonl", rec, stdout); err != nil {
+			if err := dumpFlight(*flightDir, rec, stdout); err != nil {
 				fmt.Fprintln(stderr, "thothsim: flight dump:", err)
 				return 1
 			}
@@ -183,6 +168,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, rep)
 	}
 	return 0
+}
+
+// negativeFlag returns the name of the first of the named numeric flags
+// whose value is below zero, or "" when none is.
+func negativeFlag(fs *flag.FlagSet, names ...string) string {
+	for _, n := range names {
+		if v, _ := strconv.ParseFloat(fs.Lookup(n).Value.String(), 64); v < 0 {
+			return n
+		}
+	}
+	return ""
+}
+
+// dumpFlight writes the flight-recorder snapshot as the JSONL trace
+// flight.jsonl under dir (created if missing).
+func dumpFlight(dir string, rec obs.FlightRecord, stdout io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, "flight.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rec.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "flight recorder: %d events (%d dropped of %d total) -> %s\n",
+		len(rec.Events), rec.Dropped, rec.Count, path)
+	return nil
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

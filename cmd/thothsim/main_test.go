@@ -82,8 +82,27 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errw); code != 2 {
 		t.Fatalf("bad flag: exit %d, want 2", code)
 	}
-	if code := run([]string{"-shards", "-2", "-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16"}, &out, &errw); code != 2 {
-		t.Fatalf("negative -shards: exit %d, want 2", code)
+	// The pool driver is `thothsim load -shards N`; the harness mode
+	// has no -shards.
+	errw.Reset()
+	if code := run([]string{"-shards", "2", "-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16"}, &out, &errw); code != 2 {
+		t.Fatalf("-shards: exit %d, want 2", code)
+	}
+	if !strings.Contains(errw.String(), "flag provided but not defined: -shards") {
+		t.Errorf("-shards: stderr %q does not name the unknown flag", errw.String())
+	}
+	// A negative count is rejected, not dropped: a negative
+	// -recovery-workers would recover serially and a negative -warmup
+	// would skip the warm-up.
+	for _, flag := range []string{"-warmup", "-recovery-workers"} {
+		errw.Reset()
+		args := []string{"-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16", "-crash", flag, "-5"}
+		if code := run(args, &out, &errw); code != 2 {
+			t.Errorf("%s -5: exit %d, want 2", flag, code)
+		}
+		if want := flag + " must not be negative"; !strings.Contains(errw.String(), want) {
+			t.Errorf("%s -5: stderr %q, want %q", flag, errw.String(), want)
+		}
 	}
 	// -flight and -recovery-workers act on the crash image alone;
 	// without -crash they would be silently dropped.
@@ -167,65 +186,5 @@ func TestRunCrashRecoverParallel(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "parallel: 2 workers") {
 		t.Errorf("parallel crash run must print the per-shard report:\n%s", out.String())
-	}
-}
-
-// TestRunBatchedPersistFlags pins that -persist-batch, which sizes the
-// -shards mode's batches, is rejected rather than silently ignored in
-// the single-controller harness mode.
-func TestRunBatchedPersistFlags(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{
-		"-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16",
-		"-persist-batch", "8",
-	}, &out, &errw)
-	if code == 0 {
-		t.Fatalf("-persist-batch without -shards exited 0:\n%s", out.String())
-	}
-	if !strings.Contains(errw.String(), "-persist-batch needs -shards") {
-		t.Errorf("stderr missing diagnosis: %q", errw.String())
-	}
-}
-
-// TestRunPoolThroughput drives `thothsim -shards N` end to end: seeded
-// random persists through the sharded pool, throughput plus pooled and
-// per-shard stats on stdout.
-func TestRunPoolThroughput(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{"-shards", "2", "-txs", "400", "-persist-batch", "16", "-verify"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errw.String())
-	}
-	for _, want := range []string{"pool shards=2", "ops/sec=", "shard 0:", "shard 1:", "verify: all shards consistent"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-// TestRunPoolCrashRecover crashes the even-indexed shard subset after
-// the run, recovers it, and verifies every written block.
-func TestRunPoolCrashRecover(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := run([]string{"-shards", "2", "-txs", "400", "-crash", "-recovery-workers", "2"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errw.String())
-	}
-	for _, want := range []string{"crashed shards [true false]", "1/2 shards recovered", "recovery verified:"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-// TestRunPoolRejectsBadShards pins the divisibility validation end to
-// end: 3 does not divide the 1 GiB module.
-func TestRunPoolRejectsBadShards(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run([]string{"-shards", "3", "-txs", "10"}, &out, &errw); code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr: %s)", code, errw.String())
-	}
-	if !strings.Contains(errw.String(), "thothsim: pool:") {
-		t.Errorf("bad shard count not reported: %q", errw.String())
 	}
 }

@@ -3,7 +3,9 @@
 // through the metrics.FromTracer adapter into a fresh registry, and
 // prints the result — so the post-hoc view of a run agrees
 // metric-for-metric with a registry the same adapter fed during the run
-// (TestReplayMatchesLive pins this).
+// (TestReplayMatchesLive pins this). A trace that breaks the JSONL
+// schema exits 1 naming its first bad line, so `-format summary`
+// doubles as the trace validator (make trace-smoke, make obs-smoke).
 //
 // Usage:
 //

@@ -117,18 +117,33 @@ func TestRejectsBadInput(t *testing.T) {
 	}
 
 	// A trace carrying an undeclared kind must be rejected, not
-	// silently skipped (satellite: Kind >= numKinds validation).
-	bad := filepath.Join(t.TempDir(), "bad.jsonl")
-	line := `{"kind":"kind(12)","cycle":1,"addr":0,"scheme":"s"}` + "\n"
-	if err := os.WriteFile(bad, []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// silently skipped: an event whose Kind has no declared constant
+	// serializes as the "kind(N)" placeholder. The fixture is committed
+	// so the guarantee survives refactors of the Kind enum or the
+	// decoder.
 	errw.Reset()
-	if code := run([]string{bad}, nil, &out, &errw); code != 1 {
+	if code := run([]string{"-format", "summary", filepath.Join("testdata", "badkind.jsonl")}, nil, &out, &errw); code != 1 {
 		t.Fatalf("bad kind: exit %d, want 1", code)
 	}
-	if !strings.Contains(errw.String(), "unknown kind") {
-		t.Errorf("stderr missing diagnosis: %s", errw.String())
+	if !strings.Contains(errw.String(), "line 2") || !strings.Contains(errw.String(), "unknown kind") {
+		t.Errorf("stderr should flag line 2's undeclared kind: %s", errw.String())
+	}
+
+	// The same guarantee end to end: a live tracer fed an out-of-range
+	// Kind produces a trace tracemetrics rejects.
+	path := filepath.Join(t.TempDir(), "live.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewJSONL(f)
+	sink.Emit(obs.Event{Kind: obs.Kind(12), Cycle: 1, Addr: 0, Scheme: "thoth-wtsc"})
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if code := run([]string{path}, nil, &out, &errw); code != 1 {
+		t.Fatalf("live out-of-range kind: exit %d, want 1", code)
 	}
 }
 

@@ -84,10 +84,6 @@ func NewRunner(rc RunConfig) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newRunnerWith(rc, ctl)
-}
-
-func newRunnerWith(rc RunConfig, ctl *core.Controller) (*Runner, error) {
 	cfg := rc.Config
 	lay := ctl.Layout()
 	r := &Runner{
@@ -103,7 +99,8 @@ func newRunnerWith(rc RunConfig, ctl *core.Controller) (*Runner, error) {
 	})
 
 	if rc.Workload == "" {
-		// Trace replay drives the runner directly; no benchmark streams.
+		// No benchmark streams: the caller drives the runner directly
+		// through its workload.Sink methods.
 		return r, nil
 	}
 	perCore := lay.DataBytes / int64(cfg.Cores)

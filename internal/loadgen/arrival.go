@@ -17,9 +17,10 @@ const (
 	// Poisson process), the open-loop standard model.
 	ArrivePoisson
 	// ArriveBursty is a two-state Markov-modulated on/off process: during
-	// an ON period arrivals are Poisson at a rate BurstFactor times the
-	// long-run average; OFF periods are silent. Sojourn times in each
-	// state are exponential (means OnCycles / OffCycles).
+	// an ON period arrivals are Poisson at (On+Off)/On times the long-run
+	// average rate, which keeps that average at 1/MeanCycles; OFF periods
+	// are silent. Sojourn times in each state are exponential (means
+	// OnCycles / OffCycles).
 	ArriveBursty
 )
 
@@ -50,12 +51,9 @@ type ArrivalSpec struct {
 
 	// Bursty parameters. OnCycles and OffCycles are the mean sojourn
 	// times of the ON and OFF states in cycles (absolute, not scaled by
-	// tenant count — tenants burst independently). BurstFactor is the ON
-	// rate multiplier; when 0 it defaults to (On+Off)/On, which makes the
-	// long-run average rate equal 1/MeanCycles.
-	OnCycles    int64
-	OffCycles   int64
-	BurstFactor float64
+	// tenant count — tenants burst independently).
+	OnCycles  int64
+	OffCycles int64
 }
 
 // validate rejects unusable specs.
@@ -63,14 +61,9 @@ func (a ArrivalSpec) validate() error {
 	if a.MeanCycles < 0 {
 		return fmt.Errorf("loadgen: arrival mean %d cycles is negative", a.MeanCycles)
 	}
-	if a.Kind == ArriveBursty {
-		if a.OnCycles <= 0 || a.OffCycles <= 0 {
-			return fmt.Errorf("loadgen: bursty arrivals need positive on/off sojourns, got %d/%d",
-				a.OnCycles, a.OffCycles)
-		}
-		if a.BurstFactor < 0 {
-			return fmt.Errorf("loadgen: burst factor %g is negative", a.BurstFactor)
-		}
+	if a.Kind == ArriveBursty && (a.OnCycles <= 0 || a.OffCycles <= 0) {
+		return fmt.Errorf("loadgen: bursty arrivals need positive on/off sojourns, got %d/%d",
+			a.OnCycles, a.OffCycles)
 	}
 	return nil
 }
@@ -134,11 +127,9 @@ func (p *arrivalProc) advance() {
 		p.next += p.gap()
 		return
 	}
-	bf := p.spec.BurstFactor
-	if bf <= 0 {
-		bf = float64(p.spec.OnCycles+p.spec.OffCycles) / float64(p.spec.OnCycles)
-	}
-	onMean := p.mean / bf
+	// ON arrivals run at (On+Off)/On times the mean rate, so the
+	// long-run average rate is 1/mean.
+	onMean := p.mean / (float64(p.spec.OnCycles+p.spec.OffCycles) / float64(p.spec.OnCycles))
 	t := p.next
 	for {
 		if p.on {

@@ -70,10 +70,6 @@ func FillPayload(dst []byte, seq, addr int64) {
 
 // Options tunes driver bookkeeping beyond the scenario itself.
 type Options struct {
-	// StrideBlocks overrides the strided-key stride (blocks). 0 uses the
-	// scenario's Keys.Stride, and failing that one metadata group plus
-	// one block — consecutive ops then land in distinct metadata groups.
-	StrideBlocks int64
 	// TrackGolden records the final acknowledged payload of every
 	// written block; the crash-under-load test reads them back after
 	// recovery.
@@ -155,7 +151,7 @@ type Driver struct {
 
 // NewDriver builds a driver for the scenario over the target. cfg is the
 // machine configuration the target was built from (the driver needs its
-// metadata geometry for the default thrash stride). reg receives the
+// metadata geometry for the thrash stride). reg receives the
 // thoth_loadgen_* metric families; nil creates a private registry.
 func NewDriver(scn Scenario, tgt Target, cfg config.Config, reg *metrics.Registry, opts Options) (*Driver, error) {
 	if err := scn.validate(); err != nil {
@@ -170,13 +166,9 @@ func NewDriver(scn Scenario, tgt Target, cfg config.Config, reg *metrics.Registr
 	if reg == nil {
 		reg = metrics.New()
 	}
-	stride := opts.StrideBlocks
-	if stride == 0 {
-		stride = scn.Keys.Stride
-	}
-	if stride == 0 {
-		stride = recovery.GroupBlocks(cfg) + 1
-	}
+	// Strided keys step one metadata group plus one block, so
+	// consecutive ops land in distinct metadata groups.
+	stride := recovery.GroupBlocks(cfg) + 1
 	var zipf *zipfTable
 	if scn.Keys.Kind == KeysZipfian {
 		n := perTenant

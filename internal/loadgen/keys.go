@@ -52,18 +52,12 @@ type KeySpec struct {
 	// ZipfS is the Zipf skew parameter (> 0) for KeysZipfian; the
 	// classic hot-key distribution uses s ≈ 1.
 	ZipfS float64
-	// Stride is the block stride for KeysStrided; 0 lets the driver pick
-	// the metadata-group stride.
-	Stride int64
 }
 
 // validate rejects unusable specs.
 func (k KeySpec) validate() error {
 	if k.Kind == KeysZipfian && k.ZipfS <= 0 {
 		return fmt.Errorf("loadgen: zipfian keys need ZipfS > 0, got %g", k.ZipfS)
-	}
-	if k.Stride < 0 {
-		return fmt.Errorf("loadgen: key stride %d is negative", k.Stride)
 	}
 	return nil
 }
@@ -111,10 +105,9 @@ type keyPicker struct {
 	pos    int64
 }
 
-// newKeyPicker builds the chooser. stride is the resolved block stride
-// for KeysStrided (the driver passes the metadata-group stride when the
-// spec leaves it 0); it is forced co-prime with nKeys so the walk covers
-// the whole partition.
+// newKeyPicker builds the chooser. stride is the block stride for
+// KeysStrided (the driver passes one metadata group plus one block); it
+// is forced co-prime with nKeys so the walk covers the whole partition.
 func newKeyPicker(spec KeySpec, zipf *zipfTable, nKeys, stride int64) keyPicker {
 	if stride <= 0 {
 		stride = 1

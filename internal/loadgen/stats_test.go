@@ -100,7 +100,7 @@ func TestConstantGapsExact(t *testing.T) {
 }
 
 // TestBurstyLongRunRate verifies the Markov-modulated process preserves
-// the long-run average rate (the default BurstFactor contract) while
+// the long-run average rate (ON runs at (On+Off)/On times it) while
 // actually bursting: ON gaps are short, OFF boundaries inject long
 // silences.
 func TestBurstyLongRunRate(t *testing.T) {
@@ -231,8 +231,6 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "burst", Tenants: 1, Arrival: ArrivalSpec{Kind: ArriveBursty, MeanCycles: 1}},
 		{Name: "zipf", Tenants: 1, Arrival: ArrivalSpec{Kind: ArrivePoisson, MeanCycles: 1},
 			Keys: KeySpec{Kind: KeysZipfian}},
-		{Name: "stride", Tenants: 1, Arrival: ArrivalSpec{Kind: ArrivePoisson, MeanCycles: 1},
-			Keys: KeySpec{Kind: KeysStrided, Stride: -2}},
 	}
 	for _, s := range bad {
 		if err := s.validate(); err == nil {

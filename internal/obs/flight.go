@@ -53,9 +53,9 @@ type FlightRecord struct {
 }
 
 // WriteJSONL writes the record as a JSONL event stream — the same
-// schema JSONL emits, so the dump validates under cmd/tracecheck and
-// replays through DecodeJSONL and metrics.FromTracer like any recorded
-// trace.
+// schema JSONL emits, so the dump decodes through DecodeJSONL and
+// replays through metrics.FromTracer (cmd/tracemetrics) like any
+// recorded trace.
 func (r FlightRecord) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, e := range r.Events {

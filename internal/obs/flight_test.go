@@ -39,8 +39,8 @@ func TestFlightRecorderDefaultCapacity(t *testing.T) {
 }
 
 // TestFlightRecordJSONLRoundTrip pins the dump contract: a snapshot's
-// JSONL output passes DecodeJSONL's schema checks (the tracecheck
-// schema) and decodes back to the identical event sequence.
+// JSONL output passes DecodeJSONL's schema checks and decodes back to
+// the identical event sequence.
 func TestFlightRecordJSONLRoundTrip(t *testing.T) {
 	f := NewFlightRecorder(16)
 	for i := 0; i < 10; i++ {

@@ -38,7 +38,7 @@ func TestKindNamesRoundTrip(t *testing.T) {
 // TestUndeclaredKindsRejected pins the boundary: KindNone and every
 // value at or past the end of the enum is invalid, its String form is
 // the kind(N) placeholder, and KindByName refuses to resolve it — so
-// validators (tracecheck, DecodeJSONL) reject events carrying one.
+// DecodeJSONL (and so tracemetrics) rejects events carrying one.
 func TestUndeclaredKindsRejected(t *testing.T) {
 	for _, k := range []Kind{KindNone, numKinds, numKinds + 1, Kind(200), Kind(255)} {
 		if ValidKind(k) && k != KindNone {
@@ -138,10 +138,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestValidateJSONLRejects validates streams the way cmd/tracecheck
-// does (DecodeJSONL with a discarding callback): each bad line, after
-// a good one, stops validation with one event counted and the bad
-// line's number in the error.
+// TestValidateJSONLRejects validates streams with DecodeJSONL and a
+// discarding callback: each bad line, after a good one, stops
+// validation with one event counted and the bad line's number in the
+// error.
 func TestValidateJSONLRejects(t *testing.T) {
 	const good = `{"kind":"pcb-flush","cycle":1,"addr":0,"scheme":"x"}` + "\n"
 	cases := map[string]string{

@@ -1,9 +1,10 @@
-// Parallel sharded recovery. The serial Recover is the reference
-// implementation; RecoverParallel must produce a byte-identical device
-// image and an equal Report (modulo timing) for every crash image and
-// worker count — the crashfuzz oracle (internal/crashfuzz) checks
-// exactly that on every seed it sweeps or fuzzes, at 1, 2, 4 and 8
-// workers.
+// Parallel sharded recovery: the PUB merge runs on worker goroutines,
+// the tree rebuild and root check on the caller's. The serial Recover is
+// the reference implementation; RecoverParallel must produce a
+// byte-identical device image and an equal Report (modulo timing) for
+// every crash image and worker count — the crashfuzz oracle
+// (internal/crashfuzz) checks exactly that on every seed it sweeps or
+// fuzzes, at 1, 2, 4 and 8 workers.
 //
 // Why sharding by metadata *group* is sound: mergeEntry's writes
 // read-modify-write whole counter blocks (shared by every data block of
@@ -36,8 +37,9 @@ import (
 
 // RecoverOpts configures RecoverParallel.
 type RecoverOpts struct {
-	// Workers is the number of merge/rebuild goroutines. Values <= 0
-	// default to runtime.GOMAXPROCS(0); the count is capped at
+	// Workers is the number of merge goroutines, and the worker count
+	// the cycle model divides the merge and the tree rebuild by. Values
+	// <= 0 default to runtime.GOMAXPROCS(0); the count is capped at
 	// maxWorkers.
 	Workers int
 }
@@ -102,11 +104,11 @@ func emitPhase(cfg config.Config, phase string, shard int64, begin, end int64) {
 }
 
 // RecoverParallel restores a crashed device image in place like Recover,
-// but shards the PUB merge and the tree rebuild across worker
-// goroutines. The result — device bytes, error (same sentinels, test
-// with errors.Is), and Report counters (CountsEqual) — is identical to
-// the serial pass for any worker count; only the timing fields and the
-// per-shard breakdown differ.
+// but shards the PUB merge across worker goroutines. The result —
+// device bytes, error (same sentinels, test with errors.Is), and Report
+// counters (CountsEqual) — is identical to the serial pass for any
+// worker count; only the timing fields and the per-shard breakdown
+// differ.
 func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Report, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -207,15 +209,15 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 		estimateShadow(cfg, lay, dev, rep)
 	}
 
-	// Phase 3 — rebuild: hash the written counter blocks and each tree
-	// level in parallel; the level barriers end in the sequential root
-	// join. Merging has fully joined, so the device is read-only here.
+	// Phase 3 — rebuild: hash the written counter blocks into the tree
+	// on this goroutine; merging has fully joined. The model still
+	// divides the rebuild across the workers, as recovery hardware
+	// would hash the leaves in parallel.
 	rebuildStart := time.Now()
-	newEng := func() *crypt.Engine { return crypt.NewEngine(cfg.Seed) }
-	root, leaves := bmt.RebuildParallel(lay, newEng, dev, workers)
+	root := bmt.Rebuild(lay, crypt.NewEngine(cfg.Seed), dev)
 	rep.RebuildWallNS = time.Since(rebuildStart).Nanoseconds()
 	levels := int64(lay.TreeLevels())
-	serialRebuild := leaves * (read + levels*hash)
+	serialRebuild := writtenCtrBlocks(lay, dev) * (read + levels*hash)
 	rep.RebuildCycles = (serialRebuild + int64(workers) - 1) / int64(workers)
 	mergeEnd := rep.ScanCycles + rep.MergeCycles
 	emitPhase(cfg, obs.PhaseRebuild, 0, mergeEnd, mergeEnd+rep.RebuildCycles)

@@ -325,3 +325,52 @@ func TestRecoverParallelPhaseEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverParallelPhaseCycles pins the modeled phase costs of one
+// fixed crash image at 1, 2 and 4 workers, and the four whole-phase
+// spans a traced run emits: scan, merge, rebuild and verify lie end to
+// end from cycle 0. The model divides the merge (slowest shard) and the
+// tree rebuild across workers, whatever the host does to compute them.
+func TestRecoverParallelPhaseCycles(t *testing.T) {
+	cfg := testConfig(config.ThothWTSC)
+	c, _ := runAndCrash(t, cfg, 500, 4096)
+	img := c.Device()
+	want := map[int][4]int64{ // scan, merge, rebuild, verify
+		1: {33600, 2963520, 31080, 240},
+		2: {33600, 1599360, 15540, 240},
+		4: {33600, 799680, 7770, 240},
+	}
+	phases := []string{obs.PhaseScan, obs.PhaseMerge, obs.PhaseRebuild, obs.PhaseVerify}
+	for _, w := range []int{1, 2, 4} {
+		type span struct{ begin, end int64 }
+		spans := map[string]span{}
+		tcfg := cfg
+		tcfg.Tracer = obs.Func(func(e obs.Event) {
+			if e.Kind != obs.KindRecoveryPhase || e.Aux != 0 {
+				return
+			}
+			sp := spans[e.Part]
+			if e.Detail == obs.PhaseBegin {
+				sp.begin = e.Cycle
+			} else {
+				sp.end = e.Cycle
+			}
+			spans[e.Part] = sp
+		})
+		rep, err := RecoverParallel(tcfg, img.Clone(), RecoverOpts{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]int64{rep.ScanCycles, rep.MergeCycles, rep.RebuildCycles, rep.VerifyCycles}
+		if got != want[w] {
+			t.Errorf("workers=%d: phase cycles %v, want %v", w, got, want[w])
+		}
+		var at int64
+		for i, p := range phases {
+			if sp := (span{at, at + want[w][i]}); spans[p] != sp {
+				t.Errorf("workers=%d: %s span %v, want %v", w, p, spans[p], sp)
+			}
+			at += want[w][i]
+		}
+	}
+}

@@ -206,7 +206,7 @@ type TraceRing = obs.Ring
 func NewTraceRing(capacity int) *TraceRing { return obs.NewRing(capacity) }
 
 // JSONLTracer streams events to a writer as one JSON object per line
-// (the schema cmd/tracecheck validates). Close flushes; the underlying
+// (the schema cmd/tracemetrics reads). Close flushes; the underlying
 // writer stays open.
 type JSONLTracer = obs.JSONL
 
@@ -220,7 +220,7 @@ func MultiTracer(ts ...Tracer) Tracer { return obs.Multi(ts...) }
 // controller events (an always-on, bounded black box kept even with no
 // Tracer installed), plus how many older events the ring dropped.
 // System.FlightRecord takes the snapshot; WriteJSONL dumps it in the
-// JSONL trace schema cmd/tracecheck validates.
+// JSONL trace schema cmd/tracemetrics reads.
 type FlightRecord = obs.FlightRecord
 
 // Metrics. Wrap a MetricsRegistry with MetricsFromTracer and install the
@@ -540,18 +540,6 @@ type RunResult = harness.Result
 // RunWorkload runs one benchmark (btree, ctree, hashmap, rbtree, swap)
 // against one configuration and returns its measurements.
 func RunWorkload(rc RunConfig) (*RunResult, error) { return harness.Run(rc) }
-
-// ReplayResult summarizes a trace replay.
-type ReplayResult = harness.ReplayResult
-
-// Replay drives the secure memory controller from a textual memory
-// trace (L/S/P ops with addresses and sizes, F for fences, # comments;
-// the format is documented on harness.Replay). Externally captured traces run against
-// any configured scheme with the same LLC filter and persistence
-// semantics as the built-in benchmarks.
-func Replay(cfg Config, r io.Reader) (*ReplayResult, error) {
-	return harness.Replay(cfg, r)
-}
 
 // WorkloadNames lists the available benchmarks.
 func WorkloadNames() []string {

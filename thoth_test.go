@@ -375,19 +375,6 @@ func TestImagePersistenceAcrossProcessBoundary(t *testing.T) {
 	}
 }
 
-func TestReplayAPI(t *testing.T) {
-	cfg := testConfig(WTSC)
-	cfg.LLCBytes = 1 << 20
-	trace := "S 0x0 128\nP 0x0 128\nF\nL 0x0 128\n"
-	res, err := Replay(cfg, strings.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 4 || res.Cycles <= 0 {
-		t.Fatalf("replay result %+v implausible", res)
-	}
-}
-
 // TestPersistBatchZeroAlloc pins that a steady-state PersistBatch
 // allocates nothing: a 64-block batch over warm metadata caches and a
 // wrapped PUB ring makes no allocation per call.
