@@ -166,13 +166,15 @@ endif
 # Short coverage-guided fuzz session over the checked-in corpus (each
 # input runs its seed's whole variant matrix), plus the word-level
 # bit-field codec against its bit-at-a-time reference, the stale-mask
-# integrity tree against its map-based reference, and the counter-mode
-# pads against per-chunk crypto/aes.
+# integrity tree against its map-based reference, the counter-mode
+# pads against per-chunk crypto/aes, and the block-ordered PUB replay
+# against the FIFO replay.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/crashfuzz
 	$(GO) test -run=NONE -fuzz=FuzzBitpack -fuzztime=5s ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzTree -fuzztime=5s ./internal/bmt
 	$(GO) test -run=NONE -fuzz=FuzzPad -fuzztime=5s ./internal/crypt
+	$(GO) test -run=NONE -fuzz=FuzzReplayOrder -fuzztime=5s ./internal/recovery
 
 # The acceptance-criteria sweep (slower; not part of `ci`).
 sweep-1000:

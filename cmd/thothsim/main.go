@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *crash {
-		if err := res.Runner.Controller().Crash(res.Runner.Now()); err != nil {
+		if err := res.Runner.Crash(); err != nil {
 			fmt.Fprintln(stderr, "thothsim: crash flush:", err)
 			return 1
 		}

@@ -44,6 +44,34 @@ func TestRunCrashRecover(t *testing.T) {
 	}
 }
 
+// TestRunCrashEADR checks that -eadr -crash crashes through the runner,
+// whose eADR flush persists the LLC's dirty lines. This swap run keeps
+// every line it writes in the LLC, so a crash that skipped the flush
+// would leave nothing of the run in the image: recovery would replay an
+// empty PUB.
+func TestRunCrashEADR(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := run([]string{
+		"-workload", "swap", "-txs", "300", "-warmup", "50", "-setup", "256", "-pub", "64",
+		"-eadr", "-crash",
+	}, &out, &errw)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw.String())
+	}
+	var blocks, entries int64
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "recovery:") {
+			if _, err := fmt.Sscanf(line, "recovery: %d PUB blocks, %d entries", &blocks, &entries); err != nil {
+				t.Fatalf("unparsable recovery line %q: %v", line, err)
+			}
+		}
+	}
+	if entries == 0 {
+		t.Fatalf("-eadr crash left %d PUB blocks and %d entries to replay, want the flushed LLC lines' updates:\n%s",
+			blocks, entries, out.String())
+	}
+}
+
 func TestRunWritesValidTraces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	var out, errw bytes.Buffer

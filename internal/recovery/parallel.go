@@ -1,10 +1,10 @@
 // Parallel sharded recovery: the PUB merge runs on worker goroutines,
-// the tree rebuild and root check on the caller's. The serial Recover is
-// the reference implementation; RecoverParallel must produce a
-// byte-identical device image and an equal Report (modulo timing) for
-// every crash image and worker count — the crashfuzz oracle
-// (internal/crashfuzz) checks exactly that on every seed it sweeps or
-// fuzzes, at 1, 2, 4 and 8 workers.
+// the tree rebuild and root check on the caller's. RecoverParallel must
+// produce a byte-identical device image, an equal Report (modulo timing)
+// and the same merge events as the serial Recover for every crash image
+// and worker count — the crashfuzz oracle (internal/crashfuzz) checks
+// the first two on every seed it sweeps or fuzzes, at 1, 2, 4 and 8
+// workers.
 //
 // Why sharding by metadata *group* is sound: mergeEntry's writes
 // read-modify-write whole counter blocks (shared by every data block of
@@ -13,10 +13,17 @@
 // share a counter or MAC home block, and both sharings are confined to a
 // group of lcm(BlocksPerPage, MACsPerBlock) consecutive data blocks. The
 // shard key hashes that group index, so same-group entries land in one
-// shard and replay there in their original FIFO (oldest-to-youngest)
-// order, while cross-shard entries touch disjoint blocks — making the
+// shard, while cross-shard entries touch disjoint blocks — making the
 // final image independent of scheduling, hence byte-identical to the
 // serial pass.
+//
+// Each shard replays its entries through the serial path's window
+// (replay.go): up to replayWindow of the shard's entries at a time, in
+// ascending data-block order, the entries of one block in ring order.
+// Within a group, entries of different data blocks read and write
+// disjoint counter and MAC slots, so they commute. The workers emit
+// nothing: after they join, the caller emits every merge outcome in
+// ring order, so a traced run is reproducible.
 package recovery
 
 import (
@@ -32,7 +39,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/nvm"
 	"repro/internal/obs"
-	"repro/internal/pub"
 )
 
 // RecoverOpts configures RecoverParallel.
@@ -47,14 +53,6 @@ type RecoverOpts struct {
 // maxWorkers bounds the shard count: beyond this, per-shard bookkeeping
 // outweighs any conceivable merge parallelism.
 const maxWorkers = 256
-
-// shardTask is one PUB entry queued for a shard, with the modeled cycle
-// it was accounted at during the FIFO scan (so traced parallel runs
-// stamp the same per-entry cycles as serial ones).
-type shardTask struct {
-	e   pub.Entry
-	cyc int64
-}
 
 // GroupBlocks returns the metadata-group span in data blocks — the unit
 // that must never be split across shards, here or in the steady-state
@@ -110,6 +108,12 @@ func emitPhase(cfg config.Config, phase string, shard int64, begin, end int64) {
 // worker count; only the timing fields and the per-shard breakdown
 // differ.
 func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Report, error) {
+	return recoverParallel(cfg, dev, opts, replayWindow)
+}
+
+// recoverParallel is RecoverParallel with replay windows of at most
+// size entries per shard.
+func recoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts, size int) (*Report, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -139,15 +143,20 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 		// the serial pass, stamping each entry with its serial-model
 		// cycle, and queue it on the shard owning its metadata group.
 		scanStart := time.Now()
-		group := shardGroupBlocks(cfg)
-		shards := make([][]shardTask, workers)
-		err := scanPUB(cfg, lay, dev, rep, func(e pub.Entry, cyc int64) {
-			s := shardOf(int64(e.BlockIndex)/group, workers)
-			shards[s] = append(shards[s], shardTask{e, cyc})
-		})
+		ring, err := openPUB(lay, dev, rep)
 		if err != nil {
 			return nil, err
 		}
+		group := shardGroupBlocks(cfg)
+		shards := make([][]shardTask, workers)
+		var order []int // each entry's shard in ring order; kept when traced
+		scanPUB(cfg, ring, rep, func(t shardTask) {
+			s := shardOf(int64(t.block)/group, workers)
+			shards[s] = append(shards[s], t)
+			if cfg.Tracer != nil {
+				order = append(order, s)
+			}
+		})
 		rep.ScanCycles = rep.PUBBlocks * read
 		rep.ScanWallNS = time.Since(scanStart).Nanoseconds()
 		emitPhase(cfg, obs.PhaseScan, 0, 0, rep.ScanCycles)
@@ -156,12 +165,6 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 		// merger (crypto engine and scratch) over a locked shard view of
 		// the device.
 		mergeStart := time.Now()
-		mcfg := cfg
-		if cfg.Tracer != nil {
-			// Callers may pass plain tracers (an obs.Func closure that
-			// appends to a slice); the shard goroutines emit concurrently.
-			mcfg.Tracer = obs.Serialized(cfg.Tracer)
-		}
 		shardReps := make([]Report, workers)
 		shardWall := make([]int64, workers)
 		var wg sync.WaitGroup
@@ -170,15 +173,20 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 			go func(s int) {
 				defer wg.Done()
 				t0 := time.Now()
-				m := newMerger(mcfg, lay, crypt.NewEngine(cfg.Seed), dev.Shard(), &shardReps[s])
-				for _, tk := range shards[s] {
-					m.mergeEntry(tk.e, tk.cyc)
-				}
+				m := newMerger(cfg, lay, crypt.NewEngine(cfg.Seed), dev.Shard(), &shardReps[s])
+				replayShard(shards[s], m, size)
 				shardWall[s] = time.Since(t0).Nanoseconds()
 			}(s)
 		}
 		wg.Wait()
 		rep.MergeWallNS = time.Since(mergeStart).Nanoseconds()
+		if cfg.Tracer != nil {
+			next := make([]int, workers)
+			for _, s := range order {
+				emitMerges(cfg, shards[s][next[s]:next[s]+1])
+				next[s]++
+			}
+		}
 
 		rep.Shards = make([]ShardReport, workers)
 		for s := range rep.Shards {

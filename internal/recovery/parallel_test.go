@@ -3,6 +3,7 @@ package recovery
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -284,7 +285,7 @@ func TestRecoverParallelPhaseEvents(t *testing.T) {
 	cfg := testConfig(config.ThothWTSC)
 	const workers = 4
 	// A plain tracer, unsafe for concurrent use: RecoverParallel must
-	// serialize the merge workers' emits itself (the race lane checks).
+	// emit from one goroutine (the race lane checks).
 	var events []obs.Event
 	cfg.Tracer = obs.Func(func(e obs.Event) { events = append(events, e) })
 	c, _ := runAndCrash(t, cfg, 200, 4096)
@@ -323,6 +324,21 @@ func TestRecoverParallelPhaseEvents(t *testing.T) {
 		if begins[sp] != 1 || ends[sp] != 1 {
 			t.Fatalf("merge shard %d: %d begins / %d ends, want 1/1", s-1, begins[sp], ends[sp])
 		}
+	}
+}
+
+// TestRecoverParallelMergeEventsMatchSerial checks that a traced
+// parallel recovery is reproducible: at every worker count it emits the
+// serial Recover's merge events, event for event, in ring order.
+func TestRecoverParallelMergeEventsMatchSerial(t *testing.T) {
+	cfg := testConfig(config.ThothWTSC)
+	img := seededCrash(t, cfg, 1, 1500)
+	want := recoverTraced(cfg, img, Recover)
+	for _, w := range []int{1, 2, 4, 8} {
+		got := recoverTraced(cfg, img, func(cfg config.Config, dev *nvm.Device) (*Report, error) {
+			return RecoverParallel(cfg, dev, RecoverOpts{Workers: w})
+		})
+		assertSameRecovery(t, fmt.Sprintf("workers=%d", w), want, got)
 	}
 }
 

@@ -15,7 +15,16 @@
 //     block in place, or a younger entry, already carries newer state —
 //     and it is skipped. (This is the paper's "fetch the corresponding
 //     ciphertext, compute two levels of MAC, and use the second level of
-//     MAC to verify".)
+//     MAC to verify".) The entries are applied a window of up to
+//     replayWindow consecutive ring entries at a time, each window in
+//     ascending data-block order, the entries of one block in ring
+//     order. The result is the FIFO replay's: an entry reads only its
+//     own ciphertext, its counter block's major and its own counter
+//     and MAC slots, and writes only those slots, so entries of
+//     different data blocks commute. The order turns two random
+//     host-cache misses per entry (counter block and ciphertext) into
+//     an ascending sweep. Traced runs still emit every merge outcome
+//     in ring order.
 //  3. Rebuilds the Bonsai Merkle Tree bottom-up from the merged counter
 //     region and verifies it against the persisted root. Any tampering
 //     with the PUB, the counters, or replayed stale blocks surfaces here
@@ -37,7 +46,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/macs"
 	"repro/internal/nvm"
-	"repro/internal/obs"
 	"repro/internal/pub"
 )
 
@@ -167,6 +175,11 @@ func (r *Report) CountsEqual(o *Report) bool {
 // configuration must match the one the image was created under (block
 // size, seed/keys, PUB geometry).
 func Recover(cfg config.Config, dev *nvm.Device) (*Report, error) {
+	return recoverSerial(cfg, dev, replayWindow)
+}
+
+// recoverSerial is Recover with replay windows of at most size entries.
+func recoverSerial(cfg config.Config, dev *nvm.Device, size int) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -183,10 +196,18 @@ func Recover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 	}
 
 	if cfg.Scheme.IsThoth() {
-		m := newMerger(cfg, lay, eng, dev, rep)
-		if err := scanPUB(cfg, lay, dev, rep, m.mergeEntry); err != nil {
+		ring, err := openPUB(lay, dev, rep)
+		if err != nil {
 			return nil, err
 		}
+		m := newMerger(cfg, lay, eng, dev, rep)
+		w := newWindow(size, rep.PUBBlocks*int64(cfg.PartialsPerBlock()))
+		scanPUB(cfg, ring, rep, func(t shardTask) {
+			if w.add(t) {
+				emitMerges(cfg, w.flush(m))
+			}
+		})
+		emitMerges(cfg, w.flush(m))
 	}
 
 	rep.EstimatedCycles = recoveryCycles(cfg, lay, dev, rep.PUBBlocks, 1)
@@ -256,18 +277,24 @@ func entryCycles(cfg config.Config) int64 {
 	return 3*cfg.ReadLatencyCycles() + 2*int64(cfg.HashLatencyCycles) + 2*cfg.WriteLatencyCycles()
 }
 
-// scanPUB restores the PUB ring bounds from the control region, records
-// the ring size in rep, and walks the ring oldest-to-youngest, handing fn
-// every entry with the cycle the serial Section IV-D model reaches after
-// it: one block read per PUB block, then entryCycles per entry. The cycle
-// stamps the emitted KindRecoveryMerge events, so a traced recovery
-// renders as a timeline, identically on the serial and parallel paths.
-func scanPUB(cfg config.Config, lay *layout.Layout, dev *nvm.Device, rep *Report, fn func(e pub.Entry, cyc int64)) error {
+// openPUB restores the PUB ring bounds from the control region and
+// records the ring size in rep.
+func openPUB(lay *layout.Layout, dev *nvm.Device, rep *Report) (*pub.Ring, error) {
 	ring := pub.NewRing(lay, dev)
 	if err := ring.LoadCtl(); err != nil {
-		return fmt.Errorf("%w: %v", ErrNoControlState, err)
+		return nil, fmt.Errorf("%w: %v", ErrNoControlState, err)
 	}
 	rep.PUBBlocks = ring.Len()
+	return ring, nil
+}
+
+// scanPUB walks the ring oldest-to-youngest, handing fn every entry as a
+// task stamped with the cycle the serial Section IV-D model reaches
+// after it: one block read per PUB block, then entryCycles per entry.
+// The cycle stamps the emitted KindRecoveryMerge events, so a traced
+// recovery renders as a timeline, identically on the serial and
+// parallel paths.
+func scanPUB(cfg config.Config, ring *pub.Ring, rep *Report, fn func(shardTask)) {
 	read := cfg.ReadLatencyCycles()
 	perEntry := entryCycles(cfg)
 	cyc := int64(0)
@@ -276,10 +303,9 @@ func scanPUB(cfg config.Config, lay *layout.Layout, dev *nvm.Device, rep *Report
 		for _, e := range entries {
 			rep.PUBEntries++
 			cyc += perEntry
-			fn(e, cyc)
+			fn(shardTask{cyc: cyc, mac2: e.MAC2, block: e.BlockIndex, minor: e.Minor})
 		}
 	})
-	return nil
 }
 
 // merger is one goroutine's verify-then-merge state: the device view it
@@ -297,89 +323,64 @@ type merger struct {
 }
 
 func newMerger(cfg config.Config, lay *layout.Layout, eng *crypt.Engine, dev blockStore, rep *Report) *merger {
+	bs := cfg.BlockSize
+	buf := make([]byte, 3*bs+cfg.MACSize())
 	return &merger{
 		cfg: cfg, lay: lay, eng: eng, dev: dev, rep: rep,
-		ctrBlk: make([]byte, cfg.BlockSize),
-		data:   make([]byte, cfg.BlockSize),
-		macBlk: make([]byte, cfg.BlockSize),
-		mac1:   make([]byte, cfg.MACSize()),
+		ctrBlk: buf[:bs:bs],
+		data:   buf[bs : 2*bs : 2*bs],
+		macBlk: buf[2*bs : 3*bs : 3*bs],
+		mac1:   buf[3*bs:],
 	}
 }
 
 // mergeEntry applies one partial update if it proves fresh against the
-// in-place ciphertext. cyc is the modeled recovery cycle stamped on the
-// emitted KindRecoveryMerge event. The device is a blockStore so the
-// serial device and the parallel per-worker shard handles share this
-// code: parallel determinism rests on every read and write here
-// targeting blocks owned by the entry's shard group (the data ciphertext
-// is read-only during merging, and the counter/MAC home blocks define
-// the group).
-func (m *merger) mergeEntry(e pub.Entry, cyc int64) {
+// in-place ciphertext, and returns what it did. The device is a
+// blockStore so the serial device and the parallel per-worker shard
+// handles share this code: parallel determinism rests on every read and
+// write here targeting blocks owned by the entry's shard group (the
+// data ciphertext is read-only during merging, and the counter/MAC home
+// blocks define the group).
+func (m *merger) mergeEntry(t *shardTask) outcome {
 	lay, dev, rep := m.lay, m.dev, m.rep
-	dataAddr := int64(e.BlockIndex) * int64(m.cfg.BlockSize)
+	dataAddr := int64(t.block) * int64(m.cfg.BlockSize)
 	if dataAddr < lay.DataBase || dataAddr >= lay.DataBase+lay.DataBytes {
 		// A corrupted entry; the root check will catch real damage, but
 		// never dereference a bogus address.
 		rep.SkippedStale++
-		m.emit(cyc, dataAddr, "out-of-range")
-		return
+		return outOutOfRange
 	}
 	ca := lay.CtrBlockAddr(dataAddr)
 	cslot := lay.CtrSlot(dataAddr)
 	dev.PeekInto(m.ctrBlk, ca)
 
-	candidate := crypt.Counter{Major: ctr.Major(m.ctrBlk), Minor: e.Minor}
+	candidate := crypt.Counter{Major: ctr.Major(m.ctrBlk), Minor: t.minor}
 	dev.PeekInto(m.data, dataAddr)
 	m.eng.MACInto(m.mac1, m.data, dataAddr, candidate)
-	if m.eng.MAC2(m.mac1) != e.MAC2 {
+	if m.eng.MAC2(m.mac1) != t.mac2 {
 		rep.SkippedStale++
-		m.emit(cyc, dataAddr, "stale")
-		return
+		return outStale
 	}
 
 	// The entry matches the newest ciphertext: merge counter and MAC
 	// into their home blocks.
-	mergedCtr := false
-	if ctr.Minor(m.ctrBlk, cslot) != e.Minor {
-		ctr.SetMinor(m.ctrBlk, cslot, e.Minor)
+	out := outNoop
+	if ctr.Minor(m.ctrBlk, cslot) != t.minor {
+		ctr.SetMinor(m.ctrBlk, cslot, t.minor)
 		dev.WriteBlock(ca, m.ctrBlk)
 		rep.MergedCtr++
-		mergedCtr = true
+		out |= outCtr
 	}
 	ma := lay.MACBlockAddr(dataAddr)
 	mslot := lay.MACSlot(dataAddr)
 	dev.PeekInto(m.macBlk, ma)
-	mergedMAC := false
 	if !macs.Equal(m.macBlk, mslot, len(m.mac1), m.mac1) {
 		macs.Set(m.macBlk, mslot, len(m.mac1), m.mac1)
 		dev.WriteBlock(ma, m.macBlk)
 		rep.MergedMAC++
-		mergedMAC = true
+		out |= outMAC
 	}
-	switch {
-	case mergedCtr && mergedMAC:
-		m.emit(cyc, dataAddr, "ctr+mac")
-	case mergedCtr:
-		m.emit(cyc, dataAddr, "ctr")
-	case mergedMAC:
-		m.emit(cyc, dataAddr, "mac")
-	default:
-		m.emit(cyc, dataAddr, "noop")
-	}
-}
-
-// emit reports one merge outcome as a KindRecoveryMerge event.
-func (m *merger) emit(cyc, dataAddr int64, detail string) {
-	if m.cfg.Tracer == nil {
-		return
-	}
-	m.cfg.Tracer.Emit(obs.Event{
-		Kind:   obs.KindRecoveryMerge,
-		Cycle:  cyc,
-		Addr:   dataAddr,
-		Scheme: m.cfg.Scheme.String(),
-		Detail: detail,
-	})
+	return out
 }
 
 // EstimateCycles models the PUB-merge recovery cost (footnote 5 of the
