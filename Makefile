@@ -135,7 +135,9 @@ obs-smoke:
 # AND nil-span disabled) and the flight recorder's Emit must all report
 # 0 allocs/op (the matching Test*ZeroAlloc funcs assert the 0; the
 # benchmarks report it). Serial recovery must allocate the same at 25%
-# and 95% PUB fill: nothing per replayed entry. A tree-node hash, a
+# and 95% PUB fill: nothing per replayed entry; parallel recovery must
+# allocate well under 32 B per entry: it holds one replay window, not
+# the ring. A tree-node hash, a
 # steady-state tree update, node write-back and root read, a
 # single-block timed pool write or read (attributed or not), and a
 # 64-block System.PersistBatch, allocate nothing either. So do the
@@ -144,7 +146,7 @@ obs-smoke:
 bench-alloc:
 	$(GO) test ./internal/crypt -run TestEngineOpsAllocFree -count=1
 	$(GO) test . -run TestPersistBatchZeroAlloc -count=1
-	$(GO) test ./internal/recovery -run TestRecoverZeroAllocPerEntry -count=1
+	$(GO) test ./internal/recovery -run 'TestRecoverZeroAllocPerEntry|TestParallelRecoveryMemoryFollowsWindow' -count=1
 	$(GO) test ./internal/bmt -run TestNodeHashZeroAlloc -count=1
 	$(GO) test ./internal/engine -run TestPoolArriveZeroAlloc -count=1
 	$(GO) test ./internal/core -run 'TestTracerDisabledZeroAlloc|TestReadHitZeroAlloc' -bench 'BenchmarkTracerDisabled|BenchmarkReadHit' -benchtime 10000x

@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	recoveryWorkers := fs.Int("recovery-workers", 0,
 		"recover with the sharded parallel engine at N workers (0 = serial reference)")
 	verify := fs.Bool("verify", false, "verify all persisted data after the run")
-	shadow := fs.Bool("shadow", false, "enable Anubis shadow-table tracking (fast recovery)")
 	eadr := fs.Bool("eadr", false, "enhanced ADR: persistent cache hierarchy (extension)")
 	traceFile := fs.String("trace", "", "write a controller event trace to this file")
 	flightDir := fs.String("flight", "",
@@ -98,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.MemBytes = 1 << 30
 	cfg.PUBBytes = *pubKiB << 10
 	cfg.LLCBytes = 1 << 20
-	cfg.ShadowTracking = *shadow
 	cfg.EADR = *eadr
 
 	if *traceFile != "" {

@@ -164,8 +164,12 @@ func TestRebuildMatchesEagerRoot(t *testing.T) {
 		dev.WriteBlock(lay.CtrBase+idx*int64(lay.BlockSize), blk)
 		tr.Update(idx, blk)
 	}
-	if !Verify(lay, eng, dev, tr.Root()) {
+	root, leaves := Rebuild(lay, eng, dev)
+	if root != tr.Root() {
 		t.Fatal("rebuild from device must match the eager root")
+	}
+	if leaves != 3 {
+		t.Fatalf("rebuild hashed %d counter blocks, want the 3 written", leaves)
 	}
 }
 
@@ -179,7 +183,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	// Tamper with the persisted counter block.
 	evil := ctrBlock(lay, 6)
 	dev.WriteBlock(lay.CtrBase, evil)
-	if Verify(lay, eng, dev, tr.Root()) {
+	if root, _ := Rebuild(lay, eng, dev); root == tr.Root() {
 		t.Fatal("verification must fail after tampering")
 	}
 }
@@ -198,7 +202,7 @@ func TestVerifyDetectsReplay(t *testing.T) {
 
 	// Replay attack: adversary restores the old counter block.
 	dev.WriteBlock(lay.CtrBase, old)
-	if Verify(lay, eng, dev, tr.Root()) {
+	if root, _ := Rebuild(lay, eng, dev); root == tr.Root() {
 		t.Fatal("verification must detect replayed (stale) counters")
 	}
 }
@@ -220,7 +224,8 @@ func TestEagerEqualsRebuildProperty(t *testing.T) {
 			dev.WriteBlock(lay.CtrBase+idx*int64(lay.BlockSize), blk)
 			tr.Update(idx, blk)
 		}
-		return Rebuild(lay, eng, dev) == tr.Root()
+		root, _ := Rebuild(lay, eng, dev)
+		return root == tr.Root()
 	}
 	cfg := &quick.Config{MaxCount: 30}
 	if err := quick.Check(f, cfg); err != nil {

@@ -28,14 +28,7 @@ type Line struct {
 	used int64
 	// valid distinguishes live lines from free slots.
 	valid bool
-	// slot is the line's global frame index (set*ways+way), stable for
-	// the lifetime of the residency. Shadow-table tracking mirrors the
-	// cache geometry one NVM slot per frame (Anubis, ISCA'19).
-	slot int
 }
-
-// Slot returns the line's frame index within the cache (set*ways+way).
-func (l *Line) Slot() int { return l.slot }
 
 // EvictFn observes a victim line leaving the cache. If the line is dirty
 // the callee is responsible for writing it back.
@@ -156,8 +149,7 @@ func (c *Cache) Insert(addr int64, data []byte) *Line {
 		c.OnEvict(set[victim])
 	}
 	c.tick++
-	base := int((addr / int64(c.blockSize)) % int64(c.numSets) * int64(c.ways))
-	set[victim] = Line{Addr: addr, Data: data, used: c.tick, valid: true, slot: base + victim}
+	set[victim] = Line{Addr: addr, Data: data, used: c.tick, valid: true}
 	return &set[victim]
 }
 
@@ -190,8 +182,7 @@ func (c *Cache) InsertCopy(addr int64, src []byte) *Line {
 	}
 	copy(buf, src)
 	c.tick++
-	base := int((addr / int64(c.blockSize)) % int64(c.numSets) * int64(c.ways))
-	set[victim] = Line{Addr: addr, Data: buf, used: c.tick, valid: true, slot: base + victim}
+	set[victim] = Line{Addr: addr, Data: buf, used: c.tick, valid: true}
 	return &set[victim]
 }
 

@@ -259,15 +259,6 @@ type Config struct {
 	// ablation.
 	PCBAfterWPQ bool
 
-	// ShadowTracking enables the Anubis-style shadow table (ISCA'19):
-	// every security-metadata cache update also records the block's
-	// address and dirty state in a shadow region in NVM (through the
-	// WPQ, so consecutive updates to the same shadow block coalesce).
-	// Recovery then reconstructs only the tree paths of blocks that were
-	// actually lost, instead of a full rebuild — the "fast recovery
-	// mechanism" the paper layers Thoth on top of (Section IV-D).
-	ShadowTracking bool
-
 	// EADR enables enhanced ADR (Section II-B): the entire cache
 	// hierarchy joins the persistence domain, so stores are durable in
 	// cache, clwb/sfence leave the critical path, and a crash flushes

@@ -211,7 +211,7 @@ func TestCrashVsEpochFlushImage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := bmt.Rebuild(plain.Layout(), plain.Engine(), dev); root != want {
+			if want, _ := bmt.Rebuild(plain.Layout(), plain.Engine(), dev); root != want {
 				t.Fatalf("persisted root %#x != rebuilt root %#x", root, want)
 			}
 		})

@@ -129,16 +129,6 @@ func (c *Controller) verifyInPlace() error {
 	return violation
 }
 
-// ForEachDirtyCtr visits the address of every dirty counter-cache line
-// (used by shadow-coverage tests).
-func (c *Controller) ForEachDirtyCtr(fn func(addr int64)) {
-	c.forEachCtrLine(func(addr int64, _ []byte, dirty bool) {
-		if dirty {
-			fn(addr)
-		}
-	})
-}
-
 // forEachCtrLine visits every valid counter-cache line.
 func (c *Controller) forEachCtrLine(fn func(addr int64, data []byte, dirty bool)) {
 	c.ctrCache.ForEach(func(l *cache.Line) { fn(l.Addr, l.Data, l.Dirty) })

@@ -210,11 +210,6 @@ func (c *Controller) PersistBlock(t int64, addr int64, plain []byte) int64 {
 	// the insert cycle).
 	done = max64(done, c.persistMetadata(tCrypto, addr, ctrLine, macLine, counter.Minor, mac1, wasCtrDirty, wasMACDirty))
 	cur.Charge(obs.SpanPersist, done)
-
-	// Anubis shadow tracking: record both metadata updates so recovery
-	// knows which blocks may have been lost with the caches.
-	c.shadowUpdate(tCrypto, shadowCtr, ctrLine.Slot(), c.lay.CtrBlockAddr(addr))
-	c.shadowUpdate(tCrypto, shadowMAC, macLine.Slot(), c.lay.MACBlockAddr(addr))
 	return done
 }
 

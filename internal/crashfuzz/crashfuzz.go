@@ -201,7 +201,7 @@ func runVariant(c Case, v Variant, golden map[int64][]byte) (blocks map[int64][]
 	for i := range clones {
 		clones[i] = cloneImage(img)
 	}
-	reps, serialErr := recoverSerial(scfg, img)
+	reps, serialErr := recoverShards(scfg, img)
 	ref := make([][]byte, len(img.Devices))
 	for i, d := range img.Devices {
 		ref[i] = imageBytes(d)
@@ -238,11 +238,11 @@ func runVariant(c Case, v Variant, golden map[int64][]byte) (blocks map[int64][]
 	return blocks, viols
 }
 
-// recoverSerial repairs every crashed shard of img in place with the
-// serial reference engine, under the per-shard configuration. It
-// returns one report per shard (nil for clean shards) and the per-shard
-// errors joined, as RecoverPool does.
-func recoverSerial(scfg config.Config, img *thoth.PoolImage) ([]*thoth.RecoveryReport, error) {
+// recoverShards repairs every crashed shard of img in place with the
+// one-worker Recover, one shard after another, under the per-shard
+// configuration. It returns one report per shard (nil for clean shards)
+// and the per-shard errors joined, as RecoverPool does.
+func recoverShards(scfg config.Config, img *thoth.PoolImage) ([]*thoth.RecoveryReport, error) {
 	reps := make([]*thoth.RecoveryReport, img.Shards)
 	var errs []error
 	for i, crashed := range img.Crashed {

@@ -2,7 +2,9 @@
 // independent device, so recovering a pool is recovering each crashed
 // shard with the existing (serial-equivalent, differentially verified)
 // parallel recovery engine — all shards concurrently. Cleanly shut-down
-// shards need no recovery and are left untouched.
+// shards need no recovery and are left untouched. A traced recovery
+// buffers each shard's events and emits them in shard order after the
+// join, so the trace does not depend on which shard finishes first.
 package engine
 
 import (
@@ -73,11 +75,14 @@ func (r *PoolReport) String() string {
 
 // RecoverPool restores a crashed pool image in place: every crashed
 // shard runs RecoverParallel concurrently (clean shards are skipped),
-// each with opts.Workers merge/rebuild goroutines — <= 0 splits
-// GOMAXPROCS evenly across the crashed shards. The per-shard reports
-// (and sentinel errors: ErrRootMismatch on tampering, ErrNoControlState
-// on lost ADR state — test with errors.Is) surface in the PoolReport and
-// the joined error.
+// each with opts.Workers merge goroutines — <= 0 splits GOMAXPROCS
+// evenly across the crashed shards. The per-shard reports (and sentinel
+// errors: ErrRootMismatch on tampering, ErrNoControlState on lost ADR
+// state — test with errors.Is) surface in the PoolReport and the joined
+// error. When cfg.Tracer is set, each shard recovers under a private
+// buffer, and the buffers reach cfg.Tracer in shard order once every
+// shard is done: the trace is each crashed shard's RecoverParallel
+// trace, concatenated.
 func RecoverPool(cfg config.Config, shards int, img *PoolImage, opts recovery.RecoverOpts) (*PoolReport, error) {
 	scfg, err := ShardConfig(cfg, shards)
 	if err != nil {
@@ -98,14 +103,12 @@ func RecoverPool(cfg config.Config, shards int, img *PoolImage, opts recovery.Re
 			workers = 1
 		}
 	}
-	if scfg.Tracer != nil {
-		scfg.Tracer = obs.Serialized(scfg.Tracer)
-	}
 	rep := &PoolReport{
 		Shards:  make([]*recovery.Report, shards),
 		Crashed: append([]bool(nil), img.Crashed...),
 	}
 	errs := make([]error, shards)
+	events := make([][]obs.Event, shards)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		if !img.Crashed[i] {
@@ -114,7 +117,11 @@ func RecoverPool(cfg config.Config, shards int, img *PoolImage, opts recovery.Re
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := recovery.RecoverParallel(scfg, img.Devices[i],
+			icfg := scfg
+			if icfg.Tracer != nil {
+				icfg.Tracer = obs.Func(func(e obs.Event) { events[i] = append(events[i], e) })
+			}
+			r, err := recovery.RecoverParallel(icfg, img.Devices[i],
 				recovery.RecoverOpts{Workers: workers})
 			rep.Shards[i] = r
 			if err != nil {
@@ -123,6 +130,11 @@ func RecoverPool(cfg config.Config, shards int, img *PoolImage, opts recovery.Re
 		}(i)
 	}
 	wg.Wait()
+	for _, evs := range events {
+		for _, e := range evs {
+			scfg.Tracer.Emit(e)
+		}
+	}
 	return rep, errors.Join(errs...)
 }
 

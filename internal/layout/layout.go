@@ -36,8 +36,6 @@ const (
 	RegionTree
 	// RegionPUB holds the partial updates buffer ring.
 	RegionPUB
-	// RegionShadow holds the Anubis shadow table.
-	RegionShadow
 	// RegionControl holds the ADR-persisted control blocks (PUB bounds,
 	// tree root).
 	RegionControl
@@ -58,8 +56,6 @@ func (r Region) String() string {
 		return "tree"
 	case RegionPUB:
 		return "pub"
-	case RegionShadow:
-		return "shadow"
 	case RegionControl:
 		return "control"
 	default:
@@ -91,16 +87,6 @@ type Layout struct {
 	PUBBase  int64
 	PUBBytes int64
 
-	// Shadow is the Anubis-style shadow table (ISCA'19): one 16-byte
-	// entry per metadata-cache frame (counter cache first, then MAC
-	// cache) recording which block the frame holds and whether it is
-	// dirty. Recovery reads it to limit tree reconstruction to the
-	// blocks that were actually lost.
-	ShadowBase  int64
-	ShadowBytes int64
-	// ShadowSlots is the entry count (ctr frames + mac frames).
-	ShadowSlots int
-
 	CtlBase  int64
 	CtlBytes int64
 
@@ -110,10 +96,6 @@ type Layout struct {
 
 // TreeArity is the fan-out of the Bonsai Merkle Tree.
 const TreeArity = 8
-
-// ShadowEntryBytes is the size of one shadow-table entry: the 8-byte
-// block address plus an 8-byte flags word.
-const ShadowEntryBytes = 16
 
 // HashBytes is the width of one tree hash.
 const HashBytes = 8
@@ -162,12 +144,6 @@ func New(cfg config.Config) (*Layout, error) {
 	l.PUBBase = next
 	l.PUBBytes = cfg.PUBBytes - cfg.PUBBytes%bs
 	next += l.PUBBytes
-
-	l.ShadowBase = next
-	l.ShadowSlots = cfg.CtrCacheBytes/cfg.BlockSize + cfg.MACCacheBytes/cfg.BlockSize
-	shadowBytes := int64(l.ShadowSlots) * ShadowEntryBytes
-	l.ShadowBytes = (shadowBytes + bs - 1) / bs * bs
-	next += l.ShadowBytes
 
 	l.CtlBase = next
 	l.CtlBytes = 4 * bs // PUB bounds, root, and engine state fit easily
@@ -266,10 +242,8 @@ func (l *Layout) RegionOf(addr int64) Region {
 		return RegionMAC
 	case addr < l.PUBBase:
 		return RegionTree
-	case addr < l.ShadowBase:
-		return RegionPUB
 	case addr < l.CtlBase:
-		return RegionShadow
+		return RegionPUB
 	case addr < l.Total:
 		return RegionControl
 	default:
@@ -279,16 +253,6 @@ func (l *Layout) RegionOf(addr int64) Region {
 
 // PUBBlocks returns the PUB ring capacity in blocks.
 func (l *Layout) PUBBlocks() int64 { return l.PUBBytes / int64(l.BlockSize) }
-
-// ShadowSlotAddr returns the block-aligned address and the byte offset
-// within that block for shadow slot i.
-func (l *Layout) ShadowSlotAddr(i int) (blockAddr int64, offset int) {
-	if i < 0 || i >= l.ShadowSlots {
-		panic(fmt.Sprintf("layout: shadow slot %d out of range [0,%d)", i, l.ShadowSlots))
-	}
-	byteOff := int64(i) * ShadowEntryBytes
-	return l.ShadowBase + byteOff/int64(l.BlockSize)*int64(l.BlockSize), int(byteOff % int64(l.BlockSize))
-}
 
 // PUBBlockAddr returns the address of the i-th block of the PUB ring.
 func (l *Layout) PUBBlockAddr(i int64) int64 {

@@ -240,43 +240,11 @@ func TestCtrSlotInjectivityProperty(t *testing.T) {
 	}
 }
 
-func TestShadowSlotAddressing(t *testing.T) {
-	l := mustNew(t, config.Default())
-	if l.ShadowSlots != (64<<10)/128+(128<<10)/128 {
-		t.Fatalf("ShadowSlots = %d, want ctr+mac frames", l.ShadowSlots)
-	}
-	seen := map[[2]int64]bool{}
-	for i := 0; i < l.ShadowSlots; i++ {
-		blk, off := l.ShadowSlotAddr(i)
-		if l.RegionOf(blk) != RegionShadow {
-			t.Fatalf("slot %d block %#x outside shadow region", i, blk)
-		}
-		if off%ShadowEntryBytes != 0 || off >= l.BlockSize {
-			t.Fatalf("slot %d offset %d invalid", i, off)
-		}
-		key := [2]int64{blk, int64(off)}
-		if seen[key] {
-			t.Fatalf("slot %d collides with another slot", i)
-		}
-		seen[key] = true
-	}
-	for _, bad := range []int{-1, l.ShadowSlots} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("slot %d must panic", bad)
-				}
-			}()
-			l.ShadowSlotAddr(bad)
-		}()
-	}
-}
-
 func TestRegionStringNames(t *testing.T) {
 	want := map[Region]string{
 		RegionData: "data", RegionCounter: "counter", RegionMAC: "mac",
-		RegionTree: "tree", RegionPUB: "pub", RegionShadow: "shadow",
-		RegionControl: "control", RegionUnmapped: "unmapped",
+		RegionTree: "tree", RegionPUB: "pub", RegionControl: "control",
+		RegionUnmapped: "unmapped",
 	}
 	for r, w := range want {
 		if r.String() != w {

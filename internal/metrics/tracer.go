@@ -18,7 +18,7 @@ var pubEvictOutcomes = []string{"written-back", "already-evicted", "clean-copy",
 // registered up front, so Emit performs only switch dispatch, atomic
 // adds, and int64-keyed map updates — zero heap allocations in steady
 // state (BenchmarkFromTracer, CI-asserted), and safe for concurrent
-// Emit (parallel recovery workers share tracers).
+// Emit (a sharded pool's callers share tracers).
 type TracerAdapter struct {
 	events  [256]*Counter // indexed by Kind; nil beyond the declared enum
 	invalid *Counter

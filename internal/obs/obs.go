@@ -220,8 +220,7 @@ func (m multi) Emit(e Event) {
 
 // Serialized wraps t so that Emit calls from concurrent goroutines run
 // one at a time, letting plain (non-concurrency-safe) tracers observe
-// concurrent producers: a sharded pool's callers and the workers of a
-// parallel recovery.
+// concurrent producers: a sharded pool's callers.
 func Serialized(t Tracer) Tracer { return &serialized{t: t} }
 
 type serialized struct {

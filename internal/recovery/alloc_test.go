@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -47,6 +48,37 @@ func TestRecoverZeroAllocPerEntry(t *testing.T) {
 	if lo != hi {
 		t.Fatalf("serial Recover allocates %.0f times over %d entries but %.0f over %d: something allocates per entry",
 			lo, nlo, hi, nhi)
+	}
+}
+
+// TestParallelRecoveryMemoryFollowsWindow pins that parallel recovery
+// holds one replay window of tasks, not the whole ring: a 2-worker pass
+// at a 64-entry window over an image of tens of thousands of PUB
+// entries must allocate well under the 32 B per entry (one shardTask)
+// that queuing every entry before merging would take.
+func TestParallelRecoveryMemoryFollowsWindow(t *testing.T) {
+	cfg := testConfig(config.ThothWTSC)
+	cfg.PUBBytes = 512 << 10
+	cfg.PUBEvictFraction = 1.0
+	img := crashAtFill(t, cfg, 0.95, 128)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := recoverPass(cfg, img, 2, 64)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PUBEntries < 20000 {
+		t.Fatalf("image replays %d entries, want tens of thousands", rep.PUBEntries)
+	}
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	ring := rep.PUBEntries * 32
+	t.Logf("2-worker pass at a 64-entry window: %d B allocated over %d entries (%d B at 32 B each)",
+		alloc, rep.PUBEntries, ring)
+	if alloc > ring/4 {
+		t.Fatalf("2-worker pass allocates %d B over %d entries, want under a quarter of the ring's %d B",
+			alloc, rep.PUBEntries, ring)
 	}
 }
 

@@ -1,10 +1,10 @@
-// Parallel sharded recovery: the PUB merge runs on worker goroutines,
-// the tree rebuild and root check on the caller's. RecoverParallel must
-// produce a byte-identical device image, an equal Report (modulo timing)
-// and the same merge events as the serial Recover for every crash image
-// and worker count — the crashfuzz oracle (internal/crashfuzz) checks
-// the first two on every seed it sweeps or fuzzes, at 1, 2, 4 and 8
-// workers.
+// Parallel sharded recovery: each replay window is merged on worker
+// goroutines, the tree rebuild and root check run on the caller's.
+// RecoverParallel must produce a byte-identical device image, an equal
+// Report (modulo timing) and the same merge events as Recover for every
+// crash image and worker count — the crashfuzz oracle
+// (internal/crashfuzz) checks the first two on every seed it sweeps or
+// fuzzes, at 1, 2, 4 and 8 workers.
 //
 // Why sharding by metadata *group* is sound: mergeEntry's writes
 // read-modify-write whole counter blocks (shared by every data block of
@@ -15,28 +15,22 @@
 // shard key hashes that group index, so same-group entries land in one
 // shard, while cross-shard entries touch disjoint blocks — making the
 // final image independent of scheduling, hence byte-identical to the
-// serial pass.
+// one-worker pass.
 //
-// Each shard replays its entries through the serial path's window
-// (replay.go): up to replayWindow of the shard's entries at a time, in
-// ascending data-block order, the entries of one block in ring order.
-// Within a group, entries of different data blocks read and write
-// disjoint counter and MAC slots, so they commute. The workers emit
-// nothing: after they join, the caller emits every merge outcome in
-// ring order, so a traced run is reproducible.
+// The caller sorts each window by data block once (replay.go), then
+// splits it by shard, keeping each shard's entries in that order: one
+// shard's entries of one block stay in ring order, and within a group,
+// entries of different data blocks read and write disjoint counter and
+// MAC slots, so they commute. One goroutine per shard merges its slice,
+// and all join before the scan refills the window. The workers emit
+// nothing: after they join, the caller emits the window's merge
+// outcomes in ring order, so a traced run is reproducible.
 package recovery
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
-	"time"
 
-	"repro/internal/bmt"
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/crypt"
-	"repro/internal/layout"
 	"repro/internal/nvm"
 	"repro/internal/obs"
 )
@@ -102,143 +96,15 @@ func emitPhase(cfg config.Config, phase string, shard int64, begin, end int64) {
 }
 
 // RecoverParallel restores a crashed device image in place like Recover,
-// but shards the PUB merge across worker goroutines. The result —
-// device bytes, error (same sentinels, test with errors.Is), and Report
-// counters (CountsEqual) — is identical to the serial pass for any
-// worker count; only the timing fields and the per-shard breakdown
-// differ.
+// but merges each replay window on one goroutine per shard. The result —
+// device bytes, error (same sentinels, test with errors.Is), Report
+// counters (CountsEqual) and merge events — is identical to Recover's
+// for any worker count; only the timing fields and the per-shard
+// breakdown differ.
 func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Report, error) {
-	return recoverParallel(cfg, dev, opts, replayWindow)
-}
-
-// recoverParallel is RecoverParallel with replay windows of at most
-// size entries per shard.
-func recoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts, size int) (*Report, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > maxWorkers {
-		workers = maxWorkers
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	lay, err := layout.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Workers: workers}
-
-	savedRoot, err := core.LoadRoot(cfg.BlockSize, lay.CtlBase, dev.Peek)
-	if err != nil {
-		return nil, fmt.Errorf("%w: no persisted root: %v", ErrNoControlState, err)
-	}
-
-	read := cfg.ReadLatencyCycles()
-	hash := int64(cfg.HashLatencyCycles)
-
-	if cfg.Scheme.IsThoth() {
-		// Phase 1 — scan: walk the ring oldest-to-youngest exactly like
-		// the serial pass, stamping each entry with its serial-model
-		// cycle, and queue it on the shard owning its metadata group.
-		scanStart := time.Now()
-		ring, err := openPUB(lay, dev, rep)
-		if err != nil {
-			return nil, err
-		}
-		group := shardGroupBlocks(cfg)
-		shards := make([][]shardTask, workers)
-		var order []int // each entry's shard in ring order; kept when traced
-		scanPUB(cfg, ring, rep, func(t shardTask) {
-			s := shardOf(int64(t.block)/group, workers)
-			shards[s] = append(shards[s], t)
-			if cfg.Tracer != nil {
-				order = append(order, s)
-			}
-		})
-		rep.ScanCycles = rep.PUBBlocks * read
-		rep.ScanWallNS = time.Since(scanStart).Nanoseconds()
-		emitPhase(cfg, obs.PhaseScan, 0, 0, rep.ScanCycles)
-
-		// Phase 2 — merge: one goroutine per shard, each with its own
-		// merger (crypto engine and scratch) over a locked shard view of
-		// the device.
-		mergeStart := time.Now()
-		shardReps := make([]Report, workers)
-		shardWall := make([]int64, workers)
-		var wg sync.WaitGroup
-		for s := 0; s < workers; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				t0 := time.Now()
-				m := newMerger(cfg, lay, crypt.NewEngine(cfg.Seed), dev.Shard(), &shardReps[s])
-				replayShard(shards[s], m, size)
-				shardWall[s] = time.Since(t0).Nanoseconds()
-			}(s)
-		}
-		wg.Wait()
-		rep.MergeWallNS = time.Since(mergeStart).Nanoseconds()
-		if cfg.Tracer != nil {
-			next := make([]int, workers)
-			for _, s := range order {
-				emitMerges(cfg, shards[s][next[s]:next[s]+1])
-				next[s]++
-			}
-		}
-
-		rep.Shards = make([]ShardReport, workers)
-		for s := range rep.Shards {
-			sr := &rep.Shards[s]
-			sr.Shard = s
-			sr.Entries = int64(len(shards[s]))
-			sr.MergedCtr = shardReps[s].MergedCtr
-			sr.MergedMAC = shardReps[s].MergedMAC
-			sr.SkippedStale = shardReps[s].SkippedStale
-			sr.MergeCycles = sr.Entries * entryCycles(cfg)
-			sr.WallNS = shardWall[s]
-			rep.MergedCtr += sr.MergedCtr
-			rep.MergedMAC += sr.MergedMAC
-			rep.SkippedStale += sr.SkippedStale
-			if sr.MergeCycles > rep.MergeCycles {
-				rep.MergeCycles = sr.MergeCycles // critical path: slowest shard
-			}
-			emitPhase(cfg, obs.PhaseMerge, int64(s)+1,
-				rep.ScanCycles, rep.ScanCycles+sr.MergeCycles)
-		}
-		emitPhase(cfg, obs.PhaseMerge, 0, rep.ScanCycles, rep.ScanCycles+rep.MergeCycles)
-	}
-
-	rep.EstimatedCycles = recoveryCycles(cfg, lay, dev, rep.PUBBlocks, workers)
-	rep.EstimatedSeconds = float64(rep.EstimatedCycles) / (cfg.CPUFreqGHz * 1e9)
-
-	if cfg.ShadowTracking {
-		estimateShadow(cfg, lay, dev, rep)
-	}
-
-	// Phase 3 — rebuild: hash the written counter blocks into the tree
-	// on this goroutine; merging has fully joined. The model still
-	// divides the rebuild across the workers, as recovery hardware
-	// would hash the leaves in parallel.
-	rebuildStart := time.Now()
-	root := bmt.Rebuild(lay, crypt.NewEngine(cfg.Seed), dev)
-	rep.RebuildWallNS = time.Since(rebuildStart).Nanoseconds()
-	levels := int64(lay.TreeLevels())
-	serialRebuild := writtenCtrBlocks(lay, dev) * (read + levels*hash)
-	rep.RebuildCycles = (serialRebuild + int64(workers) - 1) / int64(workers)
-	mergeEnd := rep.ScanCycles + rep.MergeCycles
-	emitPhase(cfg, obs.PhaseRebuild, 0, mergeEnd, mergeEnd+rep.RebuildCycles)
-
-	// Phase 4 — verify: the root join and comparison are sequential.
-	verifyStart := time.Now()
-	rep.RootVerified = root == savedRoot
-	rep.VerifyWallNS = time.Since(verifyStart).Nanoseconds()
-	rep.VerifyCycles = levels * hash
-	rebuildEnd := mergeEnd + rep.RebuildCycles
-	emitPhase(cfg, obs.PhaseVerify, 0, rebuildEnd, rebuildEnd+rep.VerifyCycles)
-	if !rep.RootVerified {
-		return rep, ErrRootMismatch
-	}
-	return rep, nil
+	return recoverPass(cfg, dev, min(workers, maxWorkers), replayWindow)
 }

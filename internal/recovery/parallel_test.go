@@ -71,16 +71,10 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestRecoverParallelShadowParity(t *testing.T) {
-	cfg := testConfig(config.ThothWTSC)
-	cfg.ShadowTracking = true
-	c, _ := runAndCrash(t, cfg, 200, 4096)
-	assertParity(t, cfg, c.Device(), 1, 4)
-}
-
 // TestRecoverParallelDefaultWorkers exercises the Workers<=0 default and
 // checks the per-shard breakdown is internally consistent: shard entry
 // counts partition the scan total, and merges sum to the report totals.
+// One worker has no breakdown: its one shard would repeat the totals.
 func TestRecoverParallelDefaultWorkers(t *testing.T) {
 	cfg := testConfig(config.ThothWTSC)
 	c, model := runAndCrash(t, cfg, 120, 4096)
@@ -90,6 +84,13 @@ func TestRecoverParallelDefaultWorkers(t *testing.T) {
 	}
 	if rep.Workers < 1 || rep.Workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Workers = %d, want GOMAXPROCS default %d", rep.Workers, runtime.GOMAXPROCS(0))
+	}
+	if rep.Workers == 1 {
+		if rep.Shards != nil {
+			t.Fatalf("one worker reports %d shards, want none", len(rep.Shards))
+		}
+		verifyReadable(t, cfg, c, model)
+		return
 	}
 	if len(rep.Shards) != rep.Workers {
 		t.Fatalf("len(Shards) = %d, want %d", len(rep.Shards), rep.Workers)
@@ -236,8 +237,8 @@ func TestEstimateCyclesParallel(t *testing.T) {
 		t.Fatalf("modeled speedup at 4 workers is %.2fx, want >= 2x (serial=%d, parallel=%d)",
 			float64(serial)/float64(par4), serial, par4)
 	}
-	if s4, s8 := EstimateSecondsParallel(cfg, n, 4), EstimateSecondsParallel(cfg, n, 8); s8 >= s4 {
-		t.Fatalf("seconds not decreasing in workers: w4=%.3f w8=%.3f", s4, s8)
+	if c4, c8 := EstimateCyclesParallel(cfg, n, 4), EstimateCyclesParallel(cfg, n, 8); c8 >= c4 {
+		t.Fatalf("cycles not decreasing in workers: w4=%d w8=%d", c4, c8)
 	}
 }
 
@@ -280,39 +281,47 @@ func TestRecoverParallelWallClockSpeedup(t *testing.T) {
 
 // TestRecoverParallelPhaseEvents checks that a traced parallel recovery
 // emits balanced begin/end spans for every phase and per-shard merge
-// spans.
+// spans, and that a traced Recover emits the four whole-phase spans and
+// no per-shard span.
 func TestRecoverParallelPhaseEvents(t *testing.T) {
 	cfg := testConfig(config.ThothWTSC)
 	const workers = 4
-	// A plain tracer, unsafe for concurrent use: RecoverParallel must
-	// emit from one goroutine (the race lane checks).
-	var events []obs.Event
-	cfg.Tracer = obs.Func(func(e obs.Event) { events = append(events, e) })
-	c, _ := runAndCrash(t, cfg, 200, 4096)
-	if _, err := RecoverParallel(cfg, c.Device(), RecoverOpts{Workers: workers}); err != nil {
-		t.Fatal(err)
-	}
-
 	type span struct {
 		phase string
 		shard int64
 	}
-	begins := map[span]int{}
-	ends := map[span]int{}
-	for _, e := range events {
-		if e.Kind != obs.KindRecoveryPhase {
-			continue
+	// spans recovers a clone of img with run under a plain tracer,
+	// unsafe for concurrent use: recovery must emit from one goroutine
+	// (the race lane checks). It returns each span's begin and end
+	// counts.
+	spans := func(img *nvm.Device, run func(config.Config, *nvm.Device) (*Report, error)) (begins, ends map[span]int) {
+		begins, ends = map[span]int{}, map[span]int{}
+		tcfg := cfg
+		tcfg.Tracer = obs.Func(func(e obs.Event) {
+			if e.Kind != obs.KindRecoveryPhase {
+				return
+			}
+			sp := span{e.Part, e.Aux}
+			switch e.Detail {
+			case obs.PhaseBegin:
+				begins[sp]++
+			case obs.PhaseEnd:
+				ends[sp]++
+			default:
+				t.Fatalf("unexpected phase detail %q", e.Detail)
+			}
+		})
+		if _, err := run(tcfg, img.Clone()); err != nil {
+			t.Fatal(err)
 		}
-		sp := span{e.Part, e.Aux}
-		switch e.Detail {
-		case obs.PhaseBegin:
-			begins[sp]++
-		case obs.PhaseEnd:
-			ends[sp]++
-		default:
-			t.Fatalf("unexpected phase detail %q", e.Detail)
-		}
+		return begins, ends
 	}
+	c, _ := runAndCrash(t, cfg, 200, 4096)
+	img := c.Device()
+
+	begins, ends := spans(img, func(cfg config.Config, dev *nvm.Device) (*Report, error) {
+		return RecoverParallel(cfg, dev, RecoverOpts{Workers: workers})
+	})
 	for _, phase := range []string{obs.PhaseScan, obs.PhaseMerge, obs.PhaseRebuild, obs.PhaseVerify} {
 		sp := span{phase, 0}
 		if begins[sp] != 1 || ends[sp] != 1 {
@@ -324,6 +333,17 @@ func TestRecoverParallelPhaseEvents(t *testing.T) {
 		if begins[sp] != 1 || ends[sp] != 1 {
 			t.Fatalf("merge shard %d: %d begins / %d ends, want 1/1", s-1, begins[sp], ends[sp])
 		}
+	}
+
+	begins, ends = spans(img, Recover)
+	for _, phase := range []string{obs.PhaseScan, obs.PhaseMerge, obs.PhaseRebuild, obs.PhaseVerify} {
+		sp := span{phase, 0}
+		if begins[sp] != 1 || ends[sp] != 1 {
+			t.Fatalf("Recover phase %q: %d begins / %d ends, want 1/1", phase, begins[sp], ends[sp])
+		}
+	}
+	if len(begins) != 4 || len(ends) != 4 {
+		t.Fatalf("Recover emits spans %v / %v, want only the four whole-phase spans", begins, ends)
 	}
 }
 
@@ -343,10 +363,11 @@ func TestRecoverParallelMergeEventsMatchSerial(t *testing.T) {
 }
 
 // TestRecoverParallelPhaseCycles pins the modeled phase costs of one
-// fixed crash image at 1, 2 and 4 workers, and the four whole-phase
-// spans a traced run emits: scan, merge, rebuild and verify lie end to
-// end from cycle 0. The model divides the merge (slowest shard) and the
-// tree rebuild across workers, whatever the host does to compute them.
+// fixed crash image at 1, 2 and 4 workers and under Recover (the
+// one-worker row), and the four whole-phase spans a traced run emits:
+// scan, merge, rebuild and verify lie end to end from cycle 0. The
+// model divides the merge (slowest shard) and the tree rebuild across
+// workers, whatever the host does to compute them.
 func TestRecoverParallelPhaseCycles(t *testing.T) {
 	cfg := testConfig(config.ThothWTSC)
 	c, _ := runAndCrash(t, cfg, 500, 4096)
@@ -357,7 +378,9 @@ func TestRecoverParallelPhaseCycles(t *testing.T) {
 		4: {33600, 799680, 7770, 240},
 	}
 	phases := []string{obs.PhaseScan, obs.PhaseMerge, obs.PhaseRebuild, obs.PhaseVerify}
-	for _, w := range []int{1, 2, 4} {
+	// Workers 0 stands for Recover, which must give the one-worker row.
+	for _, w := range []int{1, 2, 4, 0} {
+		label := fmt.Sprintf("workers=%d", w)
 		type span struct{ begin, end int64 }
 		spans := map[string]span{}
 		tcfg := cfg
@@ -373,18 +396,25 @@ func TestRecoverParallelPhaseCycles(t *testing.T) {
 			}
 			spans[e.Part] = sp
 		})
-		rep, err := RecoverParallel(tcfg, img.Clone(), RecoverOpts{Workers: w})
+		var rep *Report
+		var err error
+		if w == 0 {
+			label, w = "Recover", 1
+			rep, err = Recover(tcfg, img.Clone())
+		} else {
+			rep, err = RecoverParallel(tcfg, img.Clone(), RecoverOpts{Workers: w})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := [4]int64{rep.ScanCycles, rep.MergeCycles, rep.RebuildCycles, rep.VerifyCycles}
 		if got != want[w] {
-			t.Errorf("workers=%d: phase cycles %v, want %v", w, got, want[w])
+			t.Errorf("%s: phase cycles %v, want %v", label, got, want[w])
 		}
 		var at int64
 		for i, p := range phases {
 			if sp := (span{at, at + want[w][i]}); spans[p] != sp {
-				t.Errorf("workers=%d: %s span %v, want %v", w, p, spans[p], sp)
+				t.Errorf("%s: %s span %v, want %v", label, p, spans[p], sp)
 			}
 			at += want[w][i]
 		}

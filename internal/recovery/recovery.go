@@ -30,6 +30,9 @@
 //     with the PUB, the counters, or replayed stale blocks surfaces here
 //     (or earlier as an unmergeable-but-claimed-fresh entry).
 //
+// Recover and RecoverParallel run this one pass; the worker count only
+// decides how many mergers share each window (parallel.go).
+//
 // The package also provides the analytic recovery-time model behind the
 // paper's "7 seconds for a 64MB PUB" claim.
 package recovery
@@ -37,6 +40,8 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"time"
+	"unsafe"
 
 	"repro/internal/bmt"
 	"repro/internal/config"
@@ -46,6 +51,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/macs"
 	"repro/internal/nvm"
+	"repro/internal/obs"
 	"repro/internal/pub"
 )
 
@@ -55,13 +61,14 @@ var ErrRootMismatch = errors.New("recovery: rebuilt tree root does not match per
 
 // ErrNoControlState is returned when the image carries no usable ADR
 // control state: the persisted root block or the PUB ring bounds are
-// missing or corrupt. Serial and parallel recovery wrap it identically,
-// so errors.Is(err, ErrNoControlState) holds on both paths.
+// missing or corrupt. Every worker count wraps it identically, so
+// errors.Is(err, ErrNoControlState) holds for Recover and
+// RecoverParallel alike.
 var ErrNoControlState = errors.New("recovery: control region holds no usable state")
 
-// blockStore is the device access recovery merging needs. The serial
-// path passes the *nvm.Device directly; the parallel path passes
-// per-worker nvm.Shard handles, so both run the exact same mergeEntry.
+// blockStore is the device access recovery merging needs. One merger
+// uses the *nvm.Device directly; several use per-merger nvm.Shard
+// handles, so every worker count runs the exact same mergeEntry.
 type blockStore interface {
 	PeekInto(dst []byte, addr int64)
 	WriteBlock(addr int64, data []byte)
@@ -82,18 +89,18 @@ type Report struct {
 	// root.
 	RootVerified bool
 	// EstimatedCycles / EstimatedSeconds are the modeled recovery time
-	// for the scanned PUB (Section IV-D's cost model; the parallel model
-	// when Workers > 0).
+	// for the scanned PUB (Section IV-D's cost model, its merge divided
+	// across Workers).
 	EstimatedCycles  int64
 	EstimatedSeconds float64
 
-	// Parallel recovery (RecoverParallel). Workers is the worker count
-	// the run used (0 for the serial Recover); Shards is the per-shard
-	// breakdown. ScanCycles, MergeCycles, RebuildCycles and VerifyCycles
-	// are the modeled per-phase costs (merge and rebuild are critical
-	// path: the maximum over workers, not the sum); the *WallNS fields
-	// are measured host wall time per phase. None of these participate
-	// in CountsEqual.
+	// Workers is the worker count the run used (1 for Recover). Shards
+	// is the per-shard breakdown, present only when more than one
+	// worker merged. ScanCycles, MergeCycles, RebuildCycles and
+	// VerifyCycles are the modeled per-phase costs (merge and rebuild
+	// are critical path: the maximum over workers, not the sum); the
+	// *WallNS fields are measured host wall time per phase. None of
+	// these participate in CountsEqual.
 	Workers       int
 	Shards        []ShardReport
 	ScanCycles    int64
@@ -104,16 +111,6 @@ type Report struct {
 	MergeWallNS   int64
 	RebuildWallNS int64
 	VerifyWallNS  int64
-
-	// Shadow-accelerated recovery (Anubis fast path; only populated when
-	// the image was written with ShadowTracking enabled).
-	ShadowCtrSuspects int64
-	ShadowMACSuspects int64
-	// FastRecoverySeconds models PUB merge + reconstruction of only the
-	// suspect tree paths; FullRebuildSeconds models rebuilding the tree
-	// over every written counter block.
-	FastRecoverySeconds float64
-	FullRebuildSeconds  float64
 }
 
 // String renders the report for logs.
@@ -121,12 +118,7 @@ func (r *Report) String() string {
 	s := fmt.Sprintf("recovery: %d PUB blocks, %d entries (%d ctr + %d mac merged, %d stale), root ok=%v, est %.2fs",
 		r.PUBBlocks, r.PUBEntries, r.MergedCtr, r.MergedMAC, r.SkippedStale,
 		r.RootVerified, r.EstimatedSeconds)
-	if r.ShadowCtrSuspects+r.ShadowMACSuspects > 0 {
-		s += fmt.Sprintf("; shadow fast path: %d+%d suspects, %.3fs vs %.3fs full rebuild",
-			r.ShadowCtrSuspects, r.ShadowMACSuspects,
-			r.FastRecoverySeconds, r.FullRebuildSeconds)
-	}
-	if r.Workers > 0 {
+	if r.Workers > 1 {
 		s += fmt.Sprintf("\n  parallel: %d workers; phases scan=%dcyc merge=%dcyc rebuild=%dcyc verify=%dcyc",
 			r.Workers, r.ScanCycles, r.MergeCycles, r.RebuildCycles, r.VerifyCycles)
 		for _, sh := range r.Shards {
@@ -157,29 +149,31 @@ type ShardReport struct {
 // CountsEqual reports whether two runs recovered the same state: every
 // semantic counter and the verification outcome must match. Timing
 // (modeled cycles, wall clock) and parallel-engine shape (Workers,
-// Shards, per-phase breakdowns) are ignored, so a serial and a parallel
-// run over the same image compare equal exactly when they did the same
-// work.
+// Shards, per-phase breakdowns) are ignored, so runs over the same
+// image at different worker counts compare equal exactly when they did
+// the same work.
 func (r *Report) CountsEqual(o *Report) bool {
 	return r.PUBBlocks == o.PUBBlocks &&
 		r.PUBEntries == o.PUBEntries &&
 		r.MergedCtr == o.MergedCtr &&
 		r.MergedMAC == o.MergedMAC &&
 		r.SkippedStale == o.SkippedStale &&
-		r.RootVerified == o.RootVerified &&
-		r.ShadowCtrSuspects == o.ShadowCtrSuspects &&
-		r.ShadowMACSuspects == o.ShadowMACSuspects
+		r.RootVerified == o.RootVerified
 }
 
-// Recover restores a crashed device image in place and verifies it. The
-// configuration must match the one the image was created under (block
-// size, seed/keys, PUB geometry).
+// Recover restores a crashed device image in place and verifies it: the
+// recovery pass at one worker. The configuration must match the one the
+// image was created under (block size, seed/keys, PUB geometry).
 func Recover(cfg config.Config, dev *nvm.Device) (*Report, error) {
-	return recoverSerial(cfg, dev, replayWindow)
+	return recoverPass(cfg, dev, 1, replayWindow)
 }
 
-// recoverSerial is Recover with replay windows of at most size entries.
-func recoverSerial(cfg config.Config, dev *nvm.Device, size int) (*Report, error) {
+// recoverPass is the recovery pass: workers mergers replay the PUB in
+// windows of at most size ring entries (Thoth schemes only), then the
+// caller rebuilds the tree, compares its root with the persisted one
+// and fills every phase field. Each phase emits its whole-phase span
+// when the run is traced.
+func recoverPass(cfg config.Config, dev *nvm.Device, workers, size int) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,86 +181,116 @@ func recoverSerial(cfg config.Config, dev *nvm.Device, size int) (*Report, error
 	if err != nil {
 		return nil, err
 	}
-	eng := crypt.NewEngine(cfg.Seed)
-	rep := &Report{}
-
 	savedRoot, err := core.LoadRoot(cfg.BlockSize, lay.CtlBase, dev.Peek)
 	if err != nil {
 		return nil, fmt.Errorf("%w: no persisted root: %v", ErrNoControlState, err)
 	}
+	rep := &Report{Workers: workers}
 
+	mergers := 1
 	if cfg.Scheme.IsThoth() {
-		ring, err := openPUB(lay, dev, rep)
-		if err != nil {
+		mergers = workers
+	}
+	ms := newMergers(lay, dev, cfg.Seed, mergers)
+	if cfg.Scheme.IsThoth() {
+		if err := replay(cfg, lay, dev, ms, size, rep); err != nil {
 			return nil, err
 		}
-		m := newMerger(cfg, lay, eng, dev, rep)
-		w := newWindow(size, rep.PUBBlocks*int64(cfg.PartialsPerBlock()))
-		scanPUB(cfg, ring, rep, func(t shardTask) {
-			if w.add(t) {
-				emitMerges(cfg, w.flush(m))
-			}
-		})
-		emitMerges(cfg, w.flush(m))
 	}
 
-	rep.EstimatedCycles = recoveryCycles(cfg, lay, dev, rep.PUBBlocks, 1)
+	// Rebuild: hash the written counter blocks into the tree once
+	// merging has joined. The model divides the rebuild across the
+	// workers, as recovery hardware would hash the leaves in parallel.
+	start := time.Now()
+	root, leaves := bmt.Rebuild(lay, ms[0].eng, dev)
+	rep.RebuildWallNS = time.Since(start).Nanoseconds()
+	read := cfg.ReadLatencyCycles()
+	hash := int64(cfg.HashLatencyCycles)
+	levels := int64(lay.TreeLevels())
+	rep.RebuildCycles = (leaves*(read+levels*hash) + int64(workers) - 1) / int64(workers)
+	mergeEnd := rep.ScanCycles + rep.MergeCycles
+	emitPhase(cfg, obs.PhaseRebuild, 0, mergeEnd, mergeEnd+rep.RebuildCycles)
+
+	// Verify: the root join and comparison are sequential.
+	start = time.Now()
+	rep.RootVerified = root == savedRoot
+	rep.VerifyWallNS = time.Since(start).Nanoseconds()
+	rep.VerifyCycles = levels * hash
+	rebuildEnd := mergeEnd + rep.RebuildCycles
+	emitPhase(cfg, obs.PhaseVerify, 0, rebuildEnd, rebuildEnd+rep.VerifyCycles)
+
+	rep.EstimatedCycles = recoveryCycles(cfg, rep.PUBBlocks, leaves, workers)
 	rep.EstimatedSeconds = float64(rep.EstimatedCycles) / (cfg.CPUFreqGHz * 1e9)
-
-	if cfg.ShadowTracking {
-		estimateShadow(cfg, lay, dev, rep)
-	}
-
-	rep.RootVerified = bmt.Verify(lay, eng, dev, savedRoot)
 	if !rep.RootVerified {
 		return rep, ErrRootMismatch
 	}
 	return rep, nil
 }
 
+// replay scans the PUB ring into one window and merges every full
+// window, then the rest, through ms. It fills the scan and merge phase
+// fields of rep and emits their spans.
+func replay(cfg config.Config, lay *layout.Layout, dev *nvm.Device, ms []merger, size int, rep *Report) error {
+	start := time.Now()
+	ring, err := openPUB(lay, dev, rep)
+	if err != nil {
+		return err
+	}
+	rep.ScanCycles = rep.PUBBlocks * cfg.ReadLatencyCycles()
+	emitPhase(cfg, obs.PhaseScan, 0, 0, rep.ScanCycles)
+
+	w := newWindow(size, rep.PUBBlocks*int64(cfg.PartialsPerBlock()))
+	group := shardGroupBlocks(cfg)
+	flush := func() {
+		t := time.Now()
+		w.flush(cfg, ms, group)
+		rep.MergeWallNS += time.Since(t).Nanoseconds()
+	}
+	scanPUB(cfg, ring, rep, func(t shardTask) {
+		if w.add(t) {
+			flush()
+		}
+	})
+	flush()
+	rep.ScanWallNS = time.Since(start).Nanoseconds() - rep.MergeWallNS
+
+	perEntry := entryCycles(cfg)
+	for s := range ms {
+		sr := &ms[s].sr
+		sr.Shard = s
+		sr.MergeCycles = sr.Entries * perEntry
+		rep.MergedCtr += sr.MergedCtr
+		rep.MergedMAC += sr.MergedMAC
+		rep.SkippedStale += sr.SkippedStale
+		rep.MergeCycles = max(rep.MergeCycles, sr.MergeCycles) // critical path: slowest shard
+	}
+	if len(ms) > 1 {
+		rep.Shards = make([]ShardReport, len(ms))
+		for s := range ms {
+			rep.Shards[s] = ms[s].sr
+			emitPhase(cfg, obs.PhaseMerge, int64(s)+1,
+				rep.ScanCycles, rep.ScanCycles+ms[s].sr.MergeCycles)
+		}
+	}
+	emitPhase(cfg, obs.PhaseMerge, 0, rep.ScanCycles, rep.ScanCycles+rep.MergeCycles)
+	return nil
+}
+
 // recoveryCycles models the scheme's recovery bill over an image whose
-// PUB held pubBlocks at the crash: footnote 5's PUB replay for the
-// Thoth schemes, its merge divided across workers; for triad, a full
-// bottom-up tree rebuild (one read plus a per-level hash chain per
-// written counter block) in place of trusting the lazily written-back
-// tree region; nothing for the strict baseline and co-location.
-func recoveryCycles(cfg config.Config, lay *layout.Layout, dev *nvm.Device, pubBlocks int64, workers int) int64 {
+// PUB held pubBlocks at the crash and whose counter region holds leaves
+// written blocks: footnote 5's PUB replay for the Thoth schemes, its
+// merge divided across workers; for triad, a full bottom-up tree
+// rebuild (one read plus a per-level hash chain per written counter
+// block) in place of trusting the lazily written-back tree region;
+// nothing for the strict baseline and co-location.
+func recoveryCycles(cfg config.Config, pubBlocks, leaves int64, workers int) int64 {
 	switch cfg.Scheme.Kind() {
 	case config.KindThothWTSC, config.KindThothWTBC:
 		return EstimateCyclesParallel(cfg, pubBlocks, workers)
 	case config.KindTriadRelaxed:
-		perBlock := cfg.ReadLatencyCycles() + int64(cfg.NVMTreeLevels)*int64(cfg.HashLatencyCycles)
-		return writtenCtrBlocks(lay, dev) * perBlock
+		return leaves * (cfg.ReadLatencyCycles() + int64(cfg.NVMTreeLevels)*int64(cfg.HashLatencyCycles))
 	}
 	return 0
-}
-
-// writtenCtrBlocks counts the written blocks of the counter region.
-func writtenCtrBlocks(lay *layout.Layout, dev *nvm.Device) int64 {
-	var n int64
-	dev.ForEachWritten(lay.CtrBase, lay.CtrBytes, func(int64, []byte) { n++ })
-	return n
-}
-
-// estimateShadow fills the Anubis-shadow-table recovery estimates
-// (suspect counts, fast-path vs full-rebuild seconds); shared by the
-// serial and parallel paths since it only reads the image.
-func estimateShadow(cfg config.Config, lay *layout.Layout, dev *nvm.Device, rep *Report) {
-	ctrSus, macSus := core.ShadowSuspects(lay, dev.Peek)
-	rep.ShadowCtrSuspects = int64(len(ctrSus))
-	rep.ShadowMACSuspects = int64(len(macSus))
-	written := writtenCtrBlocks(lay, dev)
-	read := cfg.ReadLatencyCycles()
-	write := cfg.WriteLatencyCycles()
-	hash := int64(cfg.HashLatencyCycles)
-	levels := int64(lay.TreeLevels())
-	perBlock := read + levels*hash + write
-	shadowReads := (lay.ShadowBytes/int64(cfg.BlockSize) + 1) * read
-	fast := rep.EstimatedCycles + shadowReads +
-		(rep.ShadowCtrSuspects+rep.ShadowMACSuspects)*perBlock
-	full := rep.EstimatedCycles + written*(read+levels*hash)
-	rep.FastRecoverySeconds = float64(fast) / (cfg.CPUFreqGHz * 1e9)
-	rep.FullRebuildSeconds = float64(full) / (cfg.CPUFreqGHz * 1e9)
 }
 
 // entryCycles is the modeled verify-then-merge cost of one PUB entry
@@ -292,8 +316,7 @@ func openPUB(lay *layout.Layout, dev *nvm.Device, rep *Report) (*pub.Ring, error
 // task stamped with the cycle the serial Section IV-D model reaches
 // after it: one block read per PUB block, then entryCycles per entry.
 // The cycle stamps the emitted KindRecoveryMerge events, so a traced
-// recovery renders as a timeline, identically on the serial and
-// parallel paths.
+// recovery renders as a timeline, identically at every worker count.
 func scanPUB(cfg config.Config, ring *pub.Ring, rep *Report, fn func(shardTask)) {
 	read := cfg.ReadLatencyCycles()
 	perEntry := entryCycles(cfg)
@@ -308,76 +331,111 @@ func scanPUB(cfg config.Config, ring *pub.Ring, rep *Report, fn func(shardTask))
 	})
 }
 
-// merger is one goroutine's verify-then-merge state: the device view it
-// merges through, its crypto engine (engines carry scratch and are not
-// concurrency-safe), the report it counts into, and block scratch reused
-// across entries, so merging allocates nothing per entry.
+// scratchBytes is one merger's block scratch: a counter block, a
+// ciphertext and a MAC block of the largest block size config.Validate
+// accepts (256 B), then one first-level MAC.
+const scratchBytes = 3*256 + 256/8
+
+// cacheLine is the host cache-line size a merger is padded to.
+const cacheLine = 64
+
+// merger is one worker's verify-then-merge state: block scratch reused
+// across entries, so merging allocates nothing per entry, then the
+// device view it merges through, its crypto engine (engines carry
+// scratch and are not concurrency-safe) and the counts of what it
+// merged. The scratch comes first and a merger fills whole cache lines,
+// so in a []merger each merger's scratch starts on a cache line and no
+// two mergers, run by different goroutines, share one.
 type merger struct {
-	cfg config.Config
+	// buf holds the counter block, the ciphertext, the MAC block and
+	// the recomputed first-level MAC, in that order.
+	buf [scratchBytes]byte
+	mergerState
+	_ [cacheLine - (scratchBytes+unsafe.Sizeof(mergerState{}))%cacheLine]byte
+}
+
+// mergerState is a merger's fields after its scratch.
+type mergerState struct {
 	lay *layout.Layout
 	eng *crypt.Engine
 	dev blockStore
-	rep *Report
-
-	ctrBlk, data, macBlk, mac1 []byte
+	sr  ShardReport
 }
 
-func newMerger(cfg config.Config, lay *layout.Layout, eng *crypt.Engine, dev blockStore, rep *Report) *merger {
-	bs := cfg.BlockSize
-	buf := make([]byte, 3*bs+cfg.MACSize())
-	return &merger{
-		cfg: cfg, lay: lay, eng: eng, dev: dev, rep: rep,
-		ctrBlk: buf[:bs:bs],
-		data:   buf[bs : 2*bs : 2*bs],
-		macBlk: buf[2*bs : 3*bs : 3*bs],
-		mac1:   buf[3*bs:],
+// newMergers returns n mergers in one allocation, each with its own
+// engine. One merger uses dev directly; several use one locked shard
+// view each.
+func newMergers(lay *layout.Layout, dev *nvm.Device, seed int64, n int) []merger {
+	ms := make([]merger, n)
+	for i := range ms {
+		ms[i].lay = lay
+		ms[i].eng = crypt.NewEngine(seed)
+		ms[i].dev = dev
+		if n > 1 {
+			ms[i].dev = dev.Shard()
+		}
 	}
+	return ms
+}
+
+// merge applies tasks through m in slice order, recording each task's
+// outcome, and adds them to m's counts and merge wall time.
+func (m *merger) merge(tasks []shardTask) {
+	start := time.Now()
+	for i := range tasks {
+		tasks[i].out = m.mergeEntry(&tasks[i])
+	}
+	m.sr.Entries += int64(len(tasks))
+	m.sr.WallNS += time.Since(start).Nanoseconds()
 }
 
 // mergeEntry applies one partial update if it proves fresh against the
-// in-place ciphertext, and returns what it did. The device is a
-// blockStore so the serial device and the parallel per-worker shard
-// handles share this code: parallel determinism rests on every read and
-// write here targeting blocks owned by the entry's shard group (the
-// data ciphertext is read-only during merging, and the counter/MAC home
-// blocks define the group).
+// in-place ciphertext, and returns what it did. Determinism across
+// worker counts rests on every read and write here targeting blocks
+// owned by the entry's shard group (the data ciphertext is read-only
+// during merging, and the counter/MAC home blocks define the group).
 func (m *merger) mergeEntry(t *shardTask) outcome {
-	lay, dev, rep := m.lay, m.dev, m.rep
-	dataAddr := int64(t.block) * int64(m.cfg.BlockSize)
+	lay, dev, sr := m.lay, m.dev, &m.sr
+	bs := lay.BlockSize
+	ctrBlk := m.buf[:bs:bs]
+	data := m.buf[bs : 2*bs : 2*bs]
+	macBlk := m.buf[2*bs : 3*bs : 3*bs]
+	mac1 := m.buf[3*bs : 3*bs+lay.MACSize()]
+	dataAddr := int64(t.block) * int64(bs)
 	if dataAddr < lay.DataBase || dataAddr >= lay.DataBase+lay.DataBytes {
 		// A corrupted entry; the root check will catch real damage, but
 		// never dereference a bogus address.
-		rep.SkippedStale++
+		sr.SkippedStale++
 		return outOutOfRange
 	}
 	ca := lay.CtrBlockAddr(dataAddr)
 	cslot := lay.CtrSlot(dataAddr)
-	dev.PeekInto(m.ctrBlk, ca)
+	dev.PeekInto(ctrBlk, ca)
 
-	candidate := crypt.Counter{Major: ctr.Major(m.ctrBlk), Minor: t.minor}
-	dev.PeekInto(m.data, dataAddr)
-	m.eng.MACInto(m.mac1, m.data, dataAddr, candidate)
-	if m.eng.MAC2(m.mac1) != t.mac2 {
-		rep.SkippedStale++
+	candidate := crypt.Counter{Major: ctr.Major(ctrBlk), Minor: t.minor}
+	dev.PeekInto(data, dataAddr)
+	m.eng.MACInto(mac1, data, dataAddr, candidate)
+	if m.eng.MAC2(mac1) != t.mac2 {
+		sr.SkippedStale++
 		return outStale
 	}
 
 	// The entry matches the newest ciphertext: merge counter and MAC
 	// into their home blocks.
 	out := outNoop
-	if ctr.Minor(m.ctrBlk, cslot) != t.minor {
-		ctr.SetMinor(m.ctrBlk, cslot, t.minor)
-		dev.WriteBlock(ca, m.ctrBlk)
-		rep.MergedCtr++
+	if ctr.Minor(ctrBlk, cslot) != t.minor {
+		ctr.SetMinor(ctrBlk, cslot, t.minor)
+		dev.WriteBlock(ca, ctrBlk)
+		sr.MergedCtr++
 		out |= outCtr
 	}
 	ma := lay.MACBlockAddr(dataAddr)
 	mslot := lay.MACSlot(dataAddr)
-	dev.PeekInto(m.macBlk, ma)
-	if !macs.Equal(m.macBlk, mslot, len(m.mac1), m.mac1) {
-		macs.Set(m.macBlk, mslot, len(m.mac1), m.mac1)
-		dev.WriteBlock(ma, m.macBlk)
-		rep.MergedMAC++
+	dev.PeekInto(macBlk, ma)
+	if !macs.Equal(macBlk, mslot, len(mac1), mac1) {
+		macs.Set(macBlk, mslot, len(mac1), mac1)
+		dev.WriteBlock(ma, macBlk)
+		sr.MergedMAC++
 		out |= outMAC
 	}
 	return out
@@ -407,9 +465,4 @@ func EstimateCyclesParallel(cfg config.Config, pubBlocks int64, workers int) int
 	entries := pubBlocks * int64(cfg.PartialsPerBlock())
 	merge := (entries*entryCycles(cfg) + int64(workers) - 1) / int64(workers)
 	return pubBlocks*cfg.ReadLatencyCycles() + merge
-}
-
-// EstimateSecondsParallel converts EstimateCyclesParallel to seconds.
-func EstimateSecondsParallel(cfg config.Config, pubBlocks int64, workers int) float64 {
-	return float64(EstimateCyclesParallel(cfg, pubBlocks, workers)) / (cfg.CPUFreqGHz * 1e9)
 }

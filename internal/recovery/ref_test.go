@@ -18,8 +18,10 @@ import (
 )
 
 // refRecover is the FIFO replay that the windowed, block-ordered replay
-// must match: the serial recovery that merges every PUB entry in ring
-// order as the scan reaches it, and emits its outcome at once.
+// must match: the recovery that merges every PUB entry in ring order as
+// the scan reaches it, emits its outcome at once, then rebuilds the
+// tree and compares the roots. It fills only the fields CountsEqual
+// compares.
 func refRecover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -28,7 +30,6 @@ func refRecover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := crypt.NewEngine(cfg.Seed)
 	rep := &Report{}
 
 	savedRoot, err := core.LoadRoot(cfg.BlockSize, lay.CtlBase, dev.Peek)
@@ -41,23 +42,18 @@ func refRecover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := newMerger(cfg, lay, eng, dev, rep)
+		m := &newMergers(lay, dev, cfg.Seed, 1)[0]
 		scanPUB(cfg, ring, rep, func(t shardTask) {
 			t.out = m.mergeEntry(&t)
 			if cfg.Tracer != nil {
 				emitMerges(cfg, []shardTask{t})
 			}
 		})
+		rep.MergedCtr, rep.MergedMAC, rep.SkippedStale = m.sr.MergedCtr, m.sr.MergedMAC, m.sr.SkippedStale
 	}
 
-	rep.EstimatedCycles = recoveryCycles(cfg, lay, dev, rep.PUBBlocks, 1)
-	rep.EstimatedSeconds = float64(rep.EstimatedCycles) / (cfg.CPUFreqGHz * 1e9)
-
-	if cfg.ShadowTracking {
-		estimateShadow(cfg, lay, dev, rep)
-	}
-
-	rep.RootVerified = bmt.Verify(lay, eng, dev, savedRoot)
+	root, _ := bmt.Rebuild(lay, crypt.NewEngine(cfg.Seed), dev)
+	rep.RootVerified = root == savedRoot
 	if !rep.RootVerified {
 		return rep, ErrRootMismatch
 	}
@@ -237,17 +233,16 @@ var replayImages = []struct {
 }
 
 // replayVariants are the recoveries checked against refRecover on one
-// image: Recover, and the serial and 3-worker replays at windows of 1,
-// 2, PartialsPerBlock, PartialsPerBlock+1 and 1,000 entries.
+// image: Recover, and the 1- and 3-worker passes at windows of 1, 2,
+// PartialsPerBlock, PartialsPerBlock+1 and 1,000 entries.
 func replayVariants(cfg config.Config) map[string]func(config.Config, *nvm.Device) (*Report, error) {
 	vs := map[string]func(config.Config, *nvm.Device) (*Report, error){"Recover": Recover}
 	p := cfg.PartialsPerBlock()
 	for _, size := range []int{1, 2, p, p + 1, 1000} {
-		vs[fmt.Sprintf("serial/window=%d", size)] = func(cfg config.Config, dev *nvm.Device) (*Report, error) {
-			return recoverSerial(cfg, dev, size)
-		}
-		vs[fmt.Sprintf("parallel/window=%d", size)] = func(cfg config.Config, dev *nvm.Device) (*Report, error) {
-			return recoverParallel(cfg, dev, RecoverOpts{Workers: 3}, size)
+		for _, workers := range []int{1, 3} {
+			vs[fmt.Sprintf("workers=%d/window=%d", workers, size)] = func(cfg config.Config, dev *nvm.Device) (*Report, error) {
+				return recoverPass(cfg, dev, workers, size)
+			}
 		}
 	}
 	return vs
@@ -273,8 +268,8 @@ func TestReplayMatchesFIFO(t *testing.T) {
 }
 
 // FuzzReplayOrder lets the fuzzer pick the crash image (its kind and
-// seed) and the replay window, and checks the serial and 3-worker
-// replays at that window against the FIFO replay.
+// seed) and the replay window, and checks the 1- and 3-worker passes at
+// that window against the FIFO replay.
 func FuzzReplayOrder(f *testing.F) {
 	for seed := range int64(len(replayImages)) {
 		f.Add(seed, uint16(seed*seed)) // each image once, windows of 1 to 37
@@ -285,13 +280,11 @@ func FuzzReplayOrder(f *testing.F) {
 		cfg, img := im.build(t, seed)
 		size := 1 + int(window)
 		want := recoverTraced(cfg, img, refRecover)
-		assertSameRecovery(t, fmt.Sprintf("%s seed=%d serial/window=%d", im.name, seed, size), want,
-			recoverTraced(cfg, img, func(cfg config.Config, dev *nvm.Device) (*Report, error) {
-				return recoverSerial(cfg, dev, size)
-			}))
-		assertSameRecovery(t, fmt.Sprintf("%s seed=%d parallel/window=%d", im.name, seed, size), want,
-			recoverTraced(cfg, img, func(cfg config.Config, dev *nvm.Device) (*Report, error) {
-				return recoverParallel(cfg, dev, RecoverOpts{Workers: 3}, size)
-			}))
+		for _, workers := range []int{1, 3} {
+			assertSameRecovery(t, fmt.Sprintf("%s seed=%d workers=%d/window=%d", im.name, seed, workers, size), want,
+				recoverTraced(cfg, img, func(cfg config.Config, dev *nvm.Device) (*Report, error) {
+					return recoverPass(cfg, dev, workers, size)
+				}))
+		}
 	})
 }

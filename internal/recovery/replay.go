@@ -1,13 +1,16 @@
 package recovery
 
 import (
+	"sync"
+
 	"repro/internal/config"
 	"repro/internal/obs"
 )
 
 // replayWindow bounds how many consecutive ring entries the replay
 // sorts at once. It is a memory bound (8 MiB per window half at 32 B
-// per shardTask), not a tuning knob.
+// per shardTask, one window per run at any worker count), not a tuning
+// knob.
 const replayWindow = 1 << 18
 
 // radixBits is the digit width of the window's LSD radix sort: three
@@ -66,24 +69,61 @@ func (w *window) add(t shardTask) bool {
 	return w.n == len(w.a)
 }
 
-// flush merges the queued tasks through m in ascending data-block order,
-// the entries of one block in ring order, and empties the window. When
-// the run is traced it returns the tasks in ring order again, each with
-// its outcome; otherwise nil.
-func (w *window) flush(m *merger) []shardTask {
+// flush merges the queued tasks through ms and empties the window. It
+// sorts them by data block; with more than one merger it splits them by
+// the shard owning their metadata group (groups of group data blocks),
+// keeping that order, and merges each shard's slice on its own
+// goroutine, joined before flush returns. When the run is traced it
+// then emits every outcome in ring order.
+func (w *window) flush(cfg config.Config, ms []merger, group int64) {
 	sorted, spare := w.sortByBlock()
 	w.n = 0
-	for i := range sorted {
-		sorted[i].out = m.mergeEntry(&sorted[i])
+	if len(ms) == 1 {
+		ms[0].merge(sorted)
+	} else {
+		bounds := splitByShard(sorted, spare, group, len(ms))
+		var wg sync.WaitGroup
+		for s := range ms {
+			tasks := spare[bounds[s]:bounds[s+1]]
+			if len(tasks) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ms[s].merge(tasks)
+			}()
+		}
+		wg.Wait()
+		sorted, spare = spare, sorted
 	}
-	if m.cfg.Tracer == nil {
-		return nil
+	if cfg.Tracer == nil {
+		return
 	}
 	ring := spare[:len(sorted)]
 	for _, t := range sorted {
 		ring[t.pos] = t
 	}
-	return ring
+	emitMerges(cfg, ring)
+}
+
+// splitByShard copies src into dst grouped by shard, shard 0 first,
+// each shard's tasks in src order, and returns the bounds: shard s's
+// tasks are dst[bounds[s]:bounds[s+1]].
+func splitByShard(src, dst []shardTask, group int64, shards int) (bounds [maxWorkers + 1]uint32) {
+	for _, t := range src {
+		bounds[shardOf(int64(t.block)/group, shards)+1]++
+	}
+	for s := 1; s <= shards; s++ {
+		bounds[s] += bounds[s-1]
+	}
+	next := bounds
+	for _, t := range src {
+		s := shardOf(int64(t.block)/group, shards)
+		dst[next[s]] = t
+		next[s]++
+	}
+	return bounds
 }
 
 // sortByBlock records each queued task's ring position, then stably
@@ -133,19 +173,5 @@ func emitMerges(cfg config.Config, tasks []shardTask) {
 			Scheme: cfg.Scheme.String(),
 			Detail: outcomeDetail[t.out],
 		})
-	}
-}
-
-// replayShard merges one shard's tasks, queued in ring order, through m
-// a window at a time. The window sorts each slice of tasks in place,
-// with one spare half; when the run is traced, the tasks end in ring
-// order again, each with its outcome.
-func replayShard(tasks []shardTask, m *merger, size int) {
-	spare := make([]shardTask, min(size, len(tasks)))
-	for rest := tasks; len(rest) > 0; {
-		n := min(len(spare), len(rest))
-		w := window{a: rest[:n], b: spare[:n], n: n}
-		copy(rest, w.flush(m))
-		rest = rest[n:]
 	}
 }

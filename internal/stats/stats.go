@@ -25,9 +25,6 @@ const (
 	WritePCB
 	// WriteTree is a Merkle-tree node write-back (lazy eviction).
 	WriteTree
-	// WriteShadow is an Anubis shadow-table update (only with
-	// ShadowTracking enabled).
-	WriteShadow
 	// WriteOther covers rare cases (counter-overflow page re-encryption,
 	// recovery merges).
 	WriteOther
@@ -47,8 +44,6 @@ func (c WriteCategory) String() string {
 		return "pcb"
 	case WriteTree:
 		return "tree"
-	case WriteShadow:
-		return "shadow"
 	case WriteOther:
 		return "other"
 	default:

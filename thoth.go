@@ -454,17 +454,18 @@ func LoadImage(r io.Reader) (*Device, error) { return nvm.LoadImage(r) }
 
 // Recover restores a crashed device image in place (merging the PUB's
 // partial updates into their home metadata blocks) and verifies the
-// integrity-tree root. Returns ErrRootMismatch on tampering.
+// integrity-tree root: the recovery pass at one worker. Returns
+// ErrRootMismatch on tampering.
 func Recover(cfg Config, dev *Device) (*RecoveryReport, error) {
 	return recovery.Recover(cfg, dev)
 }
 
-// RecoverParallel is Recover with the PUB merge and tree rebuild sharded
+// RecoverParallel is Recover with each replay window's merge sharded
 // across worker goroutines (opts.Workers; <= 0 means GOMAXPROCS). It
-// produces a byte-identical device image, the same sentinel errors, and
-// an equal report (Report.CountsEqual) as the serial Recover for any
-// worker count; the report additionally carries the per-shard and
-// per-phase breakdowns.
+// produces a byte-identical device image, the same sentinel errors, the
+// same merge events and an equal report (Report.CountsEqual) as Recover
+// for any worker count; with more than one worker the report also
+// carries the per-shard breakdown.
 func RecoverParallel(cfg Config, dev *Device, opts RecoverOpts) (*RecoveryReport, error) {
 	return recovery.RecoverParallel(cfg, dev, opts)
 }
@@ -473,13 +474,6 @@ func RecoverParallel(cfg Config, dev *Device, opts RecoverOpts) (*RecoveryReport
 // the configured size (Section IV-D; ~7s for the default 64MB PUB).
 func EstimateRecoverySeconds(cfg Config) float64 {
 	return recovery.EstimateSeconds(cfg, cfg.PUBBlocks())
-}
-
-// EstimateParallelRecoverySeconds is EstimateRecoverySeconds under the
-// sharded model: the PUB scan stays sequential, the per-entry
-// verify-then-merge work divides across workers.
-func EstimateParallelRecoverySeconds(cfg Config, workers int) float64 {
-	return recovery.EstimateSecondsParallel(cfg, cfg.PUBBlocks(), workers)
 }
 
 // Region is one contiguous range of the NVM address map.
@@ -590,7 +584,8 @@ func OpenPool(cfg Config, shards int, img *PoolImage) (*Pool, error) {
 // parallel recovery engine over every crashed shard concurrently (clean
 // shards are skipped). Sentinel errors (ErrRootMismatch,
 // ErrNoControlState) surface through the joined error; test with
-// errors.Is.
+// errors.Is. A traced recovery emits each crashed shard's events in
+// shard order.
 func RecoverPool(cfg Config, shards int, img *PoolImage, opts RecoverOpts) (*PoolReport, error) {
 	return engine.RecoverPool(cfg, shards, img, opts)
 }
