@@ -48,8 +48,9 @@ build:
 	$(GO) build ./...
 
 # Cross-architecture gate: internal/crypt has an amd64 AES-NI pad kernel
-# and a pure-Go fallback for every other architecture; vet and build
-# the whole tree for arm64 so the fallback keeps compiling.
+# and SHA-NI keyed-hash kernel, with pure-Go fallbacks for every other
+# architecture (pad_other.go, sha_other.go); vet and build the whole
+# tree for arm64 so the fallbacks keep compiling.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
@@ -142,11 +143,13 @@ obs-smoke:
 # single-block timed pool write or read (attributed or not), and a
 # 64-block System.PersistBatch, allocate nothing either. So do the
 # counter-mode pads (XorPad and PadInto at 64, 128 and 256 B blocks)
-# and the MAC and tree hashes.
+# and the MAC and tree hashes, on every pad and hash path. Recovery's
+# scanning goroutine, and every merge goroutine, must be gone when a
+# recovery returns, panics included.
 bench-alloc:
 	$(GO) test ./internal/crypt -run TestEngineOpsAllocFree -count=1
 	$(GO) test . -run TestPersistBatchZeroAlloc -count=1
-	$(GO) test ./internal/recovery -run 'TestRecoverZeroAllocPerEntry|TestParallelRecoveryMemoryFollowsWindow' -count=1
+	$(GO) test ./internal/recovery -run 'TestRecoverZeroAllocPerEntry|TestParallelRecoveryMemoryFollowsWindow|TestProducerNeverOutlivesRecovery' -count=1
 	$(GO) test ./internal/bmt -run TestNodeHashZeroAlloc -count=1
 	$(GO) test ./internal/engine -run TestPoolArriveZeroAlloc -count=1
 	$(GO) test ./internal/core -run 'TestTracerDisabledZeroAlloc|TestReadHitZeroAlloc' -bench 'BenchmarkTracerDisabled|BenchmarkReadHit' -benchtime 10000x
@@ -169,13 +172,15 @@ endif
 # input runs its seed's whole variant matrix), plus the word-level
 # bit-field codec against its bit-at-a-time reference, the stale-mask
 # integrity tree against its map-based reference, the counter-mode
-# pads against per-chunk crypto/aes, and the block-ordered PUB replay
-# against the FIFO replay.
+# pads against per-chunk crypto/aes, the keyed hashes against
+# crypto/sha256, and the block-ordered PUB replay against the FIFO
+# replay.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/crashfuzz
 	$(GO) test -run=NONE -fuzz=FuzzBitpack -fuzztime=5s ./internal/bitpack
 	$(GO) test -run=NONE -fuzz=FuzzTree -fuzztime=5s ./internal/bmt
 	$(GO) test -run=NONE -fuzz=FuzzPad -fuzztime=5s ./internal/crypt
+	$(GO) test -run=NONE -fuzz=FuzzKeyedHash -fuzztime=5s ./internal/crypt
 	$(GO) test -run=NONE -fuzz=FuzzReplayOrder -fuzztime=5s ./internal/recovery
 
 # The acceptance-criteria sweep (slower; not part of `ci`).

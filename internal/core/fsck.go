@@ -41,10 +41,11 @@ func (c *Controller) VerifyCrashConsistency() error {
 		mac2  uint64
 	}
 	live := make(map[uint32]update)
-	c.ring.Scan(func(entries []pub.Entry) {
+	c.ring.Scan(func(entries []pub.Entry) bool {
 		for _, e := range entries {
 			live[e.BlockIndex] = update{minor: e.Minor, mac2: e.MAC2}
 		}
+		return true
 	})
 	for _, e := range c.pcb.UnpostedEntries() {
 		live[e.BlockIndex] = update{minor: e.Minor, mac2: e.MAC2}

@@ -30,15 +30,25 @@
 // checks against crypto/aes. Elsewhere they run one crypto/aes
 // Encrypt per chunk, the reference the kernel is tested against.
 //
-// MACs and tree hashes are keyed SHA-256 truncated to the architectural
-// widths (the hardware would use a dedicated MAC unit such as an AES-GMAC
-// engine; a keyed hash preserves the properties the model needs —
-// determinism, key dependence, and collision resistance for tamper
-// detection).
+// MACs and tree hashes are prefix-keyed SHA-256 — SHA-256 over the MAC
+// key, a domain-separation tag and the input, not HMAC — truncated to
+// the architectural widths (the hardware would use a dedicated MAC unit
+// such as an AES-GMAC engine; a keyed hash preserves the properties the
+// model needs — determinism, key dependence, and collision resistance
+// for tamper detection). Each hash is one pass: NewEngine stages the
+// key once at the front of the engine's message buffer, and a call
+// writes its tag and inputs after it. On amd64 CPUs with the SHA
+// extensions the call then appends SHA-256's padding and compresses the
+// buffer with one SHA-NI kernel call (sha_amd64.s); elsewhere it runs
+// crypto/sha256.Sum256 over the same bytes, the reference the kernel is
+// tested against. An input longer than the buffer (none on the
+// simulator's paths) streams the same bytes through a crypto/sha256
+// digest.
 //
-// An Engine carries reusable scratch state (a resettable keyed digest and
-// a pad buffer), so it is NOT safe for concurrent use. Each controller
-// owns its engine; parallel experiment runs each build their own.
+// An Engine carries reusable scratch state (the staged hash message and
+// the pad buffers), so it is NOT safe for concurrent use. Each
+// controller owns its engine; parallel experiment runs each build their
+// own.
 package crypt
 
 import (
@@ -46,10 +56,8 @@ import (
 	"crypto/cipher"
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding"
 	"encoding/binary"
 	"fmt"
-	"hash"
 )
 
 // Engine holds the processor's memory-encryption keys. One engine
@@ -64,22 +72,16 @@ type Engine struct {
 	ivs  [kernelBytes]byte
 	pads [kernelBytes]byte
 
-	// Resettable keyed digest: h is restored from a pre-keyed marshaled
-	// state per MAC instead of rehashing the key and reallocating a
-	// digest every call. One saved state per domain-separation tag.
-	h      hash.Hash
-	stMAC1 []byte
-	stMAC2 []byte
-	stTree []byte
-	sumBuf [sha256.Size]byte
+	// msg stages one keyed-hash message: the MAC key (written once by
+	// NewEngine), the domain tag, the inputs and, for the kernel,
+	// SHA-256's padding.
+	msg [msgBytes]byte
 
 	// Per-op scratch. These live on the engine (not the stack) because
-	// arguments passed through the cipher.Block / hash.Hash interfaces
-	// escape: stack arrays would heap-allocate on every call.
-	ivBuf   [16]byte
-	xorBuf  [16]byte
-	hdrBuf  [17]byte
-	nodeBuf [TreeNodeWords * 8]byte
+	// arguments passed through the cipher.Block interface escape: stack
+	// arrays would heap-allocate on every call.
+	ivBuf  [16]byte
+	xorBuf [16]byte
 }
 
 // NewEngine derives a deterministic engine from a seed so experiments are
@@ -100,24 +102,8 @@ func NewEngine(seed int64) *Engine {
 	}
 	binary.LittleEndian.PutUint64(e.macKey[0:8], uint64(seed)*0xC2B2_AE3D_27D4_EB4F+7)
 	binary.LittleEndian.PutUint64(e.macKey[8:16], uint64(seed)^0x1655_67C1_B3F7_4034)
-	e.h = sha256.New()
-	e.stMAC1 = e.keyedState(domMAC1)
-	e.stMAC2 = e.keyedState(domMAC2)
-	e.stTree = e.keyedState(domTree)
+	copy(e.msg[:len(e.macKey)], e.macKey[:])
 	return e
-}
-
-// keyedState returns the marshaled digest state after absorbing the MAC
-// key and a domain tag, computed once per domain at engine construction.
-func (e *Engine) keyedState(domain byte) []byte {
-	e.h.Reset()
-	e.h.Write(e.macKey[:])
-	e.h.Write([]byte{domain})
-	st, err := e.h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("crypt: digest state marshal: %v", err))
-	}
-	return st
 }
 
 // Counter is a split encryption counter: a major shared by all blocks of
@@ -241,22 +227,19 @@ func (e *Engine) Decrypt(ciphertext []byte, addr int64, ctr Counter) []byte {
 	return e.Encrypt(ciphertext, addr, ctr)
 }
 
-// keyedSum restores the digest from a pre-keyed state, absorbs p1 and p2
-// (either may be nil), and writes the first len(out) bytes of the sum
-// into out. Allocation-free after engine construction.
-func (e *Engine) keyedSum(out []byte, state []byte, p1, p2 []byte) {
-	if err := e.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
-		panic(fmt.Sprintf("crypt: digest state restore: %v", err))
-	}
-	if p1 != nil {
-		e.h.Write(p1)
-	}
-	if p2 != nil {
-		e.h.Write(p2)
-	}
-	sum := e.h.Sum(e.sumBuf[:0])
-	copy(out, sum[:len(out)])
-}
+// The staged keyed-hash message: e.msg[:msgKey] is the MAC key and the
+// domain tag, and a hash's inputs follow them.
+const (
+	// msgKey is the offset of a keyed hash's inputs in e.msg.
+	msgKey = 17
+	// msgBytes holds every hot-path message with its padding. The
+	// largest is MACInto over a 256 B block: 17 + 17 + 256 bytes plus
+	// SHA-256's 9 padding bytes, five 64-byte blocks.
+	msgBytes = 5 * sha256.BlockSize
+	// macHdrBytes is MACInto's (address, counter) header: full 64-bit
+	// address, full 64-bit major, and the minor in a dedicated byte.
+	macHdrBytes = 17
+)
 
 // Domain-separation tags for the different MAC/hash uses.
 const (
@@ -265,24 +248,59 @@ const (
 	domTree byte = 3
 )
 
-// macHdr packs the (address, counter) binding for the first-level MAC
-// into the engine's header scratch: full 64-bit address, full 64-bit
-// major, and the minor in a dedicated byte — no field overlaps.
-func (e *Engine) macHdr(addr int64, ctr Counter) {
-	hdr := &e.hdrBuf
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(addr))
-	binary.LittleEndian.PutUint64(hdr[8:16], ctr.Major)
-	hdr[16] = ctr.Minor
+// sha256IV is SHA-256's initial hash value (FIPS 180-4, 5.3.3).
+var sha256IV = [8]uint32{
+	0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+	0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+}
+
+// keyedSum returns SHA-256 over the MAC key, domain, the hdr input
+// bytes the caller staged at e.msg[msgKey:] and then p. Allocation-free
+// after engine construction while the message fits e.msg.
+func (e *Engine) keyedSum(domain byte, hdr int, p []byte) (sum [sha256.Size]byte) {
+	e.msg[msgKey-1] = domain
+	n := msgKey + hdr + len(p)
+	if n+9 > msgBytes {
+		// No room for the padding's 0x80 marker and 8-byte length:
+		// stream the same bytes through a digest.
+		d := sha256.New()
+		d.Write(e.msg[:msgKey+hdr])
+		d.Write(p)
+		d.Sum(sum[:0])
+		return sum
+	}
+	copy(e.msg[msgKey+hdr:], p)
+	if !useSHAKernel {
+		return sha256.Sum256(e.msg[:n])
+	}
+	// Pad as SHA-256 does: 0x80, zeros, then the bit length big-endian
+	// in the last 8 bytes of the final block.
+	end := (n + 9 + sha256.BlockSize - 1) &^ (sha256.BlockSize - 1)
+	e.msg[n] = 0x80
+	clear(e.msg[n+1 : end-8])
+	binary.BigEndian.PutUint64(e.msg[end-8:end], uint64(n)*8)
+	h := sha256IV
+	blockSHANI(&h, e.msg[:end])
+	for i, w := range h {
+		binary.BigEndian.PutUint32(sum[4*i:], w)
+	}
+	return sum
 }
 
 // MACInto computes the first-level MAC over (ciphertext, address,
-// counter), truncated to len(dst) bytes, without allocating.
+// counter), truncated to len(dst) bytes, without allocating. The
+// (address, counter) header is written straight into the staged
+// message; no field overlaps.
 func (e *Engine) MACInto(dst []byte, ciphertext []byte, addr int64, ctr Counter) {
 	if len(dst) <= 0 || len(dst) > sha256.Size {
 		panic(fmt.Sprintf("crypt: MAC size %d out of range", len(dst)))
 	}
-	e.macHdr(addr, ctr)
-	e.keyedSum(dst, e.stMAC1, e.hdrBuf[:], ciphertext)
+	hdr := e.msg[msgKey : msgKey+macHdrBytes]
+	binary.LittleEndian.PutUint64(hdr[0:8], uint64(addr))
+	binary.LittleEndian.PutUint64(hdr[8:16], ctr.Major)
+	hdr[16] = ctr.Minor
+	sum := e.keyedSum(domMAC1, macHdrBytes, ciphertext)
+	copy(dst, sum[:])
 }
 
 // MAC computes the first-level MAC over (ciphertext, address, counter),
@@ -301,18 +319,16 @@ func (e *Engine) MAC(ciphertext []byte, addr int64, ctr Counter, size int) []byt
 // MAC2 computes the 8-byte second-level MAC over a first-level MAC, the
 // compressed form stored in PUB partial-update entries (Section IV-A).
 func (e *Engine) MAC2(firstLevel []byte) uint64 {
-	var out [8]byte
-	e.keyedSum(out[:], e.stMAC2, firstLevel, nil)
-	return binary.LittleEndian.Uint64(out[:])
+	sum := e.keyedSum(domMAC2, 0, firstLevel)
+	return binary.LittleEndian.Uint64(sum[:8])
 }
 
 // TreeHash computes the 8-byte keyed hash of a Merkle-tree child node
 // identified by its address, used to build parent nodes.
 func (e *Engine) TreeHash(addr int64, node []byte) uint64 {
-	binary.LittleEndian.PutUint64(e.hdrBuf[0:8], uint64(addr))
-	var out [8]byte
-	e.keyedSum(out[:], e.stTree, e.hdrBuf[:8], node)
-	return binary.LittleEndian.Uint64(out[:])
+	binary.LittleEndian.PutUint64(e.msg[msgKey:], uint64(addr))
+	sum := e.keyedSum(domTree, 8, node)
+	return binary.LittleEndian.Uint64(sum[:8])
 }
 
 // TreeNodeWords bounds TreeHashWords' input: the child hashes of one
@@ -320,15 +336,16 @@ func (e *Engine) TreeHash(addr int64, node []byte) uint64 {
 const TreeNodeWords = 8
 
 // TreeHashWords is TreeHash over words packed little-endian in order —
-// a tree node's child hashes. The packing is staged in engine scratch,
-// so hashing a node does not allocate.
+// a tree node's child hashes. The words are packed straight into the
+// staged message, so hashing a node does not allocate.
 func (e *Engine) TreeHashWords(addr int64, words []uint64) uint64 {
 	if len(words) > TreeNodeWords {
 		panic(fmt.Sprintf("crypt: %d tree-node words, at most %d", len(words), TreeNodeWords))
 	}
-	buf := e.nodeBuf[:8*len(words)]
+	binary.LittleEndian.PutUint64(e.msg[msgKey:], uint64(addr))
 	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
+		binary.LittleEndian.PutUint64(e.msg[msgKey+8+8*i:], w)
 	}
-	return e.TreeHash(addr, buf)
+	sum := e.keyedSum(domTree, 8+8*len(words), nil)
+	return binary.LittleEndian.Uint64(sum[:8])
 }

@@ -174,40 +174,59 @@ func TestMACBindsFullMajor(t *testing.T) {
 }
 
 // TestEngineOpsAllocFree asserts the steady-state crypto primitives do
-// not allocate once the engine is constructed. The pads run at every
-// block size the configurations use, through whichever path this CPU
-// takes.
+// not allocate once the engine is constructed. The pads, MACs and tree
+// hashes run at every block size the configurations use (MACs at their
+// 8-to-1 width), and tree nodes at every word count, through every pad
+// and keyed-hash path this CPU runs.
 func TestEngineOpsAllocFree(t *testing.T) {
 	e := NewEngine(5)
-	buf := make([]byte, 128)
-	mac := make([]byte, 16)
 	ctr := Counter{Major: 11, Minor: 3}
-	for _, bs := range []int{64, 128, 256} {
-		blk := make([]byte, bs)
-		if n := testing.AllocsPerRun(200, func() {
-			e.XorPad(blk, 0x7000, ctr)
-		}); n != 0 {
-			t.Errorf("XorPad(%d B) allocates %.1f times per op", bs, n)
-		}
-		if n := testing.AllocsPerRun(200, func() {
-			e.PadInto(blk, 0x7000, ctr)
-		}); n != 0 {
-			t.Errorf("PadInto(%d B) allocates %.1f times per op", bs, n)
-		}
+	words := make([]uint64, TreeNodeWords)
+	for _, kernel := range padPaths() {
+		withKernel(kernel, func() {
+			for _, bs := range []int{64, 128, 256} {
+				blk := make([]byte, bs)
+				if n := testing.AllocsPerRun(200, func() {
+					e.XorPad(blk, 0x7000, ctr)
+				}); n != 0 {
+					t.Errorf("kernel=%v XorPad(%d B) allocates %.1f times per op", kernel, bs, n)
+				}
+				if n := testing.AllocsPerRun(200, func() {
+					e.PadInto(blk, 0x7000, ctr)
+				}); n != 0 {
+					t.Errorf("kernel=%v PadInto(%d B) allocates %.1f times per op", kernel, bs, n)
+				}
+			}
+		})
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		e.MACInto(mac, buf, 0x7000, ctr)
-	}); n != 0 {
-		t.Errorf("MACInto allocates %.1f times per op", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		_ = e.MAC2(mac)
-	}); n != 0 {
-		t.Errorf("MAC2 allocates %.1f times per op", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		_ = e.TreeHash(64, buf)
-	}); n != 0 {
-		t.Errorf("TreeHash allocates %.1f times per op", n)
+	for _, kernel := range shaPaths() {
+		withSHAKernel(kernel, func() {
+			for _, bs := range []int{64, 128, 256} {
+				blk := make([]byte, bs)
+				mac := make([]byte, bs/8)
+				if n := testing.AllocsPerRun(200, func() {
+					e.MACInto(mac, blk, 0x7000, ctr)
+				}); n != 0 {
+					t.Errorf("SHA kernel=%v MACInto(%d B) allocates %.1f times per op", kernel, bs, n)
+				}
+				if n := testing.AllocsPerRun(200, func() {
+					_ = e.MAC2(mac)
+				}); n != 0 {
+					t.Errorf("SHA kernel=%v MAC2(%d B) allocates %.1f times per op", kernel, len(mac), n)
+				}
+				if n := testing.AllocsPerRun(200, func() {
+					_ = e.TreeHash(64, blk)
+				}); n != 0 {
+					t.Errorf("SHA kernel=%v TreeHash(%d B) allocates %.1f times per op", kernel, bs, n)
+				}
+			}
+			for k := 0; k <= TreeNodeWords; k++ {
+				if n := testing.AllocsPerRun(200, func() {
+					_ = e.TreeHashWords(64, words[:k])
+				}); n != 0 {
+					t.Errorf("SHA kernel=%v TreeHashWords(%d words) allocates %.1f times per op", kernel, k, n)
+				}
+			}
+		})
 	}
 }

@@ -286,7 +286,7 @@ func TestRingWrapAroundSustained(t *testing.T) {
 	merged := map[uint32]Entry{}
 	reads := dev.TotalReads()
 	seq := popSeq
-	r2.Scan(func(entries []Entry) {
+	r2.Scan(func(entries []Entry) bool {
 		if entries[0].BlockIndex != uint32(seq)*64 {
 			t.Fatalf("Scan visited seq %d out of order: %+v", seq, entries[0])
 		}
@@ -294,12 +294,22 @@ func TestRingWrapAroundSustained(t *testing.T) {
 		for _, e := range entries {
 			merged[e.BlockIndex] = e
 		}
+		return true
 	})
 	if len(merged) != int(r2.Len())*n {
 		t.Fatalf("merged %d entries, want %d", len(merged), int(r2.Len())*n)
 	}
 	if got := dev.TotalReads() - reads; got != r2.Len() {
 		t.Fatalf("Scan counted %d device reads over %d blocks, want one per block", got, r2.Len())
+	}
+	reads = dev.TotalReads()
+	visited := 0
+	r2.Scan(func([]Entry) bool {
+		visited++
+		return visited < 2
+	})
+	if got := dev.TotalReads() - reads; visited != 2 || got != 2 {
+		t.Fatalf("Scan stopped by fn after %d blocks and %d device reads, want 2 and 2", visited, got)
 	}
 
 	// Draining the restored ring continues the same FIFO sequence.

@@ -96,14 +96,15 @@ func (r *Ring) PopInto(dst []byte) (addr int64) {
 // Scan visits the live blocks oldest-first without consuming them, the
 // order recovery merges in (Section IV-D: "scan through the partial
 // updates in PUB in a reverse order (i.e., oldest entry to youngest
-// entry)"). Each block costs one counted device read into a single
-// scratch block and is unpacked into a reused entry slice, so the walk
-// allocates nothing per block; fn must not retain the slice.
-func (r *Ring) Scan(fn func(entries []Entry)) {
-	var entries []Entry
-	r.scanBlocks(func(blk []byte) {
+// entry)"), until fn returns false. Each block costs one counted device
+// read into a single scratch block and is unpacked into one entry slice
+// sized for a block up front, so the walk allocates nothing per block;
+// fn must not retain the slice.
+func (r *Ring) Scan(fn func(entries []Entry) bool) {
+	entries := make([]Entry, 0, EntriesPerBlock(r.lay.BlockSize))
+	r.scanBlocks(func(blk []byte) bool {
 		entries = UnpackBlockAppend(entries[:0], len(blk), blk)
-		fn(entries)
+		return fn(entries)
 	})
 }
 
@@ -111,16 +112,22 @@ func (r *Ring) Scan(fn func(entries []Entry)) {
 // consuming them, with the same device reads as Scan.
 func (r *Ring) PeekAll() [][]byte {
 	out := make([][]byte, 0, r.Len())
-	r.scanBlocks(func(blk []byte) { out = append(out, bytes.Clone(blk)) })
+	r.scanBlocks(func(blk []byte) bool {
+		out = append(out, bytes.Clone(blk))
+		return true
+	})
 	return out
 }
 
-// scanBlocks reads the live blocks head to tail into one scratch block.
-func (r *Ring) scanBlocks(fn func(blk []byte)) {
+// scanBlocks reads the live blocks head to tail into one scratch block,
+// until fn returns false.
+func (r *Ring) scanBlocks(fn func(blk []byte) bool) {
 	blk := make([]byte, r.lay.BlockSize)
 	for seq := r.head; seq < r.tail; seq++ {
 		r.dev.ReadBlockInto(blk, r.lay.PUBBlockAddr(seq))
-		fn(blk)
+		if !fn(blk) {
+			return
+		}
 	}
 }
 

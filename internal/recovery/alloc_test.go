@@ -1,12 +1,17 @@
 package recovery
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/layout"
 	"repro/internal/nvm"
+	"repro/internal/obs"
 )
 
 // TestRecoverZeroAllocPerEntry pins the allocation-free PUB scan and
@@ -80,6 +85,93 @@ func TestParallelRecoveryMemoryFollowsWindow(t *testing.T) {
 		t.Fatalf("2-worker pass allocates %d B over %d entries, want under a quarter of the ring's %d B",
 			alloc, rep.PUBEntries, ring)
 	}
+}
+
+// TestProducerNeverOutlivesRecovery pins that the replay's producer
+// goroutine, and every shard goroutine, is gone when a recovery
+// returns, on every return path: success, ErrRootMismatch on a tampered
+// image, ErrNoControlState, and a panic on the merging side (a tracer
+// that panics at the first merge event). Each case runs Recover,
+// RecoverParallel at 1, 2 and 4 workers, and the pass at a 64-entry
+// window at the same worker counts, where the producer is still
+// scanning, waiting for a free window, when the caller stops.
+func TestProducerNeverOutlivesRecovery(t *testing.T) {
+	cfg := testConfig(config.ThothWTSC)
+	cfg.PUBBytes = 64 << 10
+	cfg.PUBEvictFraction = 1.0
+	img := crashAtFill(t, cfg, 0.95, 128)
+	lay, err := layout.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := img.Clone()
+	blk := tampered.Peek(lay.CtrBase)
+	blk[3] ^= 0x10
+	tampered.WriteBlock(lay.CtrBase, blk)
+	noCtl := img.Clone()
+	noCtl.WriteBlock(lay.CtlBase, make([]byte, cfg.BlockSize))
+
+	passes := map[string]func(config.Config, *nvm.Device) (*Report, error){"Recover": Recover}
+	for _, w := range []int{1, 2, 4} {
+		passes[fmt.Sprintf("RecoverParallel/workers=%d", w)] = func(cfg config.Config, dev *nvm.Device) (*Report, error) {
+			return RecoverParallel(cfg, dev, RecoverOpts{Workers: w})
+		}
+		passes[fmt.Sprintf("window=64/workers=%d", w)] = func(cfg config.Config, dev *nvm.Device) (*Report, error) {
+			return recoverPass(cfg, dev, w, 64)
+		}
+	}
+	panicky := cfg
+	panicky.Tracer = obs.Func(func(e obs.Event) {
+		if e.Kind == obs.KindRecoveryMerge {
+			panic("tracer refuses merge events")
+		}
+	})
+	cases := []struct {
+		name string
+		cfg  config.Config
+		img  *nvm.Device
+		want error // nil: success; errPanic: the pass panics
+	}{
+		{"success", cfg, img, nil},
+		{"root-mismatch", cfg, tampered, ErrRootMismatch},
+		{"no-control-state", cfg, noCtl, ErrNoControlState},
+		{"merge-panic", panicky, img, errPanic},
+	}
+	for _, c := range cases {
+		for name, pass := range passes {
+			base := runtime.NumGoroutine()
+			err := callRecovering(func() error {
+				_, err := pass(c.cfg, c.img.Clone())
+				return err
+			})
+			if c.want == nil && err != nil || c.want != nil && !errors.Is(err, c.want) {
+				t.Fatalf("%s %s: err = %v, want %v", c.name, name, err, c.want)
+			}
+			// A goroutine that has signalled its exit may still be
+			// counted for a moment; one that never exits stays counted.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("%s %s: %d goroutines after the pass, %d before", c.name, name, n, base)
+			}
+		}
+	}
+}
+
+// errPanic stands for a recovery pass that panicked.
+var errPanic = errors.New("recovery pass panicked")
+
+// callRecovering runs fn and returns its error, or errPanic if it
+// panicked.
+func callRecovering(fn func() error) (err error) {
+	defer func() {
+		if recover() != nil {
+			err = errPanic
+		}
+	}()
+	return fn()
 }
 
 // crashAtFill persists a round-robin over blocks data blocks, one per

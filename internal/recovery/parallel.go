@@ -17,14 +17,15 @@
 // final image independent of scheduling, hence byte-identical to the
 // one-worker pass.
 //
-// The caller sorts each window by data block once (replay.go), then
-// splits it by shard, keeping each shard's entries in that order: one
-// shard's entries of one block stay in ring order, and within a group,
-// entries of different data blocks read and write disjoint counter and
-// MAC slots, so they commute. One goroutine per shard merges its slice,
-// and all join before the scan refills the window. The workers emit
-// nothing: after they join, the caller emits the window's merge
-// outcomes in ring order, so a traced run is reproducible.
+// The scanning goroutine sorts each window by data block once
+// (replay.go), then splits it by shard, keeping each shard's entries in
+// that order: one shard's entries of one block stay in ring order, and
+// within a group, entries of different data blocks read and write
+// disjoint counter and MAC slots, so they commute. The caller starts one
+// goroutine per shard on its slice, and all join before the caller
+// merges the next window or hands this one back to be refilled. The
+// workers emit nothing: after they join, the caller emits the window's
+// merge outcomes in ring order, so a traced run is reproducible.
 package recovery
 
 import (

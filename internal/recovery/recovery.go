@@ -4,6 +4,7 @@
 // bounds, and the on-chip tree root — was flushed), it:
 //
 //  1. Restores the PUB ring bounds from the control region.
+//
 //  2. Scans the PUB oldest-to-youngest. For every packed partial update
 //     it performs verify-then-merge: the candidate counter is assembled
 //     from the in-place major and the entry's minor, the first-level MAC
@@ -25,13 +26,29 @@
 //     host-cache misses per entry (counter block and ciphertext) into
 //     an ascending sweep. Traced runs still emit every merge outcome
 //     in ring order.
+//
+//     The scan overlaps the merge at every worker count: a producer
+//     goroutine reads the ring and sorts window k+1 while the caller
+//     merges window k, and the caller merges the windows strictly in
+//     ring order. This is exact because the two sides share no
+//     mutable state: merges read only ciphertexts and counter blocks'
+//     majors and write only minor and MAC slots, none of which the
+//     producer reads, and the producer reads only PUB blocks. In an
+//     image the controller wrote, every block within the ring's
+//     persisted bounds was written before the crash, so its storage
+//     page exists before replay starts and no merge allocates a page
+//     under the producer. The caller stops the producer and waits for
+//     it on every return, a panic included.
+//
 //  3. Rebuilds the Bonsai Merkle Tree bottom-up from the merged counter
 //     region and verifies it against the persisted root. Any tampering
 //     with the PUB, the counters, or replayed stale blocks surfaces here
 //     (or earlier as an unmergeable-but-claimed-fresh entry).
 //
 // Recover and RecoverParallel run this one pass; the worker count only
-// decides how many mergers share each window (parallel.go).
+// decides how many mergers share each window (parallel.go). The
+// producer runs at every worker count, so even Recover uses a second
+// goroutine for its scan.
 //
 // The package also provides the analytic recovery-time model behind the
 // paper's "7 seconds for a 64MB PUB" claim.
@@ -40,6 +57,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -99,8 +117,11 @@ type Report struct {
 	// worker merged. ScanCycles, MergeCycles, RebuildCycles and
 	// VerifyCycles are the modeled per-phase costs (merge and rebuild
 	// are critical path: the maximum over workers, not the sum); the
-	// *WallNS fields are measured host wall time per phase. None of
-	// these participate in CountsEqual.
+	// *WallNS fields are measured host wall time per phase. ScanWallNS
+	// is the scanning goroutine's busy time (ring reads, radix sort,
+	// shard split), which overlaps MergeWallNS, so their sum may
+	// exceed the pass's wall time. None of these participate in
+	// CountsEqual.
 	Workers       int
 	Shards        []ShardReport
 	ScanCycles    int64
@@ -227,9 +248,10 @@ func recoverPass(cfg config.Config, dev *nvm.Device, workers, size int) (*Report
 	return rep, nil
 }
 
-// replay scans the PUB ring into one window and merges every full
-// window, then the rest, through ms. It fills the scan and merge phase
-// fields of rep and emits their spans.
+// replay merges the PUB ring through ms window by window: a producer
+// goroutine scans and sorts the next window while the caller merges
+// the current one. It fills the scan and merge phase fields of rep and
+// emits their spans.
 func replay(cfg config.Config, lay *layout.Layout, dev *nvm.Device, ms []merger, size int, rep *Report) error {
 	start := time.Now()
 	ring, err := openPUB(lay, dev, rep)
@@ -239,20 +261,18 @@ func replay(cfg config.Config, lay *layout.Layout, dev *nvm.Device, ms []merger,
 	rep.ScanCycles = rep.PUBBlocks * cfg.ReadLatencyCycles()
 	emitPhase(cfg, obs.PhaseScan, 0, 0, rep.ScanCycles)
 
-	w := newWindow(size, rep.PUBBlocks*int64(cfg.PartialsPerBlock()))
-	group := shardGroupBlocks(cfg)
-	flush := func() {
+	p := newPipeline(size, rep.PUBBlocks*int64(cfg.PartialsPerBlock()))
+	setup := time.Since(start).Nanoseconds()
+	p.start(cfg, ring, shardGroupBlocks(cfg), len(ms))
+	defer p.stop()
+	for i := range p.full {
 		t := time.Now()
-		w.flush(cfg, ms, group)
+		p.win[i].merge(cfg, ms, &p.merging)
 		rep.MergeWallNS += time.Since(t).Nanoseconds()
+		p.free <- i
 	}
-	scanPUB(cfg, ring, rep, func(t shardTask) {
-		if w.add(t) {
-			flush()
-		}
-	})
-	flush()
-	rep.ScanWallNS = time.Since(start).Nanoseconds() - rep.MergeWallNS
+	rep.PUBEntries = p.entries
+	rep.ScanWallNS = setup + p.busyNS
 
 	perEntry := entryCycles(cfg)
 	for s := range ms {
@@ -317,18 +337,24 @@ func openPUB(lay *layout.Layout, dev *nvm.Device, rep *Report) (*pub.Ring, error
 // after it: one block read per PUB block, then entryCycles per entry.
 // The cycle stamps the emitted KindRecoveryMerge events, so a traced
 // recovery renders as a timeline, identically at every worker count.
-func scanPUB(cfg config.Config, ring *pub.Ring, rep *Report, fn func(shardTask)) {
+// It stops when fn returns false, and returns how many entries it
+// handed fn.
+func scanPUB(cfg config.Config, ring *pub.Ring, fn func(shardTask) bool) (entries int64) {
 	read := cfg.ReadLatencyCycles()
 	perEntry := entryCycles(cfg)
 	cyc := int64(0)
-	ring.Scan(func(entries []pub.Entry) {
+	ring.Scan(func(block []pub.Entry) bool {
 		cyc += read
-		for _, e := range entries {
-			rep.PUBEntries++
+		for _, e := range block {
+			entries++
 			cyc += perEntry
-			fn(shardTask{cyc: cyc, mac2: e.MAC2, block: e.BlockIndex, minor: e.Minor})
+			if !fn(shardTask{cyc: cyc, mac2: e.MAC2, block: e.BlockIndex, minor: e.Minor}) {
+				return false
+			}
 		}
+		return true
 	})
+	return entries
 }
 
 // scratchBytes is one merger's block scratch: a counter block, a
@@ -387,6 +413,13 @@ func (m *merger) merge(tasks []shardTask) {
 	}
 	m.sr.Entries += int64(len(tasks))
 	m.sr.WallNS += time.Since(start).Nanoseconds()
+}
+
+// mergeAsync is merge on a shard goroutine: it marks wg done once the
+// tasks are merged.
+func (m *merger) mergeAsync(tasks []shardTask, wg *sync.WaitGroup) {
+	defer wg.Done()
+	m.merge(tasks)
 }
 
 // mergeEntry applies one partial update if it proves fresh against the

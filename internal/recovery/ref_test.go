@@ -43,11 +43,12 @@ func refRecover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 			return nil, err
 		}
 		m := &newMergers(lay, dev, cfg.Seed, 1)[0]
-		scanPUB(cfg, ring, rep, func(t shardTask) {
+		rep.PUBEntries = scanPUB(cfg, ring, func(t shardTask) bool {
 			t.out = m.mergeEntry(&t)
 			if cfg.Tracer != nil {
 				emitMerges(cfg, []shardTask{t})
 			}
+			return true
 		})
 		rep.MergedCtr, rep.MergedMAC, rep.SkippedStale = m.sr.MergedCtr, m.sr.MergedMAC, m.sr.SkippedStale
 	}
