@@ -140,8 +140,9 @@ obs-smoke:
 # allocate well under 32 B per entry: it holds one replay window, not
 # the ring. A tree-node hash, a
 # steady-state tree update, node write-back and root read, a
-# single-block timed pool write or read (attributed or not), and a
-# 64-block System.PersistBatch, allocate nothing either. So do the
+# single-block timed pool write or read (attributed or not), a
+# 64-block System.PersistBatch, and a load-driver op generated and
+# executed with the golden record on allocate nothing either. So do the
 # counter-mode pads (XorPad and PadInto at 64, 128 and 256 B blocks)
 # and the MAC and tree hashes, on every pad and hash path. Recovery's
 # scanning goroutine, and every merge goroutine, must be gone when a
@@ -154,7 +155,7 @@ bench-alloc:
 	$(GO) test ./internal/engine -run TestPoolArriveZeroAlloc -count=1
 	$(GO) test ./internal/core -run 'TestTracerDisabledZeroAlloc|TestReadHitZeroAlloc' -bench 'BenchmarkTracerDisabled|BenchmarkReadHit' -benchtime 10000x
 	$(GO) test ./internal/metrics -run 'TestObserveZeroAlloc|TestFromTracerZeroAlloc' -bench 'BenchmarkHistogramObserve|BenchmarkFromTracer' -benchtime 100000x
-	$(GO) test ./internal/loadgen -run TestGenOpZeroAlloc -bench BenchmarkGenOp -benchtime 100000x
+	$(GO) test ./internal/loadgen -run 'TestGenOpZeroAlloc|TestExecOpZeroAlloc' -bench BenchmarkGenOp -benchtime 100000x
 	$(GO) test ./internal/obs -run 'TestSpanRecordZeroAlloc|TestSpanDisabledZeroAlloc|TestFlightEmitZeroAlloc' -bench BenchmarkSpanRecord -benchtime 100000x
 
 # Benchmark-regression gate: re-measure the suite and compare against

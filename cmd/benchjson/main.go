@@ -537,8 +537,10 @@ func compare(baseline, fresh File) []string {
 		// recovery and the sharded pool's PersistBatch fan-out) are
 		// exempt from the exact allocation gate: allocs/op moves with
 		// b.N (goroutine-stack reuse) rather than with the code under
-		// test.
-		spawns := strings.HasSuffix(name, "_workers4") || strings.HasPrefix(name, "micro/pool_")
+		// test. A one-shard pool persists on the caller and starts no
+		// goroutine, so it is gated exactly.
+		spawns := strings.HasSuffix(name, "_workers4") ||
+			(strings.HasPrefix(name, "micro/pool_") && name != "micro/pool_1shard")
 		allocLimit := base.AllocsPerOp
 		if strings.HasPrefix(name, "figure/") || strings.HasPrefix(name, "recovery/") {
 			// The figure/ family runs a whole simulation per op (tens of

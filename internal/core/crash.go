@@ -171,7 +171,7 @@ func (c *Controller) ResetStats() {
 	c.ctrCache.Hits, c.ctrCache.Misses = 0, 0
 	c.macCache.Hits, c.macCache.Misses = 0, 0
 	c.mtCache.Hits, c.mtCache.Misses = 0, 0
-	c.dev.ResetWear()
+	c.dev.ResetCounters()
 	c.mem.ResetBusy()
 }
 

@@ -70,9 +70,11 @@ func FillPayload(dst []byte, seq, addr int64) {
 
 // Options tunes driver bookkeeping beyond the scenario itself.
 type Options struct {
-	// TrackGolden records the final acknowledged payload of every
-	// written block; the crash-under-load test reads them back after
-	// recovery.
+	// TrackGolden records the Seq of each block's last acknowledged
+	// write, so Golden can rebuild what every written block must read
+	// back (the payload is FillPayload of that Seq and the address); the
+	// crash-under-load test and the benchmark read them back. With it
+	// on, every op must be one aligned block, as GenOp's are.
 	TrackGolden bool
 	// RecordLatencies keeps every raw (tenant, kind, latency) triple so
 	// CheckQuantiles can recompute exact percentiles and pin the
@@ -142,12 +144,22 @@ type Driver struct {
 	wbuf []byte
 	rbuf []byte
 
-	golden  map[int64][]byte
+	// golden is the per-block last-write record (Options.TrackGolden):
+	// a dense page table over the data region, each page allocated on
+	// first touch.
+	golden  []*goldenPage
 	rawLat  []int64
 	rawTen  []int32
 	rawKind []uint8
 	ops     []Op
 }
+
+// goldenPageBlocks is the number of blocks per golden-record page.
+const goldenPageBlocks = 512
+
+// goldenPage holds, for each block of one page, Seq+1 of the block's
+// last acknowledged write (0 = never written).
+type goldenPage [goldenPageBlocks]int64
 
 // NewDriver builds a driver for the scenario over the target. cfg is the
 // machine configuration the target was built from (the driver needs its
@@ -233,7 +245,7 @@ func NewDriver(scn Scenario, tgt Target, cfg config.Config, reg *metrics.Registr
 	}
 	sort.Slice(d.heap, func(a, b int) bool { return d.heapLess(d.heap[a], d.heap[b]) })
 	if opts.TrackGolden {
-		d.golden = make(map[int64][]byte)
+		d.golden = make([]*goldenPage, (totalBlk+goldenPageBlocks-1)/goldenPageBlocks)
 	}
 	return d, nil
 }
@@ -314,6 +326,10 @@ func (d *Driver) GenOp(op *Op) bool {
 // ExecOp executes one operation against the target and folds its
 // open-loop latency into the histograms.
 func (d *Driver) ExecOp(op *Op) error {
+	if d.golden != nil && (op.Addr%d.bs != 0 || int64(op.Len) != d.bs) {
+		return fmt.Errorf("loadgen: tenant %d %s [%d,+%d): TrackGolden records only whole aligned %d-byte blocks",
+			op.Tenant, op.Kind, op.Addr, op.Len, d.bs)
+	}
 	t := &d.tenants[op.Tenant]
 	var done int64
 	var err error
@@ -347,12 +363,13 @@ func (d *Driver) ExecOp(op *Op) error {
 			return fmt.Errorf("loadgen: tenant %d write [%d,+%d): %w", op.Tenant, op.Addr, op.Len, err)
 		}
 		if d.golden != nil {
-			g, ok := d.golden[op.Addr]
-			if !ok {
-				g = make([]byte, op.Len)
-				d.golden[op.Addr] = g
+			blk := op.Addr / d.bs
+			p := d.golden[blk/goldenPageBlocks]
+			if p == nil {
+				p = new(goldenPage)
+				d.golden[blk/goldenPageBlocks] = p
 			}
-			copy(g, d.wbuf[:op.Len])
+			p[blk%goldenPageBlocks] = op.Seq + 1
 		}
 		t.writes++
 		d.opsWrite.Inc()
@@ -416,7 +433,7 @@ func (d *Driver) Run() error {
 
 // SetTarget swaps the target — the crash-under-load path: crash the
 // pool, recover, reopen, and keep the same driver (schedules, histograms
-// and golden payloads intact) against the reopened target. The new
+// and golden record intact) against the reopened target. The new
 // target must share the old one's geometry.
 func (d *Driver) SetTarget(t Target) error {
 	if int64(t.BlockSize()) != d.bs || t.DataSize() != d.tgt.DataSize() {
@@ -457,9 +474,45 @@ func (d *Driver) EventHash() string {
 // Ops returns the collected op trace (Options.CollectOps).
 func (d *Driver) Ops() []Op { return d.ops }
 
-// Golden returns the acknowledged payload of every written block
-// (Options.TrackGolden).
-func (d *Driver) Golden() map[int64][]byte { return d.golden }
+// Golden returns the last acknowledged payload of every written block,
+// keyed by address (Options.TrackGolden; nil without it). The driver
+// keeps only each block's last-write Seq, so every call rebuilds the
+// payloads with FillPayload — the bytes those writes carried — into a
+// new map backed by one arena; callers may keep or modify it.
+func (d *Driver) Golden() map[int64][]byte {
+	if d.golden == nil {
+		return nil
+	}
+	n := 0
+	for _, p := range d.golden {
+		if p == nil {
+			continue
+		}
+		for _, s := range p {
+			if s != 0 {
+				n++
+			}
+		}
+	}
+	out := make(map[int64][]byte, n)
+	arena := make([]byte, int64(n)*d.bs)
+	for pi, p := range d.golden {
+		if p == nil {
+			continue
+		}
+		for slot, s := range p {
+			if s == 0 {
+				continue
+			}
+			addr := (int64(pi)*goldenPageBlocks + int64(slot)) * d.bs
+			g := arena[:d.bs:d.bs]
+			arena = arena[d.bs:]
+			FillPayload(g, s-1, addr)
+			out[addr] = g
+		}
+	}
+	return out
+}
 
 // TenantOps returns per-tenant completed-op counts (reads + writes) —
 // the crash-under-load test asserts these and the histogram counts only

@@ -311,6 +311,76 @@ func TestGenOpZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestExecOpZeroAlloc asserts the write path's bookkeeping allocates
+// nothing: once every golden-record page exists, a generated write
+// executed with TrackGolden costs no allocation, new blocks included.
+// AllocsPerRun truncates its mean to a whole number, so each run
+// executes a batch of writes, and one allocation in every batch fails.
+func TestExecOpZeroAlloc(t *testing.T) {
+	s := Scenarios()[0]
+	s.Tenants = 16
+	s.Ops = 0 // unbounded
+	s.ReadPercent = 0
+	tgt := &fakeTarget{bs: 256, size: 16 * 4096 * 256, service: 1500}
+	d, err := NewDriver(s, tgt, config.Default(), nil, Options{TrackGolden: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RunOps(10000); err != nil {
+		t.Fatal(err)
+	}
+	for pi, p := range d.golden {
+		if p == nil {
+			t.Fatalf("golden page %d untouched after warm-up", pi)
+		}
+	}
+	const batch = 64
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := d.RunOps(batch); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("GenOp+ExecOp allocate %.3f objects per op, want 0", avg/batch)
+	}
+}
+
+// TestGoldenRejectsPartialOps: with TrackGolden, an op that is not one
+// aligned block fails without reaching the target; without it, the same
+// op reaches the target's read-modify-write.
+func TestGoldenRejectsPartialOps(t *testing.T) {
+	s := tinyScenario(Scenarios()[0])
+	for _, op := range []Op{
+		{Tenant: 2, Kind: OpWrite, Addr: 2*256*256 + 128, Len: 256},
+		{Tenant: 2, Kind: OpWrite, Addr: 2 * 256 * 256, Len: 100},
+		{Tenant: 1, Kind: OpRead, Addr: 256*256 + 64, Len: 256},
+		{Tenant: 1, Kind: OpWrite, Addr: 256 * 256, Len: 512},
+	} {
+		d, tgt := newTinyDriver(t, s, Options{TrackGolden: true})
+		err := d.ExecOp(&op)
+		if err == nil {
+			t.Fatalf("%s [%d,+%d) accepted with TrackGolden", op.Kind, op.Addr, op.Len)
+		}
+		want := fmt.Sprintf("tenant %d %s [%d,+%d)", op.Tenant, op.Kind, op.Addr, op.Len)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+		if tgt.now != 0 {
+			t.Fatalf("%s [%d,+%d) reached the target", op.Kind, op.Addr, op.Len)
+		}
+		if g := d.Golden(); len(g) != 0 {
+			t.Fatalf("rejected op recorded %d golden blocks", len(g))
+		}
+
+		d, tgt = newTinyDriver(t, s, Options{})
+		if err := d.ExecOp(&op); err != nil {
+			t.Fatalf("%s [%d,+%d) without TrackGolden: %v", op.Kind, op.Addr, op.Len, err)
+		}
+		if tgt.now == 0 {
+			t.Fatalf("%s [%d,+%d) without TrackGolden never reached the target", op.Kind, op.Addr, op.Len)
+		}
+	}
+}
+
 // TestCollectOpsRoundTrip verifies a collected stream replays to the
 // identical event hash through ExecOp on a second driver target.
 func TestCollectOpsRoundTrip(t *testing.T) {

@@ -20,8 +20,8 @@ import (
 //	count   uint64  number of written blocks
 //	count × { idx uint64, contents [block]byte }
 //
-// Wear counters are not serialized: they are measurement state, not
-// device contents.
+// The write and read counters are not serialized: they are measurement
+// state, not device contents.
 const (
 	imageMagic   = 0x5448_4F54_484E_564D // "THOTHNVM"
 	imageVersion = 1

@@ -1,6 +1,6 @@
 // Package nvm models the non-volatile memory module: a byte-accurate
-// backing store addressed at cache-block granularity, with write (wear)
-// accounting used for the paper's lifetime arguments.
+// backing store addressed at cache-block granularity, with device-wide
+// block write and read counters.
 //
 // The device is purely functional; timing lives in internal/sim. Contents
 // survive "crashes" by construction — a crash in this model is simply the
@@ -26,15 +26,14 @@ import (
 
 // PageBlocks is the number of blocks per storage page (a power of two).
 // It is an implementation granularity, not an architectural parameter:
-// first-touch allocation happens per page, wear and written-bit tracking
-// stay per block.
+// first-touch allocation happens per page, written-bit tracking stays
+// per block.
 const PageBlocks = 64
 
-// page is one storage page: PageBlocks blocks of data, per-block wear
-// counters, and a written bitmap (one bit per block).
+// page is one storage page: PageBlocks blocks of data and a written
+// bitmap (one bit per block).
 type page struct {
 	data    []byte
-	wear    []int64
 	written uint64
 }
 
@@ -46,13 +45,13 @@ type Device struct {
 
 	// stripes serializes concurrent Shard access per page: two blocks on
 	// the same storage page share a stripe, so page allocation and the
-	// written/wear bookkeeping never race even when parallel recovery
+	// written bitmap never race even when parallel recovery
 	// workers touch disjoint blocks of one page. The serial controller
 	// paths never lock.
 	stripes *[lockStripes]sync.Mutex
 
 	// totalWrites counts every block write since construction (or the
-	// last ResetWear), regardless of address; totalReads counts every
+	// last ResetCounters), regardless of address; totalReads counts every
 	// block read. Both are maintained with atomics on EVERY path —
 	// serial Device methods included — because a serial writer and a
 	// concurrent Shard writer may legally interleave on one device (a
@@ -117,10 +116,7 @@ func (d *Device) ensurePage(idx int64) *page {
 	pi := idx / PageBlocks
 	p := d.pages[pi]
 	if p == nil {
-		p = &page{
-			data: make([]byte, PageBlocks*d.blockSize),
-			wear: make([]int64, PageBlocks),
-		}
+		p = &page{data: make([]byte, PageBlocks*d.blockSize)}
 		d.pages[pi] = p
 	}
 	return p
@@ -201,7 +197,7 @@ func (d *Device) PeekInto(dst []byte, addr int64) {
 }
 
 // WriteBlock stores data (exactly one block) at the block-aligned byte
-// address and bumps wear counters.
+// address and counts one device write.
 func (d *Device) WriteBlock(addr int64, data []byte) {
 	if len(data) != d.blockSize {
 		panic(fmt.Sprintf("nvm: write of %d bytes, block size is %d", len(data), d.blockSize))
@@ -209,18 +205,16 @@ func (d *Device) WriteBlock(addr int64, data []byte) {
 	idx := d.index(addr)
 	p := d.ensurePage(idx)
 	copy(p.blockSlice(idx, d.blockSize), data)
-	slot := idx % PageBlocks
-	p.written |= 1 << uint(slot)
-	p.wear[slot]++
+	p.written |= 1 << uint(idx%PageBlocks)
 	atomic.AddInt64(&d.totalWrites, 1)
 }
 
 // TotalWrites returns the number of block writes since construction or
-// the last ResetWear. Safe to call concurrently with any writer.
+// the last ResetCounters. Safe to call concurrently with any writer.
 func (d *Device) TotalWrites() int64 { return atomic.LoadInt64(&d.totalWrites) }
 
 // TotalReads returns the number of counted block reads since
-// construction or the last ResetWear. Safe to call concurrently.
+// construction or the last ResetCounters. Safe to call concurrently.
 func (d *Device) TotalReads() int64 { return atomic.LoadInt64(&d.totalReads) }
 
 // lockFor returns the stripe mutex guarding block idx's page.
@@ -231,7 +225,7 @@ func (d *Device) lockFor(idx int64) *sync.Mutex {
 // Shard returns a concurrency-safe handle on the device for parallel
 // recovery workers. PeekInto and WriteBlock through a Shard serialize on
 // striped per-page locks — blocks sharing a storage page share a stripe
-// — so first-touch page allocation and the written-bitmap/wear updates
+// — so first-touch page allocation and the written-bitmap updates
 // never race; TotalWrites is maintained atomically. The handle makes
 // concurrent access *safe*, not ordered: callers must still partition
 // the blocks they write so no two goroutines write the same block.
@@ -272,15 +266,13 @@ func (s Shard) WriteBlock(addr int64, data []byte) {
 	mu.Lock()
 	p := d.ensurePage(idx)
 	copy(p.blockSlice(idx, d.blockSize), data)
-	slot := idx % PageBlocks
-	p.written |= 1 << uint(slot)
-	p.wear[slot]++
+	p.written |= 1 << uint(idx%PageBlocks)
 	mu.Unlock()
 	atomic.AddInt64(&d.totalWrites, 1)
 }
 
-// setBlock stores contents without touching wear or write counters
-// (image loading).
+// setBlock stores contents without touching the write counter (image
+// loading).
 func (d *Device) setBlock(idx int64, data []byte) {
 	p := d.ensurePage(idx)
 	copy(p.blockSlice(idx, d.blockSize), data)
@@ -355,49 +347,14 @@ func (d *Device) Written(addr int64) bool {
 	return p != nil && p.written&(1<<uint(idx%PageBlocks)) != 0
 }
 
-// Wear returns the write count of the block holding addr.
-func (d *Device) Wear(addr int64) int64 {
-	idx := d.index(addr)
-	if p := d.pageOf(idx); p != nil {
-		return p.wear[idx%PageBlocks]
-	}
-	return 0
-}
-
-// MaxWear returns the highest per-block write count and how many blocks
-// were written since construction or the last ResetWear. The ratio of
-// TotalWrites to written blocks versus MaxWear indicates wear skew (NVM
-// lifetime is limited by the hottest block).
-func (d *Device) MaxWear() (maxWrites int64, blocksWritten int) {
-	for _, p := range d.pages {
-		if p == nil {
-			continue
-		}
-		for _, w := range p.wear {
-			if w > 0 {
-				blocksWritten++
-			}
-			if w > maxWrites {
-				maxWrites = w
-			}
-		}
-	}
-	return maxWrites, blocksWritten
-}
-
-// ResetWear zeroes all wear accounting (used between warm-up and the
-// measured phase of an experiment).
-func (d *Device) ResetWear() {
-	for _, p := range d.pages {
-		if p != nil {
-			clear(p.wear)
-		}
-	}
+// ResetCounters zeroes the write and read counters (used between
+// warm-up and the measured phase of an experiment).
+func (d *Device) ResetCounters() {
 	atomic.StoreInt64(&d.totalWrites, 0)
 	atomic.StoreInt64(&d.totalReads, 0)
 }
 
-// Clone returns a deep copy of the device, including contents and wear.
+// Clone returns a deep copy of the device, contents and counters.
 // Recovery tests clone the post-crash image so they can verify the
 // recovery procedure did not corrupt unrelated state.
 func (d *Device) Clone() *Device {
@@ -406,12 +363,7 @@ func (d *Device) Clone() *Device {
 		if p == nil {
 			continue
 		}
-		np := &page{
-			data:    append([]byte(nil), p.data...),
-			wear:    append([]int64(nil), p.wear...),
-			written: p.written,
-		}
-		c.pages[pi] = np
+		c.pages[pi] = &page{data: append([]byte(nil), p.data...), written: p.written}
 	}
 	atomic.StoreInt64(&c.totalWrites, atomic.LoadInt64(&d.totalWrites))
 	atomic.StoreInt64(&c.totalReads, atomic.LoadInt64(&d.totalReads))
@@ -434,8 +386,8 @@ func (d *Device) writtenCount() int64 {
 	return n
 }
 
-// Equal reports whether two devices have identical contents (wear and
-// counters are ignored). Zero blocks compare equal to absent blocks.
+// Equal reports whether two devices have identical contents (counters
+// are ignored). Zero blocks compare equal to absent blocks.
 func (d *Device) Equal(o *Device) bool {
 	if d.capacity != o.capacity || d.blockSize != o.blockSize {
 		return false

@@ -75,25 +75,22 @@ func TestWriteCopiesInput(t *testing.T) {
 	}
 }
 
-func TestWearAccounting(t *testing.T) {
+func TestCountersAndReset(t *testing.T) {
 	d := newDev()
 	b := make([]byte, 64)
 	d.WriteBlock(0, b)
 	d.WriteBlock(0, b)
 	d.WriteBlock(64, b)
-	if d.TotalWrites() != 3 {
-		t.Fatalf("TotalWrites = %d, want 3", d.TotalWrites())
+	d.ReadBlock(0)
+	if d.TotalWrites() != 3 || d.TotalReads() != 1 {
+		t.Fatalf("TotalWrites, TotalReads = %d, %d, want 3, 1", d.TotalWrites(), d.TotalReads())
 	}
-	if got := d.Wear(0); got != 2 {
-		t.Fatalf("Wear(0) = %d, want 2", got)
+	d.ResetCounters()
+	if d.TotalWrites() != 0 || d.TotalReads() != 0 {
+		t.Fatal("ResetCounters must clear both counters")
 	}
-	maxW, n := d.MaxWear()
-	if maxW != 2 || n != 2 {
-		t.Fatalf("MaxWear = (%d,%d), want (2,2)", maxW, n)
-	}
-	d.ResetWear()
-	if d.TotalWrites() != 0 || d.Wear(0) != 0 {
-		t.Fatal("ResetWear must clear counters")
+	if !d.Written(0) || !d.Written(64) {
+		t.Fatal("ResetCounters must keep the contents")
 	}
 }
 
