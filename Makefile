@@ -8,9 +8,9 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
+.PHONY: ci fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
 
-ci: fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
+ci: fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke load-smoke obs-smoke bench-alloc bench-json
 
 # Formatting gate: fails, listing the files, when gofmt would rewrite
 # any Go file.
@@ -96,15 +96,7 @@ crashfuzz:
 # against the schema (tracemetrics exits non-zero on any violation).
 trace-smoke:
 	$(GO) run ./cmd/thothsim -workload btree -warmup 200 -txs 600 -setup 1024 -pub 256 -trace $(TRACE_FILE)
-	$(GO) run ./cmd/tracemetrics -format summary $(TRACE_FILE)
-
-# Metrics gate: the runner's golden Prometheus exposition (the
-# event-derived families, validated by ValidateProm) and the
-# tracemetrics CLI, whose replay of a trace must equal the registry the
-# same run fed live.
-metrics-smoke:
-	$(GO) test ./internal/harness -run TestRunnerMetricsGolden -count=1
-	$(GO) test ./cmd/tracemetrics -count=1
+	$(GO) run ./cmd/tracemetrics $(TRACE_FILE)
 
 # Open-loop load generator gate: the statistical property tests (KS on
 # Poisson inter-arrivals, chi-squared on zipf draws), the event-stream
@@ -120,19 +112,19 @@ load-smoke:
 # Tail-latency anatomy gate: the per-op attribution conservation sweep
 # (200 seeded machines, controller and pool, stage cycles must sum to
 # each op's latency), the flight-recorder suite (always-on, race-hammered,
-# JSONL round-trip, FromTracer replay), and an end-to-end crash whose
-# flight dump must validate under tracemetrics.
+# JSONL round-trip and replay), and an end-to-end crash whose flight
+# dump must validate under tracemetrics.
 obs-smoke:
 	$(GO) test ./internal/obs -count=1
 	$(GO) test ./internal/core -run TestFlight -count=1
 	$(GO) test ./internal/loadgen -run TestAttribution -count=1
 	rm -rf $(FLIGHT_DIR)
 	$(GO) run ./cmd/thothsim -workload btree -warmup 200 -txs 600 -setup 1024 -pub 256 -crash -flight $(FLIGHT_DIR)
-	$(GO) run ./cmd/tracemetrics -format summary $(FLIGHT_DIR)/flight.jsonl
+	$(GO) run ./cmd/tracemetrics $(FLIGHT_DIR)/flight.jsonl
 
 # Prove the zero-allocation hot paths stay that way: the disabled-tracer
 # emit, the steady-state secure read, histogram Observe, the
-# tracer-to-metrics adapter, the span-attribution charge path (enabled
+# span-attribution charge path (enabled
 # AND nil-span disabled) and the flight recorder's Emit must all report
 # 0 allocs/op (the matching Test*ZeroAlloc funcs assert the 0; the
 # benchmarks report it). Serial recovery must allocate the same at 25%
@@ -154,7 +146,7 @@ bench-alloc:
 	$(GO) test ./internal/bmt -run TestNodeHashZeroAlloc -count=1
 	$(GO) test ./internal/engine -run TestPoolArriveZeroAlloc -count=1
 	$(GO) test ./internal/core -run 'TestTracerDisabledZeroAlloc|TestReadHitZeroAlloc' -bench 'BenchmarkTracerDisabled|BenchmarkReadHit' -benchtime 10000x
-	$(GO) test ./internal/metrics -run 'TestObserveZeroAlloc|TestFromTracerZeroAlloc' -bench 'BenchmarkHistogramObserve|BenchmarkFromTracer' -benchtime 100000x
+	$(GO) test ./internal/metrics -run TestObserveZeroAlloc -bench BenchmarkHistogramObserve -benchtime 100000x
 	$(GO) test ./internal/loadgen -run 'TestGenOpZeroAlloc|TestExecOpZeroAlloc' -bench BenchmarkGenOp -benchtime 100000x
 	$(GO) test ./internal/obs -run 'TestSpanRecordZeroAlloc|TestSpanDisabledZeroAlloc|TestFlightEmitZeroAlloc' -bench BenchmarkSpanRecord -benchtime 100000x
 

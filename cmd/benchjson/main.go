@@ -7,7 +7,7 @@
 //     persist), their dominant primitives (keyed MAC, counter-mode
 //     pad XOR, PUB entry bit-packing and unpacking, an integrity-tree
 //     node write-back), the observability hot paths
-//     (histogram Observe, the tracer-to-metrics adapter) and the load
+//     (histogram Observe, span attribution) and the load
 //     generator's per-op tick. These carry
 //     the zero-allocation guarantee: allocs/op is part of the baseline
 //     and ANY increase is a failure.
@@ -133,7 +133,6 @@ func suite() []bench {
 			}
 		}},
 		{"micro/persist_steady", benchPersistScheme(config.ThothWTSC)},
-		{"micro/persist_scheme_wtsc", benchPersistScheme(config.ThothWTSC)},
 		{"micro/persist_scheme_triad", benchPersistScheme(config.TriadRelaxed(64))},
 		{"micro/crypt_mac", func(b *testing.B) {
 			e := crypt.NewEngine(1)
@@ -220,22 +219,11 @@ func suite() []bench {
 			}
 		}},
 		{"micro/metrics_observe", func(b *testing.B) {
-			reg := metrics.New()
-			h := reg.Histogram("bench_cycles", "Benchmark histogram.")
+			h := new(metrics.Histogram)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				h.Observe(int64(i & 0xFFFF))
-			}
-		}},
-		{"micro/metrics_tracer", func(b *testing.B) {
-			reg := metrics.New()
-			ad := metrics.FromTracer(reg)
-			ev := obs.Event{Kind: obs.KindWPQDrain, Cycle: 100, Addr: 0x80, Aux: 12, Scheme: "thoth-wtsc", Detail: obs.DrainAge}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ad.Emit(ev)
 			}
 		}},
 		{"micro/span_record", func(b *testing.B) {
@@ -289,7 +277,7 @@ func suite() []bench {
 				d.GenOp(&op)
 			}
 		}},
-		{"micro/persist_parallel_serial", benchPersistSerial},
+		{"micro/persist_serial", benchPersistSerial},
 		{"micro/pool_1shard", benchPool(1)},
 		{"micro/pool_4shard", benchPool(4)},
 		{"micro/pool_16shard", benchPool(16)},
@@ -346,9 +334,7 @@ func benchPersistScheme(s config.Scheme) func(*testing.B) {
 // benchmarks' geometry: one op is 256 persists of distinct hot blocks
 // (metadata caches stay warm, counters far from overflow, PUB far from
 // eviction pressure) at 256B blocks, where per-request crypto
-// dominates. It is the serial reference for micro/pool_1shard; its row
-// keeps the name it had as the baseline of the deleted parallel persist
-// pipeline.
+// dominates. It is the serial reference for micro/pool_1shard.
 func benchPersistSerial(b *testing.B) {
 	cfg := config.Default().WithScheme(config.ThothWTSC).WithBlockSize(256)
 	cfg.MemBytes = 1 << 30
@@ -390,8 +376,8 @@ func benchPersistSerial(b *testing.B) {
 
 // benchPool measures the sharded engine's aggregate persist throughput:
 // one op is a 256-request batch of distinct hot blocks scattered across
-// every shard's groups (same geometry as persist_parallel_serial, so
-// pool_1shard vs persist_parallel_serial is the pool front-end's cost
+// every shard's groups (same geometry as persist_serial, so
+// pool_1shard vs persist_serial is the pool front-end's cost
 // over plain serial persists, and pool_4shard vs pool_1shard isolates
 // multi-controller scaling). The scaling stacks two effects: aggregate
 // capacity (full-size caches and PUB per shard over a fraction of the

@@ -1,16 +1,14 @@
-// Command tracemetrics replays a JSONL controller event trace (as
-// written by `thothsim -trace run.jsonl` or the experiments driver)
-// through the metrics.FromTracer adapter into a fresh registry, and
-// prints the result — so the post-hoc view of a run agrees
-// metric-for-metric with a registry the same adapter fed during the run
-// (TestReplayMatchesLive pins this). A trace that breaks the JSONL
-// schema exits 1 naming its first bad line, so `-format summary`
-// doubles as the trace validator (make trace-smoke, make obs-smoke).
+// Command tracemetrics validates a JSONL controller event trace (as
+// written by `thothsim -trace run.jsonl`, the experiments driver or a
+// crash's flight dump) and counts its events by kind. Every line is
+// decoded with obs.DecodeJSONL; a trace that breaks the schema exits 1
+// naming its first bad line (make trace-smoke, make obs-smoke). A valid
+// trace prints `events=N`, then one `kind count` line per declared
+// event kind, in declaration order.
 //
 // Usage:
 //
-//	tracemetrics run.jsonl             # Prometheus text format
-//	tracemetrics -format summary run.jsonl
+//	tracemetrics run.jsonl
 //	thothsim -trace /dev/stdout ... | tracemetrics -   # read the trace from stdin
 package main
 
@@ -20,38 +18,20 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
-
-// replay folds every event of the JSONL stream in r into a fresh
-// registry via the FromTracer adapter.
-func replay(r io.Reader) (*metrics.Registry, int, error) {
-	reg := metrics.New()
-	ad := metrics.FromTracer(reg)
-	n, err := obs.DecodeJSONL(r, ad.Emit)
-	return reg, n, err
-}
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracemetrics", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	format := fs.String("format", "prom", "output format: prom|summary")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: tracemetrics [-format prom|summary] trace.jsonl ('-' reads stdin)")
-		fs.PrintDefaults()
+		fmt.Fprintln(stderr, "usage: tracemetrics trace.jsonl ('-' reads stdin)")
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return 2
-	}
-	switch *format {
-	case "prom", "summary":
-	default:
-		fmt.Fprintf(stderr, "tracemetrics: unknown format %q (prom|summary)\n", *format)
 		return 2
 	}
 
@@ -66,22 +46,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		in = f
 	}
 
-	reg, n, err := replay(in)
+	var counts [256]int64
+	n, err := obs.DecodeJSONL(in, func(e obs.Event) { counts[e.Kind]++ })
 	if err != nil {
 		fmt.Fprintln(stderr, "tracemetrics:", err)
 		return 1
 	}
-
-	if *format == "summary" {
-		fmt.Fprintf(stdout, "events=%d families=%d\n", n, len(reg.FamilyNames()))
-		for _, name := range reg.FamilyNames() {
-			fmt.Fprintf(stdout, "  %s\n", name)
-		}
-		return 0
-	}
-	if err := metrics.WriteProm(stdout, reg); err != nil {
-		fmt.Fprintln(stderr, "tracemetrics:", err)
-		return 1
+	fmt.Fprintf(stdout, "events=%d\n", n)
+	for _, k := range obs.Kinds() {
+		fmt.Fprintf(stdout, "%s %d\n", k, counts[k])
 	}
 	return 0
 }

@@ -2,15 +2,13 @@ package core
 
 // The crash flight recorder is always on: with no Tracer configured the
 // controller still retains the most recent events, and a Crash's
-// snapshot is a valid JSONL trace that replays through the same
-// metrics.FromTracer adapter as any recorded trace.
+// snapshot is a valid JSONL trace that decodes like any recorded trace.
 
 import (
 	"bytes"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -52,38 +50,38 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 	}
 }
 
-// TestFlightRecordReplaysThroughFromTracer closes the loop the crash
-// tooling relies on: dump the black box as JSONL, then decode it
-// (validating the schema) through metrics.FromTracer — the per-kind
-// event counters must account for every dumped event, with none
-// rejected as invalid.
-func TestFlightRecordReplaysThroughFromTracer(t *testing.T) {
+// TestFlightRecordReplays closes the loop the crash tooling relies on:
+// dump the black box as JSONL, then decode it (validating the schema)
+// — every dumped event must come back, in order and unchanged, with a
+// declared kind.
+func TestFlightRecordReplays(t *testing.T) {
 	rec := runToCrash(t, testConfig(config.ThothWTSC))
 
 	var buf bytes.Buffer
 	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.New()
-	ad := metrics.FromTracer(reg)
-	n, err := obs.DecodeJSONL(bytes.NewReader(buf.Bytes()), ad.Emit)
+	declared := make(map[obs.Kind]bool)
+	for _, k := range obs.Kinds() {
+		declared[k] = true
+	}
+	var got []obs.Event
+	n, err := obs.DecodeJSONL(bytes.NewReader(buf.Bytes()), func(e obs.Event) {
+		if !declared[e.Kind] {
+			t.Errorf("replayed event %d has undeclared kind %d", len(got), e.Kind)
+		}
+		got = append(got, e)
+	})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if n != len(rec.Events) {
-		t.Fatalf("replayed %d events, want %d", n, len(rec.Events))
+	if n != len(rec.Events) || len(got) != n {
+		t.Fatalf("replayed %d events (%d delivered), want %d", n, len(got), len(rec.Events))
 	}
-	var total int64
-	for _, k := range obs.Kinds() {
-		total += reg.Counter("thoth_events_total", "Controller events by kind.",
-			metrics.Label{Key: "kind", Value: k.String()}).Value()
-	}
-	if total != int64(len(rec.Events)) {
-		t.Fatalf("event counters sum to %d, want %d", total, len(rec.Events))
-	}
-	if inv := reg.Counter("thoth_events_invalid_total",
-		"Events dropped because their Kind is not a declared obs.Kind.").Value(); inv != 0 {
-		t.Fatalf("%d events rejected as invalid on replay", inv)
+	for i := range got {
+		if got[i] != rec.Events[i] {
+			t.Fatalf("replayed event %d = %+v, dumped %+v", i, got[i], rec.Events[i])
+		}
 	}
 }
 

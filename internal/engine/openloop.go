@@ -7,7 +7,7 @@ package engine
 // ahead is backlogged, and the op queues behind the work in front of it.
 // The returned completion cycle therefore embeds the open-loop latency
 // (completion − arrival = queueing delay + service), which is what
-// internal/loadgen feeds into the metrics histograms. Requests spanning
+// internal/loadgen folds into its latency histograms. Requests spanning
 // multiple metadata groups complete when their last segment does.
 
 import (
@@ -20,30 +20,19 @@ import (
 // WriteArrive persists data at the given pool offset, modeling the op as
 // arriving at the given cycle. It returns the op's completion cycle: the
 // latest completion across its shard segments, each serviced no earlier
-// than the arrival and no earlier than the shard's prior backlog.
-func (p *Pool) WriteArrive(arrival, addr int64, data []byte) (int64, error) {
-	return p.arrive(true, arrival, addr, data, nil)
-}
-
-// WriteArriveSpan is WriteArrive with per-stage latency attribution:
-// when span is non-nil it receives the stage decomposition of the op's
-// critical segment — the one whose completion defines the op's — so the
-// stage cycles sum exactly to completion − arrival. A nil span is
-// exactly WriteArrive (no charging, no allocation).
-func (p *Pool) WriteArriveSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
+// than the arrival and no earlier than the shard's prior backlog. A
+// non-nil span receives the stage decomposition of the op's critical
+// segment — the one whose completion defines the op's — so the stage
+// cycles sum exactly to completion − arrival. A nil span attributes
+// nothing and allocates nothing.
+func (p *Pool) WriteArrive(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
 	return p.arrive(true, arrival, addr, data, span)
 }
 
 // ReadArrive fills dst from the given pool offset, modeling the op as
-// arriving at the given cycle; see WriteArrive for the completion
-// semantics.
-func (p *Pool) ReadArrive(arrival, addr int64, dst []byte) (int64, error) {
-	return p.arrive(false, arrival, addr, dst, nil)
-}
-
-// ReadArriveSpan is ReadArrive with per-stage latency attribution; see
-// WriteArriveSpan.
-func (p *Pool) ReadArriveSpan(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
+// arriving at the given cycle; see WriteArrive for the completion and
+// span semantics.
+func (p *Pool) ReadArrive(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
 	return p.arrive(false, arrival, addr, dst, span)
 }
 

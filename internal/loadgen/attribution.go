@@ -78,7 +78,6 @@ func (d *Driver) Attribution() (Attribution, error) {
 		return Attribution{}, fmt.Errorf("loadgen: Attribution needs Options.Attribution")
 	}
 	var a Attribution
-	a.Aggregate.Ops = d.opsRead.Value() + d.opsWrite.Value()
 	a.Aggregate.Stages = d.stageAgg
 	for i := range d.tenants {
 		t := &d.tenants[i]
@@ -86,6 +85,7 @@ func (d *Driver) Attribution() (Attribution, error) {
 		if n == 0 {
 			continue
 		}
+		a.Aggregate.Ops += n
 		a.Tenants = append(a.Tenants, TenantBreakdown{
 			Tenant:         i,
 			StageBreakdown: StageBreakdown{Ops: n, Stages: t.stages},

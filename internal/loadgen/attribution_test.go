@@ -4,7 +4,7 @@ package loadgen_test
 // every op's stage cycles must sum exactly to its open-loop latency —
 // ExecOp enforces it per op and fails the run on any leak — and the
 // aggregates must re-derive: stage totals equal to the summed latency
-// histograms, per-tenant totals summing to the aggregate. Swept over
+// the target reported, per-tenant totals summing to the aggregate. Swept over
 // 200 crashfuzz-derived machines, against both a single controller and
 // a 4-shard pool (the multi-segment critical-path selection included).
 
@@ -15,7 +15,7 @@ import (
 	"repro/internal/crashfuzz"
 	"repro/internal/engine"
 	"repro/internal/loadgen"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // conservationScenario is one small seeded open-loop scenario: Poisson
@@ -33,11 +33,31 @@ func conservationScenario(seed int64) loadgen.Scenario {
 	}
 }
 
+// latencyTap is a SpanTarget that sums every op's completion − arrival
+// as the wrapped target reports it, independently of the driver.
+type latencyTap struct {
+	loadgen.SpanTarget
+	sum int64
+}
+
+func (l *latencyTap) WriteSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
+	done, err := l.SpanTarget.WriteSpan(arrival, addr, data, span)
+	l.sum += done - arrival
+	return done, err
+}
+
+func (l *latencyTap) ReadSpan(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
+	done, err := l.SpanTarget.ReadSpan(arrival, addr, dst, span)
+	l.sum += done - arrival
+	return done, err
+}
+
 // runConservation drives one scenario with attribution on and
-// cross-checks the report against the latency histograms.
-func runConservation(t *testing.T, seed int64, label string, tgt loadgen.Target, reg *metrics.Registry, cfg crashfuzz.Case) {
+// cross-checks the report against the latencies the target reported.
+func runConservation(t *testing.T, seed int64, label string, tgt loadgen.SpanTarget, cfg crashfuzz.Case) {
 	t.Helper()
-	d, err := loadgen.NewDriver(conservationScenario(seed), tgt, cfg.ConfigFor(cfg.Variants[0].Scheme), reg,
+	tap := &latencyTap{SpanTarget: tgt}
+	d, err := loadgen.NewDriver(conservationScenario(seed), tap, cfg.ConfigFor(cfg.Variants[0].Scheme), nil,
 		loadgen.Options{Attribution: true})
 	if err != nil {
 		t.Fatalf("seed %d %s: NewDriver: %v", seed, label, err)
@@ -54,14 +74,7 @@ func runConservation(t *testing.T, seed int64, label string, tgt loadgen.Target,
 	if a.Aggregate.Ops != 20 {
 		t.Fatalf("seed %d %s: aggregate counts %d ops, want 20", seed, label, a.Aggregate.Ops)
 	}
-	var latSum int64
-	for _, op := range []string{"read", "write"} {
-		h := reg.Histogram("thoth_loadgen_latency_cycles",
-			"Open-loop op latency (completion - arrival) in modeled cycles.",
-			metrics.Label{Key: "op", Value: op})
-		_, _, sum := h.Snapshot()
-		latSum += sum
-	}
+	latSum := tap.sum
 	if got := a.Aggregate.Total(); got != latSum {
 		t.Fatalf("seed %d %s: aggregate stage cycles %d != summed latency %d",
 			seed, label, got, latSum)
@@ -88,13 +101,13 @@ func TestAttributionConservationSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: core.New: %v", seed, err)
 		}
-		runConservation(t, seed, "controller", loadgen.NewControllerTarget(ctl), metrics.New(), c)
+		runConservation(t, seed, "controller", loadgen.NewControllerTarget(ctl), c)
 
 		pool, err := engine.New(cfg, 4)
 		if err != nil {
 			t.Fatalf("seed %d: engine.New: %v", seed, err)
 		}
-		runConservation(t, seed, "pool", loadgen.NewPoolTarget(pool), metrics.New(), c)
+		runConservation(t, seed, "pool", loadgen.NewPoolTarget(pool), c)
 		if _, err := pool.Shutdown(); err != nil {
 			t.Fatalf("seed %d: pool shutdown: %v", seed, err)
 		}

@@ -92,18 +92,23 @@ func TestClosedLoopDifferentialGenerated(t *testing.T) {
 		cfg := c.ConfigFor(c.Variants[0].Scheme)
 		scn := closedLoopScenario(seed)
 		runPair(t, seed, cfg, func(tgt *loadgen.ControllerTarget, sys *thoth.System) {
-			d, err := loadgen.NewDriver(scn, tgt, cfg, nil, loadgen.Options{CollectOps: true})
+			d, err := loadgen.NewDriver(scn, tgt, cfg, nil, loadgen.Options{})
 			if err != nil {
 				t.Fatalf("seed %d: NewDriver: %v", seed, err)
 			}
-			if err := d.Run(); err != nil {
-				t.Fatalf("seed %d: driver run: %v", seed, err)
+			var ops []loadgen.Op
+			var op loadgen.Op
+			for d.GenOp(&op) {
+				if err := d.ExecOp(&op); err != nil {
+					t.Fatalf("seed %d: driver run: %v", seed, err)
+				}
+				ops = append(ops, op)
 			}
 			if d.MinLatency() < 0 {
 				t.Fatalf("seed %d: negative open-loop latency %d", seed, d.MinLatency())
 			}
 			buf := make([]byte, sys.BlockSize())
-			for _, op := range d.Ops() {
+			for _, op := range ops {
 				if op.Kind == loadgen.OpWrite {
 					loadgen.FillPayload(buf[:op.Len], op.Seq, op.Addr)
 					if err := sys.Write(op.Addr, buf[:op.Len]); err != nil {

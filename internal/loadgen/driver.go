@@ -6,10 +6,10 @@
 // behind, queueing delay shows up in the latency distribution instead of
 // silently throttling the offered load. Latencies are modeled cycles
 // (completion − arrival = queueing delay + service) and flow into
-// internal/metrics histograms: an aggregate read/write family plus one
-// series per tenant, rendered by metrics.WriteProm and summarized as
-// P50/P95/P99 by Summary. Everything derives from the scenario seed:
-// same seed, same event stream, same histograms.
+// log2 histograms (internal/metrics) the driver holds itself: one for
+// reads, one for writes and one per tenant, summarized as P50/P95/P99
+// by Summary. Everything derives from the scenario seed: same seed,
+// same event stream, same histograms.
 package loadgen
 
 import (
@@ -80,16 +80,12 @@ type Options struct {
 	// CheckQuantiles can recompute exact percentiles and pin the
 	// histogram estimates to within one bucket.
 	RecordLatencies bool
-	// CollectOps appends every generated op to an in-memory trace
-	// (Ops()), for replay through another driver or system.
-	CollectOps bool
 	// Attribution decomposes every op's latency into pipeline-stage
 	// cycles (queue, fetch, crypto, tree, wpq, persist) via the target's
-	// SpanTarget interface: per-stage thoth_op_stage_cycles histograms,
-	// plus the aggregate and per-tenant Attribution report. ExecOp
-	// enforces conservation — stage cycles must sum exactly to
-	// completion − arrival — and fails loudly on any leak. Requires a
-	// target implementing SpanTarget.
+	// SpanTarget interface, reported per tenant and in aggregate by
+	// Attribution. ExecOp enforces conservation — stage cycles must sum
+	// exactly to completion − arrival — and fails loudly on any leak.
+	// Requires a target implementing SpanTarget.
 	Attribution bool
 }
 
@@ -109,7 +105,7 @@ type tenant struct {
 }
 
 // Driver generates and executes one scenario against one target. Not
-// safe for concurrent use; the metrics registry it feeds is.
+// safe for concurrent use.
 type Driver struct {
 	scn  Scenario
 	tgt  Target
@@ -123,20 +119,15 @@ type Driver struct {
 	maxDone int64
 	minLat  int64
 
-	reg       *metrics.Registry
 	histRead  *metrics.Histogram
 	histWrite *metrics.Histogram
-	opsRead   *metrics.Counter
-	opsWrite  *metrics.Counter
-	gCycle    *metrics.Gauge
 
 	// Attribution state (Options.Attribution): the span-capable view of
-	// the target, the reusable per-op span, the per-stage histogram
-	// handles, and the aggregate stage totals.
-	spanTgt   SpanTarget
-	span      obs.Span
-	histStage [obs.NumStages]*metrics.Histogram
-	stageAgg  [obs.NumStages]int64
+	// the target, the reusable per-op span and the aggregate stage
+	// totals.
+	spanTgt  SpanTarget
+	span     obs.Span
+	stageAgg [obs.NumStages]int64
 
 	sha  hash.Hash
 	hbuf [33]byte
@@ -151,7 +142,6 @@ type Driver struct {
 	rawLat  []int64
 	rawTen  []int32
 	rawKind []uint8
-	ops     []Op
 }
 
 // goldenPageBlocks is the number of blocks per golden-record page.
@@ -163,9 +153,12 @@ type goldenPage [goldenPageBlocks]int64
 
 // NewDriver builds a driver for the scenario over the target. cfg is the
 // machine configuration the target was built from (the driver needs its
-// metadata geometry for the thrash stride). reg receives the
-// thoth_loadgen_* metric families; nil creates a private registry.
-func NewDriver(scn Scenario, tgt Target, cfg config.Config, reg *metrics.Registry, opts Options) (*Driver, error) {
+// metadata geometry for the thrash stride). The fourth argument is
+// ignored: it once took a metrics registry, which the driver no longer
+// feeds, and it stays only so that callers written against that
+// signature (the repository benchmark passes nil) keep compiling until
+// they drop it.
+func NewDriver(scn Scenario, tgt Target, cfg config.Config, _ any, opts Options) (*Driver, error) {
 	if err := scn.validate(); err != nil {
 		return nil, err
 	}
@@ -174,9 +167,6 @@ func NewDriver(scn Scenario, tgt Target, cfg config.Config, reg *metrics.Registr
 	perTenant := totalBlk / int64(scn.Tenants)
 	if perTenant < 1 {
 		return nil, fmt.Errorf("loadgen: %d tenants cannot partition %d blocks", scn.Tenants, totalBlk)
-	}
-	if reg == nil {
-		reg = metrics.New()
 	}
 	// Strided keys step one metadata group plus one block, so
 	// consecutive ops land in distinct metadata groups.
@@ -190,41 +180,23 @@ func NewDriver(scn Scenario, tgt Target, cfg config.Config, reg *metrics.Registr
 		zipf = newZipfTable(int(n), scn.Keys.ZipfS)
 	}
 	d := &Driver{
-		scn:    scn,
-		tgt:    tgt,
-		bs:     bs,
-		opts:   opts,
-		minLat: math.MaxInt64,
-		reg:    reg,
-		sha:    sha256.New(),
-		wbuf:   make([]byte, bs),
-		rbuf:   make([]byte, bs),
+		scn:       scn,
+		tgt:       tgt,
+		bs:        bs,
+		opts:      opts,
+		minLat:    math.MaxInt64,
+		histRead:  new(metrics.Histogram),
+		histWrite: new(metrics.Histogram),
+		sha:       sha256.New(),
+		wbuf:      make([]byte, bs),
+		rbuf:      make([]byte, bs),
 	}
-	d.histRead = reg.Histogram("thoth_loadgen_latency_cycles",
-		"Open-loop op latency (completion - arrival) in modeled cycles.",
-		metrics.Label{Key: "op", Value: "read"})
-	d.histWrite = reg.Histogram("thoth_loadgen_latency_cycles",
-		"Open-loop op latency (completion - arrival) in modeled cycles.",
-		metrics.Label{Key: "op", Value: "write"})
-	d.opsRead = reg.Counter("thoth_loadgen_ops_total",
-		"Operations completed by the load generator.",
-		metrics.Label{Key: "op", Value: "read"})
-	d.opsWrite = reg.Counter("thoth_loadgen_ops_total",
-		"Operations completed by the load generator.",
-		metrics.Label{Key: "op", Value: "write"})
-	d.gCycle = reg.Gauge("thoth_loadgen_cycle",
-		"Latest modeled completion cycle observed by the load generator.")
 	if opts.Attribution {
 		st, ok := tgt.(SpanTarget)
 		if !ok {
 			return nil, fmt.Errorf("loadgen: Options.Attribution requires a SpanTarget, got %T", tgt)
 		}
 		d.spanTgt = st
-		for _, stage := range obs.Stages() {
-			d.histStage[stage] = reg.Histogram("thoth_op_stage_cycles",
-				"Per-op cycles attributed to each pipeline stage (stages sum to op latency).",
-				metrics.Label{Key: "stage", Value: stage.String()})
-		}
 	}
 
 	master := newRNG(scn.Seed)
@@ -238,9 +210,7 @@ func NewDriver(scn Scenario, tgt Target, cfg config.Config, reg *metrics.Registr
 		t.keys = newKeyPicker(scn.Keys, zipf, perTenant, stride)
 		t.r = newRNG(mixSeed)
 		t.baseBlk = int64(i) * perTenant
-		t.hist = reg.Histogram("thoth_loadgen_tenant_latency_cycles",
-			"Per-tenant open-loop op latency in modeled cycles.",
-			metrics.Label{Key: "tenant", Value: fmt.Sprintf("%04d", i)})
+		t.hist = new(metrics.Histogram)
 		d.heap[i] = int32(i)
 	}
 	sort.Slice(d.heap, func(a, b int) bool { return d.heapLess(d.heap[a], d.heap[b]) })
@@ -283,7 +253,7 @@ func (d *Driver) siftDown(i int) {
 // GenOp fills op with the next scheduled operation and advances the
 // schedule. It returns false when the scenario budget (Ops) or horizon
 // (DurationCycles) is exhausted. It never allocates (the zero-alloc
-// micro benchmark pins this) unless Options.CollectOps is on.
+// micro benchmark pins this).
 func (d *Driver) GenOp(op *Op) bool {
 	if d.scn.Ops > 0 && d.issued >= d.scn.Ops {
 		return false
@@ -316,10 +286,6 @@ func (d *Driver) GenOp(op *Op) bool {
 	binary.LittleEndian.PutUint64(b[21:], uint64(op.Addr))
 	binary.LittleEndian.PutUint32(b[29:], uint32(op.Len))
 	d.sha.Write(b)
-
-	if d.opts.CollectOps {
-		d.ops = append(d.ops, *op)
-	}
 	return true
 }
 
@@ -347,7 +313,6 @@ func (d *Driver) ExecOp(op *Op) error {
 			return fmt.Errorf("loadgen: tenant %d read [%d,+%d): %w", op.Tenant, op.Addr, op.Len, err)
 		}
 		t.reads++
-		d.opsRead.Inc()
 		h = d.histRead
 	} else {
 		if len(d.wbuf) < op.Len {
@@ -372,7 +337,6 @@ func (d *Driver) ExecOp(op *Op) error {
 			p[blk%goldenPageBlocks] = op.Seq + 1
 		}
 		t.writes++
-		d.opsWrite.Inc()
 		h = d.histWrite
 	}
 	lat := done - op.Arrival
@@ -386,17 +350,13 @@ func (d *Driver) ExecOp(op *Op) error {
 		}
 		for _, st := range obs.Stages() {
 			v := d.span.Stages[st]
-			d.histStage[st].Observe(v)
 			d.stageAgg[st] += v
 			t.stages[st] += v
 		}
 	}
 	h.Observe(lat)
 	t.hist.Observe(lat)
-	if done > d.maxDone {
-		d.maxDone = done
-		d.gCycle.Set(done)
-	}
+	d.maxDone = max(d.maxDone, done)
 	if d.opts.RecordLatencies {
 		d.rawLat = append(d.rawLat, lat)
 		d.rawTen = append(d.rawTen, int32(op.Tenant))
@@ -470,9 +430,6 @@ func (d *Driver) MinLatency() int64 {
 func (d *Driver) EventHash() string {
 	return hex.EncodeToString(d.sha.Sum(nil))
 }
-
-// Ops returns the collected op trace (Options.CollectOps).
-func (d *Driver) Ops() []Op { return d.ops }
 
 // Golden returns the last acknowledged payload of every written block,
 // keyed by address (Options.TrackGolden; nil without it). The driver

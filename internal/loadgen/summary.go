@@ -68,8 +68,6 @@ func (d *Driver) Summary() Summary {
 	s := Summary{
 		Scenario:  d.scn.Name,
 		Tenants:   d.scn.Tenants,
-		Reads:     d.opsRead.Value(),
-		Writes:    d.opsWrite.Value(),
 		Cycles:    d.maxDone,
 		ReadP50:   d.histRead.Quantile(0.50),
 		ReadP95:   d.histRead.Quantile(0.95),
@@ -78,6 +76,10 @@ func (d *Driver) Summary() Summary {
 		WriteP95:  d.histWrite.Quantile(0.95),
 		WriteP99:  d.histWrite.Quantile(0.99),
 		EventHash: d.EventHash(),
+	}
+	for i := range d.tenants {
+		s.Reads += d.tenants[i].reads
+		s.Writes += d.tenants[i].writes
 	}
 	s.Ops = s.Reads + s.Writes
 	if ts := d.TenantSummaries(); len(ts) > 0 {

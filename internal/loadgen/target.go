@@ -14,7 +14,7 @@ import (
 // cycle: the service starts no earlier than the arrival (an idle target
 // advances its clock to it) and no earlier than the end of the work
 // queued ahead of it, so completion − arrival is the open-loop latency —
-// queueing delay plus service — that the driver feeds into the metrics
+// queueing delay plus service — that the driver feeds into its latency
 // histograms.
 type Target interface {
 	BlockSize() int
@@ -153,23 +153,23 @@ func (t *PoolTarget) DataSize() int64 { return t.pool.DataSize() }
 
 // Write persists data arriving at the given cycle.
 func (t *PoolTarget) Write(arrival, addr int64, data []byte) (int64, error) {
-	return t.pool.WriteArrive(arrival, addr, data)
+	return t.pool.WriteArrive(arrival, addr, data, nil)
 }
 
 // Read fills dst from the given offset.
 func (t *PoolTarget) Read(arrival, addr int64, dst []byte) (int64, error) {
-	return t.pool.ReadArrive(arrival, addr, dst)
+	return t.pool.ReadArrive(arrival, addr, dst, nil)
 }
 
 // WriteSpan is Write with per-stage latency attribution: the modeled
 // shard backlog the op's critical segment waited behind lands in
 // SpanQueue and the owning controller charges the service stages; see
-// engine's WriteArriveSpan for the multi-segment semantics.
+// engine's WriteArrive for the multi-segment semantics.
 func (t *PoolTarget) WriteSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
-	return t.pool.WriteArriveSpan(arrival, addr, data, span)
+	return t.pool.WriteArrive(arrival, addr, data, span)
 }
 
 // ReadSpan is Read with per-stage latency attribution; see WriteSpan.
 func (t *PoolTarget) ReadSpan(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
-	return t.pool.ReadArriveSpan(arrival, addr, dst, span)
+	return t.pool.ReadArrive(arrival, addr, dst, span)
 }

@@ -54,8 +54,7 @@ type FlightRecord struct {
 
 // WriteJSONL writes the record as a JSONL event stream — the same
 // schema JSONL emits, so the dump decodes through DecodeJSONL and
-// replays through metrics.FromTracer (cmd/tracemetrics) like any
-// recorded trace.
+// validates under cmd/tracemetrics like any recorded trace.
 func (r FlightRecord) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, e := range r.Events {

@@ -98,8 +98,8 @@ func writeJSONLine(w *bufio.Writer, e Event) error {
 // scheme/part/detail values, a non-negative cycle and a non-empty
 // scheme — and stops at the first violation, returning the number of
 // events delivered and the error (with its 1-based line number).
-// cmd/tracemetrics replays a trace into a metrics registry with it,
-// and so validates the trace.
+// cmd/tracemetrics counts a trace's events by kind with it, and so
+// validates the trace.
 func DecodeJSONL(r io.Reader, fn func(Event)) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)

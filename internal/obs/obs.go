@@ -112,8 +112,8 @@ func KindByName(name string) (Kind, bool) {
 }
 
 // Kinds returns every declared event kind in declaration order
-// (KindNone excluded). Consumers that key state by Kind — the metrics
-// adapter's per-kind counters, exhaustive round-trip tests — iterate
+// (KindNone excluded). Consumers that key state by Kind — the per-kind
+// counts cmd/tracemetrics prints, exhaustive round-trip tests — iterate
 // this instead of hard-coding the enum size.
 func Kinds() []Kind {
 	ks := make([]Kind, 0, int(numKinds)-1)

@@ -79,8 +79,7 @@ const (
 	NumStages
 )
 
-// String returns the stable wire name of the stage (used as the
-// `stage` label of the thoth_op_stage_cycles metric family and in the
+// String returns the stable wire name of the stage (used in the
 // attribution report).
 func (s Stage) String() string {
 	switch s {

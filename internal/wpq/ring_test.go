@@ -112,3 +112,27 @@ func diffStream(t *testing.T, capacity, drainAt int, suppress bool, seed int64) 
 	}
 	return ringCounters(ring, mRing)
 }
+
+// TestSaturatedStretchZeroAlloc drives a queue that stays full for
+// 20,000 inserts, so some recorded completion is always still ahead of
+// the clock, and requires a second such stretch to allocate nothing:
+// the completion times live in a fixed ring, not in a list that only
+// rewinds once every recorded completion has been consumed.
+func TestSaturatedStretchZeroAlloc(t *testing.T) {
+	m := sim.NewMemory(4, 64)
+	w := New(m, 64, 32, lat)
+	var now, addr int64
+	stretch := func() {
+		for range 20000 {
+			addr += 64
+			now = max(now, w.Insert(now, addr).When) + 1
+		}
+	}
+	stretch() // warm-up: the banks' backlogs reach their steady size
+	if n := testing.AllocsPerRun(1, stretch); n != 0 {
+		t.Fatalf("%v allocations over a saturated stretch of 20000 inserts, want 0", n)
+	}
+	if w.StallCycles == 0 {
+		t.Fatal("test premise: the queue never stalled")
+	}
+}

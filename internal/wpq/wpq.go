@@ -86,9 +86,14 @@ type WPQ struct {
 	ats      []int64
 	head     int
 	count    int
-	inFlight int     // handed to a bank, not yet retired
-	frees    []int64 // completion times of in-flight writes
+	inFlight int // handed to a bank, not yet retired
+	// Completion times of retired in-flight writes, consumed in the
+	// order the banks retired them: a ring of capacity slots holding
+	// nFrees entries from slot freeHead on. They never outnumber
+	// inFlight, which never exceeds capacity.
+	frees    []int64
 	freeHead int
+	nFrees   int
 	// onRetire is the completion callback handed to the memory banks,
 	// built once so issueOldest does not allocate a closure per write.
 	onRetire func(at int64)
@@ -142,9 +147,15 @@ func New(mem *sim.Memory, capacity, drainAt int, writeLat int64) *WPQ {
 		writeLat: writeLat,
 		addrs:    make([]int64, capacity),
 		ats:      make([]int64, capacity),
+		frees:    make([]int64, capacity),
 	}
 	w.onRetire = func(at int64) {
-		w.frees = append(w.frees, at)
+		tail := w.freeHead + w.nFrees
+		if tail >= w.capacity {
+			tail -= w.capacity
+		}
+		w.frees[tail] = at
+		w.nFrees++
 	}
 	return w
 }
@@ -178,14 +189,20 @@ func hasAddr(s []int64, addr int64) bool {
 
 // reapFrees consumes completion events at or before cycle t.
 func (w *WPQ) reapFrees(t int64) {
-	for w.freeHead < len(w.frees) && w.frees[w.freeHead] <= t {
-		w.freeHead++
-		w.inFlight--
+	for w.nFrees > 0 && w.frees[w.freeHead] <= t {
+		w.popFree()
 	}
-	if w.freeHead == len(w.frees) {
-		w.frees = w.frees[:0]
+}
+
+// popFree consumes the oldest recorded completion and returns its cycle.
+func (w *WPQ) popFree() int64 {
+	c := w.frees[w.freeHead]
+	if w.freeHead++; w.freeHead == w.capacity {
 		w.freeHead = 0
 	}
+	w.nFrees--
+	w.inFlight--
+	return c
 }
 
 // issueOldest hands the oldest pending entry to its memory bank (or
@@ -262,13 +279,8 @@ func (w *WPQ) Insert(t int64, addr int64) Result {
 		// exactly when the queue is saturated and coalescing matters
 		// most. Only when nothing at all is in flight are pending
 		// entries issued.
-		if w.freeHead < len(w.frees) {
-			c := w.frees[w.freeHead]
-			w.freeHead++
-			w.inFlight--
-			if c > when {
-				when = c
-			}
+		if w.nFrees > 0 {
+			when = max(when, w.popFree())
 			continue
 		}
 		if w.mem.Pending() > 0 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -300,36 +299,5 @@ func TestRunConfigTracer(t *testing.T) {
 	}
 	if ring.Len() == 0 {
 		t.Fatal("RunConfig.Config.Tracer received no events")
-	}
-}
-
-// TestMetricsThroughPublicAPI covers the re-exported metrics surface:
-// event-derived series via MetricsFromTracer and the Prometheus
-// renderer.
-func TestMetricsThroughPublicAPI(t *testing.T) {
-	cfg := testConfig(WTSC)
-	reg := NewMetricsRegistry()
-	cfg.Tracer = MetricsFromTracer(reg)
-	s := mustSys(t, cfg)
-	for i := 0; i < 200; i++ {
-		if err := s.Write(int64(i%50)*4096, make([]byte, 128)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteMetricsProm(&buf, reg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"thoth_events_total", // per-kind counters
-		"thoth_wpq_residency_cycles",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %s", want)
-		}
-	}
-	if !strings.Contains(out, `kind="pcb-flush"`) {
-		t.Error("derived event counters carry no kind labels")
 	}
 }

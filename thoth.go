@@ -49,7 +49,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/layout"
-	"repro/internal/metrics"
 	"repro/internal/nvm"
 	"repro/internal/obs"
 	"repro/internal/recovery"
@@ -223,30 +222,6 @@ func MultiTracer(ts ...Tracer) Tracer { return obs.Multi(ts...) }
 // JSONL trace schema cmd/tracemetrics reads.
 type FlightRecord = obs.FlightRecord
 
-// Metrics. Wrap a MetricsRegistry with MetricsFromTracer and install the
-// result as Config.Tracer to derive per-event counters and cycle-latency
-// histograms (WPQ residency, PCB batch fill, PUB entry age, recovery
-// phases) from the event stream. cmd/tracemetrics rebuilds the same
-// families from a recorded JSONL trace.
-
-// MetricsRegistry collects named counters, gauges and log2-bucketed
-// cycle histograms. All updates are atomic: a registry may be read
-// concurrently while the simulation writes to it.
-type MetricsRegistry = metrics.Registry
-
-// NewMetricsRegistry returns an empty registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
-
-// MetricsFromTracer returns a Tracer that folds every controller event
-// into reg — per-kind event counters plus the derived cycle-latency
-// histograms. The adapter allocates nothing per event; combine it with
-// other tracers via MultiTracer.
-func MetricsFromTracer(reg *MetricsRegistry) Tracer { return metrics.FromTracer(reg) }
-
-// WriteMetricsProm renders reg in Prometheus text exposition format
-// (version 0.0.4), as cmd/tracemetrics prints it.
-func WriteMetricsProm(w io.Writer, reg *MetricsRegistry) error { return metrics.WriteProm(w, reg) }
-
 // System is a secure NVM system: the processor-side controller plus the
 // device. Addresses passed to Read/Write are offsets into the protected
 // data region, starting at zero. A System is a one-shard Pool, so it
@@ -338,7 +313,7 @@ func (s *System) ReadAt(p []byte, off int64) (int, error) {
 	}
 	// The pool reports a crash and a negative offset; the clamps keep
 	// everything else in range.
-	if _, err := s.pool.ReadArrive(0, min(off, size), p[:n]); err != nil {
+	if _, err := s.pool.ReadArrive(0, min(off, size), p[:n], nil); err != nil {
 		return 0, err
 	}
 	if n < len(p) || off >= size {
