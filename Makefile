@@ -8,9 +8,9 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke sweep-1000
+.PHONY: ci fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke load-smoke obs-smoke bench-json fuzz-smoke sweep-1000
 
-ci: fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke load-smoke obs-smoke bench-alloc bench-json
+ci: fmt vet lanes build cross test race bench-mod examples crashfuzz trace-smoke load-smoke obs-smoke bench-json
 
 # Formatting gate: fails, listing the files, when gofmt would rewrite
 # any Go file.
@@ -98,57 +98,21 @@ trace-smoke:
 	$(GO) run ./cmd/thothsim -workload btree -warmup 200 -txs 600 -setup 1024 -pub 256 -trace $(TRACE_FILE)
 	$(GO) run ./cmd/tracemetrics $(TRACE_FILE)
 
-# Open-loop load generator gate: the statistical property tests (KS on
-# Poisson inter-arrivals, chi-squared on zipf draws), the event-stream
-# and scenario-report goldens, the closed-loop and crash-under-load
-# differentials, the CLI golden, and the acceptance run itself — a
-# 1000-tenant bursty scenario over a 4-shard pool with every histogram
-# percentile checked against the exact trace recomputation.
+# Open-loop load generator acceptance run: a 1000-tenant bursty
+# scenario over a 4-shard pool with every histogram percentile checked
+# against the exact trace recomputation. The load generator's own tests
+# (statistical properties, goldens, differentials, the CLI golden) run
+# in `test`.
 load-smoke:
-	$(GO) test ./internal/loadgen -count=1
-	$(GO) test ./cmd/thothsim -run TestLoad -count=1
 	$(GO) run ./cmd/thothsim load -scenario burst -tenants 1000 -shards 4 -check
 
-# Tail-latency anatomy gate: the per-op attribution conservation sweep
-# (200 seeded machines, controller and pool, stage cycles must sum to
-# each op's latency), the flight-recorder suite (always-on, race-hammered,
-# JSONL round-trip and replay), and an end-to-end crash whose flight
-# dump must validate under tracemetrics.
+# Flight-recorder end to end: a crash whose flight dump must validate
+# under tracemetrics. The attribution conservation sweep and the
+# flight-recorder suite run in `test`.
 obs-smoke:
-	$(GO) test ./internal/obs -count=1
-	$(GO) test ./internal/core -run TestFlight -count=1
-	$(GO) test ./internal/loadgen -run TestAttribution -count=1
 	rm -rf $(FLIGHT_DIR)
 	$(GO) run ./cmd/thothsim -workload btree -warmup 200 -txs 600 -setup 1024 -pub 256 -crash -flight $(FLIGHT_DIR)
 	$(GO) run ./cmd/tracemetrics $(FLIGHT_DIR)/flight.jsonl
-
-# Prove the zero-allocation hot paths stay that way: the disabled-tracer
-# emit, the steady-state secure read, histogram Observe, the
-# span-attribution charge path (enabled
-# AND nil-span disabled) and the flight recorder's Emit must all report
-# 0 allocs/op (the matching Test*ZeroAlloc funcs assert the 0; the
-# benchmarks report it). Serial recovery must allocate the same at 25%
-# and 95% PUB fill: nothing per replayed entry; parallel recovery must
-# allocate well under 32 B per entry: it holds one replay window, not
-# the ring. A tree-node hash, a
-# steady-state tree update, node write-back and root read, a
-# single-block timed pool write or read (attributed or not), a
-# 64-block System.PersistBatch, and a load-driver op generated and
-# executed with the golden record on allocate nothing either. So do the
-# counter-mode pads (XorPad and PadInto at 64, 128 and 256 B blocks)
-# and the MAC and tree hashes, on every pad and hash path. Recovery's
-# scanning goroutine, and every merge goroutine, must be gone when a
-# recovery returns, panics included.
-bench-alloc:
-	$(GO) test ./internal/crypt -run TestEngineOpsAllocFree -count=1
-	$(GO) test . -run TestPersistBatchZeroAlloc -count=1
-	$(GO) test ./internal/recovery -run 'TestRecoverZeroAllocPerEntry|TestParallelRecoveryMemoryFollowsWindow|TestProducerNeverOutlivesRecovery' -count=1
-	$(GO) test ./internal/bmt -run TestNodeHashZeroAlloc -count=1
-	$(GO) test ./internal/engine -run TestPoolArriveZeroAlloc -count=1
-	$(GO) test ./internal/core -run 'TestTracerDisabledZeroAlloc|TestReadHitZeroAlloc' -bench 'BenchmarkTracerDisabled|BenchmarkReadHit' -benchtime 10000x
-	$(GO) test ./internal/metrics -run TestObserveZeroAlloc -bench BenchmarkHistogramObserve -benchtime 100000x
-	$(GO) test ./internal/loadgen -run 'TestGenOpZeroAlloc|TestExecOpZeroAlloc' -bench BenchmarkGenOp -benchtime 100000x
-	$(GO) test ./internal/obs -run 'TestSpanRecordZeroAlloc|TestSpanDisabledZeroAlloc|TestFlightEmitZeroAlloc' -bench BenchmarkSpanRecord -benchtime 100000x
 
 # Benchmark-regression gate: re-measure the suite and compare against
 # the committed baseline (fails on >15% ns/op or ANY allocs/op

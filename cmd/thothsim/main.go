@@ -134,10 +134,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "workload=%s scheme=%v block=%dB tx=%dB\n", *wl, sch, *block, *tx)
 	fmt.Fprintf(stdout, "cycles=%d (%.3f ms at %.0f GHz) txs=%d\n",
-		res.Cycles, float64(res.Cycles)/(cfg.CPUFreqGHz*1e6), cfg.CPUFreqGHz, *txs)
+		res.Stats.Cycles, float64(res.Stats.Cycles)/(cfg.CPUFreqGHz*1e6), cfg.CPUFreqGHz, *txs)
 	fmt.Fprintln(stdout, res.Stats.String())
 	if sch.IsThoth() {
-		fmt.Fprintf(stdout, "pcb-merge-rate=%.1f%%\n", 100*res.PCBMergeRate)
+		fmt.Fprintf(stdout, "pcb-merge-rate=%.1f%%\n", 100*res.Stats.PCBMergeRate())
 	}
 
 	if *crash {
@@ -153,11 +153,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		var rep *recovery.Report
+		dev := res.Runner.Controller().Device()
 		if *recoveryWorkers > 0 {
-			rep, err = recovery.RecoverParallel(cfg, res.Controller.Device(),
+			rep, err = recovery.RecoverParallel(cfg, dev,
 				recovery.RecoverOpts{Workers: *recoveryWorkers})
 		} else {
-			rep, err = recovery.Recover(cfg, res.Controller.Device())
+			rep, err = recovery.Recover(cfg, dev)
 		}
 		if err != nil {
 			fmt.Fprintln(stderr, "thothsim: recovery failed:", err)

@@ -46,7 +46,7 @@ func main() {
 		}
 		rows = append(rows, row{
 			scheme: s,
-			cycles: res.Cycles,
+			cycles: res.Stats.Cycles,
 			writes: res.Stats.TotalWrites(),
 			data:   res.Stats.WriteShare(stats.WriteData),
 		})

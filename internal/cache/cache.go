@@ -45,9 +45,6 @@ type Cache struct {
 	// OnEvict, if non-nil, is called for every line displaced by Insert
 	// or removed by InvalidateAll.
 	OnEvict EvictFn
-
-	// Hits and Misses count Lookup results.
-	Hits, Misses int64
 }
 
 // New builds a cache of totalBytes capacity with the given block size and
@@ -96,25 +93,23 @@ func (c *Cache) setFor(addr int64) []Line {
 	return c.sets[set*c.ways : (set+1)*c.ways]
 }
 
-// Lookup returns the line holding addr, bumping LRU and hit/miss
-// counters. It returns nil on miss.
+// Lookup returns the line holding addr, bumping its LRU position. It
+// returns nil on miss.
 func (c *Cache) Lookup(addr int64) *Line {
 	set := c.setFor(addr)
 	for i := range set {
 		if set[i].valid && set[i].Addr == addr {
 			c.tick++
 			set[i].used = c.tick
-			c.Hits++
 			return &set[i]
 		}
 	}
-	c.Misses++
 	return nil
 }
 
-// Probe returns the line holding addr without touching LRU state or
-// counters. It returns nil when absent. The PUB eviction engine uses this
-// so that crash-consistency bookkeeping does not perturb cache placement.
+// Probe returns the line holding addr without touching LRU state. It
+// returns nil when absent. The PUB eviction engine uses this so that
+// crash-consistency bookkeeping does not perturb cache placement.
 func (c *Cache) Probe(addr int64) *Line {
 	set := c.setFor(addr)
 	for i := range set {

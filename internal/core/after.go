@@ -31,7 +31,7 @@ func (c *Controller) attachAfter(blockAddr int64, e pub.Entry) {
 			lst[i].MAC2 = e.MAC2
 			lst[i].Minor = e.Minor
 			lst[i].Status &= e.Status
-			c.pcb.Merged++
+			c.st.PCBMerged++
 			return
 		}
 	}
@@ -89,7 +89,7 @@ func (c *Controller) persistThothAfter(t int64, addr int64, e pub.Entry) int64 {
 	ma := c.lay.MACBlockAddr(addr)
 	c.attachAfter(ca, e)
 	c.attachAfter(ma, e)
-	c.pcb.Inserted++
+	c.st.PCBInserted++
 	r1 := c.q.Insert(t, ca)
 	r2 := c.q.Insert(r1.When, ma)
 	return max64(r1.When, r2.When)

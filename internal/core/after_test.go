@@ -38,7 +38,6 @@ func TestAfterModeDivertsLightBlocks(t *testing.T) {
 	for i := int64(0); i < 400; i++ {
 		now = c.PersistBlock(now, i*int64(c.cfg.PageBytes), blockOf(c, byte(i)))
 	}
-	c.SyncStats()
 	st := c.Stats()
 	if st.Writes(stats.WritePCB) == 0 {
 		t.Fatalf("diverted partials must reach the PUB: %s", st)

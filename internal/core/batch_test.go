@@ -49,8 +49,6 @@ func assertSameState(t *testing.T, serial, batched *Controller) {
 	if !serial.Device().Equal(batched.Device()) {
 		t.Fatal("device images diverge between serial and batched persists")
 	}
-	serial.SyncStats()
-	batched.SyncStats()
 	if *serial.Stats() != *batched.Stats() {
 		t.Fatalf("stats diverge:\nserial:  %+v\nbatched: %+v", *serial.Stats(), *batched.Stats())
 	}

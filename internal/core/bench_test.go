@@ -29,9 +29,8 @@ func benchController(tb testing.TB) (*Controller, int64, int64) {
 // whose counter and MAC blocks are cache-resident performs no heap
 // allocation — the ciphertext is borrowed from the device, the MAC is
 // recomputed into controller scratch, and the plaintext is decrypted
-// in place in the controller's read buffer. `make ci` runs this via the
-// bench-alloc target; any allocation sneaking back into the path fails
-// the build.
+// in place in the controller's read buffer. `make test` runs it; any
+// allocation sneaking back into the path fails the build.
 func TestReadHitZeroAlloc(t *testing.T) {
 	c, addr, now := benchController(t)
 	allocs := testing.AllocsPerRun(500, func() {

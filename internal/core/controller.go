@@ -209,7 +209,7 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) *Controller 
 			c.evictBlocks = 1
 		}
 	}
-	c.q = wpq.New(mem, qEntries, drainAt, cfg.WriteLatencyCycles())
+	c.q = wpq.New(mem, qEntries, drainAt, cfg.WriteLatencyCycles(), c.st)
 	// The WPQ emits drain events on its own; route them through the
 	// flight recorder too so the crash black box sees queue behavior.
 	if cfg.Tracer != nil {
@@ -286,9 +286,6 @@ func dirtyAux(dirty bool) int64 {
 // is disabled).
 func (c *Controller) Tracer() obs.Tracer { return c.tr }
 
-// Flight returns the controller's always-on flight recorder.
-func (c *Controller) Flight() *obs.FlightRecorder { return c.flight }
-
 // FlightRecord snapshots the flight recorder: the retained event tail,
 // frozen. Crash paths call this after Crash/Shutdown so the dump
 // includes the ADR flush events of the crash sequence itself.
@@ -318,17 +315,6 @@ func (c *Controller) Engine() *crypt.Engine { return c.eng }
 
 // Root returns the current eager BMT root.
 func (c *Controller) Root() uint64 { return c.tree.Root() }
-
-// Memory exposes the banked NVM timing model (for utilization stats).
-func (c *Controller) Memory() *sim.Memory { return c.mem }
-
-// PCBMergeRate returns the Table III statistic (0 for non-Thoth schemes).
-func (c *Controller) PCBMergeRate() float64 {
-	if c.pcb == nil {
-		return 0
-	}
-	return c.pcb.MergeRate()
-}
 
 // PUBOccupancy returns the ring occupancy fraction (0 for non-Thoth).
 func (c *Controller) PUBOccupancy() float64 {

@@ -121,7 +121,6 @@ func TestThothPCBCoalescesRepeatedBlockWrites(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		now = c.PersistBlock(now, 4096, blockOf(c, byte(i)))
 	}
-	c.SyncStats()
 	if c.Stats().PCBMerged == 0 {
 		t.Fatal("repeated writes to one block must merge in the PCB")
 	}
@@ -363,7 +362,6 @@ func TestResetStats(t *testing.T) {
 		now = c.PersistBlock(now, i*4096, blockOf(c, byte(i)))
 	}
 	c.ResetStats()
-	c.SyncStats()
 	if got := *c.Stats(); got != (stats.Stats{}) || c.Device().TotalWrites() != 0 {
 		t.Fatalf("ResetStats must zero all counters: %+v, device writes %d", got, c.Device().TotalWrites())
 	}
@@ -387,4 +385,54 @@ func TestReadDetectsTamperedCiphertext(t *testing.T) {
 		}
 	}()
 	c.ReadBlock(done, 8192)
+}
+
+// TestStatsCountWithoutSync checks that the WPQ and the PCB count
+// straight into the controller's ledger: Thoth WTSC runs that coalesce,
+// stall and issue in the WPQ and merge in the PCB show each of those
+// counts in *Stats() with nothing copied into it first, under both PCB
+// arrangements. A queue issues by watermark only when its drain
+// watermark is below its capacity, and by stall only when the two are
+// equal, so each arrangement runs at both drain fractions.
+func TestStatsCountWithoutSync(t *testing.T) {
+	for _, after := range []bool{false, true} {
+		for _, frac := range []float64{0.5, 1} {
+			cfg := testConfig(config.ThothWTSC)
+			cfg.PCBAfterWPQ = after
+			cfg.WPQDrainFraction = frac
+			c := mustNew(t, cfg)
+			var now int64
+			for i := int64(0); i < 3000; i++ {
+				// Bursts of 500 persists, one in four to 2 hot blocks
+				// and the rest streaming over 120 others: hot writes
+				// coalesce in the queue and merge in the PCB, the
+				// stream outruns the banks, and the pause before each
+				// burst ages the queue out.
+				if i%500 == 0 {
+					now += 50000
+				}
+				blk := i / 4 % 2
+				if i%4 != 0 {
+					blk = 8 + i*7%120
+				}
+				now = c.PersistBlock(now, blk*int64(cfg.BlockSize), blockOf(c, byte(i)))
+			}
+			st := c.Stats()
+			by, issued := "WPQIssuedByWatermark", st.WPQIssuedByWatermark
+			if frac == 1 {
+				by, issued = "WPQIssuedByStall", st.WPQIssuedByStall
+			}
+			for name, n := range map[string]int64{
+				"WPQCoalesced":   st.WPQCoalesced,
+				"WPQStallCycles": st.WPQStallCycles,
+				"WPQIssuedByAge": st.WPQIssuedByAge,
+				by:               issued,
+				"PCBMerged":      st.PCBMerged,
+			} {
+				if n == 0 {
+					t.Errorf("PCBAfterWPQ=%v drain fraction %v: %s = 0 in the ledger: %+v", after, frac, name, *st)
+				}
+			}
+		}
+	}
 }

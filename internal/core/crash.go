@@ -160,31 +160,14 @@ func (c *Controller) PrefillPUB() error {
 	return nil
 }
 
-// ResetStats zeroes all statistics (between warm-up and measurement).
+// ResetStats zeroes all statistics (between warm-up and measurement):
+// the controller's ledger, which every component counts into, and the
+// device's read and write counters.
 func (c *Controller) ResetStats() {
 	*c.st = stats.Stats{}
-	c.q.Coalesced, c.q.Inserted, c.q.StallCycles = 0, 0, 0
-	c.q.IssuedByAge, c.q.IssuedByWatermark, c.q.IssuedByStall = 0, 0, 0
-	if c.pcb != nil {
-		c.pcb.Merged, c.pcb.Inserted = 0, 0
-	}
-	c.ctrCache.Hits, c.ctrCache.Misses = 0, 0
-	c.macCache.Hits, c.macCache.Misses = 0, 0
-	c.mtCache.Hits, c.mtCache.Misses = 0, 0
 	c.dev.ResetCounters()
-	c.mem.ResetBusy()
 }
 
-// SyncStats copies component-local counters (WPQ, PCB, caches) into the
-// Stats block so callers see a complete picture.
-func (c *Controller) SyncStats() {
-	c.st.WPQCoalesced = c.q.Coalesced
-	c.st.WPQStallCycles = c.q.StallCycles
-	c.st.WPQIssuedByAge = c.q.IssuedByAge
-	c.st.WPQIssuedByWatermark = c.q.IssuedByWatermark
-	c.st.WPQIssuedByStall = c.q.IssuedByStall
-	if c.pcb != nil {
-		c.st.PCBMerged = c.pcb.Merged
-		c.st.PCBInserted = c.pcb.Inserted
-	}
-}
+// SyncStats does nothing: every component counts straight into Stats.
+// It is kept only because the benchmark module (bench/) still calls it.
+func (c *Controller) SyncStats() {}

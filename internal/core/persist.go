@@ -301,6 +301,7 @@ func (c *Controller) flushDirtyTreeNodes() {
 // blocks past the watermark as needed. Returns the completion cycle.
 func (c *Controller) pcbInsert(t int64, e pub.Entry) int64 {
 	if c.pcb.TryMerge(e) {
+		c.st.PCBMerged++
 		return t
 	}
 	// Make room if every PCB slot is occupied: post a full block if one
@@ -316,6 +317,7 @@ func (c *Controller) pcbInsert(t int64, e pub.Entry) int64 {
 		t = max64(t, c.mem.ForceAny())
 	}
 	c.pcb.Append(e)
+	c.st.PCBInserted++
 	// Keep posting off the critical path: hand full blocks to the
 	// channel once the unposted population crosses the watermark.
 	for c.pcb.OverWatermark() {

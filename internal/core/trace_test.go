@@ -26,7 +26,7 @@ func TestTracerDisabledZeroAlloc(t *testing.T) {
 // BenchmarkTracerDisabled measures the emit path with tracing disabled
 // (the state every untraced run is in). It must report 0 allocs/op and
 // a few ns/op: the nil check precedes Event construction, so a nil
-// tracer costs one branch. `make bench-alloc` asserts the 0.
+// tracer costs one branch. TestTracerDisabledZeroAlloc asserts the 0.
 func BenchmarkTracerDisabled(b *testing.B) {
 	c, err := New(testConfig(config.ThothWTSC))
 	if err != nil {

@@ -2,6 +2,7 @@ package crashfuzz
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	thoth "repro"
 	"repro/internal/config"
+	"repro/internal/stats"
 )
 
 // schemeGoldenSeeds is how many crashfuzz seeds the scheme gate pins.
@@ -56,6 +58,10 @@ type schemeGoldenRun struct {
 	// snapshot taken just before the crash (Cycles included, pinning the
 	// modeled timing).
 	Stats string `json:"stats"`
+	// Tallies is the sha256 hex digest of the snapshot's per-category
+	// write counts (Figure 9) followed by its PUB eviction outcomes
+	// (Figure 3): unexported arrays that the stats digest skips.
+	Tallies string `json:"tallies"`
 	// Cycles is the modeled cycle count at the crash.
 	Cycles int64 `json:"cycles"`
 	// Report pins the recovery outcome.
@@ -108,6 +114,7 @@ func schemeGateFingerprint(t *testing.T, seed int64, label string, sch config.Sc
 		Scheme:     label,
 		CrashImage: imageHash(t, img),
 		Stats:      hex.EncodeToString(sha256sum(statsJSON)),
+		Tallies:    talliesHash(&snap),
 		Cycles:     snap.Cycles,
 	}
 	rep, err := thoth.Recover(cfg, img)
@@ -122,6 +129,19 @@ func schemeGateFingerprint(t *testing.T, seed int64, label string, sch config.Sc
 	run.SkippedStale = rep.SkippedStale
 	run.RootVerified = rep.RootVerified
 	return run
+}
+
+// talliesHash digests every Writes(c) and then every Evicts(o), each as
+// a little-endian int64.
+func talliesHash(s *stats.Stats) string {
+	var b []byte
+	for c := stats.WriteData; c <= stats.WriteOther; c++ {
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.Writes(c)))
+	}
+	for o := stats.EvictWrittenBack; o <= stats.EvictStaleCopy; o++ {
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.Evicts(o)))
+	}
+	return hex.EncodeToString(sha256sum(b))
 }
 
 func sha256sum(b []byte) []byte {

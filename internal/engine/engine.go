@@ -499,7 +499,6 @@ func (s *shard) persistBatch(p *Pool, reqs []WriteReq) (err error) {
 func (s *shard) stats() (snap stats.Stats, err error) {
 	s.mu.Lock()
 	defer s.release(&err)
-	s.ctl.SyncStats()
 	snap = *s.ctl.Stats()
 	snap.Cycles = s.now
 	return snap, nil

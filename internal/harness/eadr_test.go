@@ -21,8 +21,8 @@ func TestEADRRemovesPersistCost(t *testing.T) {
 	}
 	adr := mk(false)
 	eadr := mk(true)
-	if eadr.Cycles >= adr.Cycles {
-		t.Fatalf("eADR (%d cyc) must be faster than ADR (%d cyc)", eadr.Cycles, adr.Cycles)
+	if eadr.Stats.Cycles >= adr.Stats.Cycles {
+		t.Fatalf("eADR (%d cyc) must be faster than ADR (%d cyc)", eadr.Stats.Cycles, adr.Stats.Cycles)
 	}
 	if eadr.Stats.TotalWrites() >= adr.Stats.TotalWrites() {
 		t.Fatalf("eADR (%d writes) must write less than ADR (%d writes)",

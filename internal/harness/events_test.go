@@ -60,7 +60,6 @@ func TestRunnerEventCounts(t *testing.T) {
 	r.Controller().ResetStats()
 	for range 2 {
 		r.RunTxs(200)
-		r.Controller().SyncStats()
 	}
 
 	check := func(what string, got, want int64) {

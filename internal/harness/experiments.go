@@ -159,7 +159,6 @@ func (e *Experiments) runs(rcs []RunConfig) ([]*Result, error) {
 				return
 			}
 			// Release heavyweight state not needed by report formatting.
-			r.Controller = nil
 			r.Runner = nil
 			e.mu.Lock()
 			e.cache[key] = r
@@ -220,13 +219,17 @@ var (
 
 // speedup, writeRatio and overhead are the cells of the comparison
 // tables: test measured against ref on the same workload.
-func speedup(ref, test *Result) float64 { return float64(ref.Cycles) / float64(test.Cycles) }
+func speedup(ref, test *Result) float64 {
+	return float64(ref.Stats.Cycles) / float64(test.Stats.Cycles)
+}
 
 func writeRatio(ref, test *Result) float64 {
 	return float64(test.Stats.TotalWrites()) / float64(ref.Stats.TotalWrites())
 }
 
-func overhead(ref, test *Result) float64 { return float64(test.Cycles)/float64(ref.Cycles) - 1 }
+func overhead(ref, test *Result) float64 {
+	return float64(test.Stats.Cycles)/float64(ref.Stats.Cycles) - 1
+}
 
 // column is one comparison of a table: test against ref, each run on
 // every workload.
@@ -592,10 +595,11 @@ func (e *Experiments) Recovery() error {
 		if err != nil {
 			return err
 		}
-		if err := res.Runner.Controller().Crash(res.Runner.Now()); err != nil {
+		ctl := res.Runner.Controller()
+		if err := ctl.Crash(res.Runner.Now()); err != nil {
 			return fmt.Errorf("crash(%s): %w", wl, err)
 		}
-		rep, err := recovery.Recover(cfg, res.Controller.Device())
+		rep, err := recovery.Recover(cfg, ctl.Device())
 		if err != nil {
 			return fmt.Errorf("recovery(%s): %w", wl, err)
 		}
@@ -635,7 +639,7 @@ func (e *Experiments) EADRAblation() error {
 		base, th, ead := res[0], res[1], res[2]
 		res = res[3:]
 		fmt.Fprintf(e.Out, "%-10s %14d %14d %14d %11.2fx %11.1f%%\n",
-			wl, base.Cycles, th.Cycles, ead.Cycles, speedup(th, ead),
+			wl, base.Stats.Cycles, th.Stats.Cycles, ead.Stats.Cycles, speedup(th, ead),
 			100*float64(ead.Stats.TotalWrites())/float64(th.Stats.TotalWrites()))
 	}
 	fmt.Fprintf(e.Out, "(persists leave the critical path; only natural evictions write during execution)\n")

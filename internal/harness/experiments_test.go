@@ -159,9 +159,9 @@ func TestRunMemoKeysOnWholeConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].Cycles != direct.Cycles || direct.Cycles == def[0].Cycles {
+		if got[i].Stats.Cycles != direct.Stats.Cycles || direct.Stats.Cycles == def[0].Stats.Cycles {
 			t.Errorf("variant %d: memo gives %d cycles, a direct Run %d, the default %d",
-				i, got[i].Cycles, direct.Cycles, def[0].Cycles)
+				i, got[i].Stats.Cycles, direct.Stats.Cycles, def[0].Stats.Cycles)
 		}
 	}
 }

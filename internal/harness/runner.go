@@ -43,18 +43,12 @@ type RunConfig struct {
 type Result struct {
 	Scheme   config.Scheme
 	Workload string
-	// Cycles is the execution time of the measured phase.
-	Cycles int64
 	// Stats is a snapshot of the controller statistics for the measured
-	// phase.
+	// phase: Cycles is its execution time, and LLCHits/LLCMisses count
+	// its LLC lookups.
 	Stats stats.Stats
-	// PCBMergeRate is the Table III statistic.
-	PCBMergeRate float64
-	// LLCHits/LLCMisses cover the measured phase.
-	LLCHits, LLCMisses int64
-	// Controller gives access to the post-run state (crash experiments).
-	Controller *core.Controller
-	// Runner allows continuing the run (crash/recovery experiments).
+	// Runner allows continuing the run (crash/recovery experiments);
+	// Runner.Controller gives the post-run controller state.
 	Runner *Runner
 }
 
@@ -325,7 +319,6 @@ func Run(rc RunConfig) (*Result, error) {
 
 	r.RunTxs(rc.MeasureTxs)
 
-	r.ctl.SyncStats()
 	st := *r.ctl.Stats()
 	st.Cycles = r.now - start
 	st.Transactions = int64(rc.MeasureTxs)
@@ -333,15 +326,10 @@ func Run(rc RunConfig) (*Result, error) {
 	st.LLCHits, st.LLCMisses = h1-h0, m1-m0
 
 	res := &Result{
-		Scheme:       rc.Config.Scheme,
-		Workload:     rc.Workload,
-		Cycles:       st.Cycles,
-		Stats:        st,
-		PCBMergeRate: r.ctl.PCBMergeRate(),
-		LLCHits:      st.LLCHits,
-		LLCMisses:    st.LLCMisses,
-		Controller:   r.ctl,
-		Runner:       r,
+		Scheme:   rc.Config.Scheme,
+		Workload: rc.Workload,
+		Stats:    st,
+		Runner:   r,
 	}
 	if rc.Verify {
 		if _, err := r.VerifyAll(); err != nil {

@@ -37,7 +37,7 @@ func TestRunProducesWork(t *testing.T) {
 		WarmupTxs:  200,
 		MeasureTxs: 400,
 	})
-	if res.Cycles <= 0 {
+	if res.Stats.Cycles <= 0 {
 		t.Fatal("measured phase must consume cycles")
 	}
 	if res.Stats.TotalWrites() == 0 || res.Stats.Writes(stats.WriteData) == 0 {
@@ -82,9 +82,9 @@ func TestDeterministicCycles(t *testing.T) {
 	}
 	a := run(t, rc)
 	b := run(t, rc)
-	if a.Cycles != b.Cycles || a.Stats.TotalWrites() != b.Stats.TotalWrites() {
+	if a.Stats.Cycles != b.Stats.Cycles || a.Stats.TotalWrites() != b.Stats.TotalWrites() {
 		t.Fatalf("identical runs diverged: %d/%d cycles, %d/%d writes",
-			a.Cycles, b.Cycles, a.Stats.TotalWrites(), b.Stats.TotalWrites())
+			a.Stats.Cycles, b.Stats.Cycles, a.Stats.TotalWrites(), b.Stats.TotalWrites())
 	}
 }
 
@@ -95,10 +95,10 @@ func TestThothBeatsBaselineOnDatabaseWorkloads(t *testing.T) {
 	for _, w := range []string{"btree", "hashmap"} {
 		base := run(t, RunConfig{Config: simConfig(config.BaselineStrict), Workload: w, WarmupTxs: 300, MeasureTxs: 600})
 		thoth := run(t, RunConfig{Config: simConfig(config.ThothWTSC), Workload: w, WarmupTxs: 300, MeasureTxs: 600})
-		speedup := float64(base.Cycles) / float64(thoth.Cycles)
+		speedup := float64(base.Stats.Cycles) / float64(thoth.Stats.Cycles)
 		writeRatio := float64(thoth.Stats.TotalWrites()) / float64(base.Stats.TotalWrites())
 		t.Logf("%s: speedup=%.3f writeRatio=%.3f (base %d cyc / %d wr; thoth %d cyc / %d wr)",
-			w, speedup, writeRatio, base.Cycles, base.Stats.TotalWrites(), thoth.Cycles, thoth.Stats.TotalWrites())
+			w, speedup, writeRatio, base.Stats.Cycles, base.Stats.TotalWrites(), thoth.Stats.Cycles, thoth.Stats.TotalWrites())
 		if speedup <= 1.0 {
 			t.Errorf("%s: Thoth speedup %.3f, want > 1", w, speedup)
 		}

@@ -75,15 +75,16 @@ func (e *Experiments) Schemes() error {
 				return fmt.Errorf("schemes(%v, %s): %w", s, wl, err)
 			}
 			row := schemeRow{
-				cycles: res.Cycles,
+				cycles: res.Stats.Cycles,
 				data:   res.Stats.Writes(stats.WriteData),
 				total:  res.Stats.TotalWrites(),
 				tree:   res.Stats.Writes(stats.WriteTree),
 			}
-			if err := res.Runner.Controller().Crash(res.Runner.Now()); err != nil {
+			ctl := res.Runner.Controller()
+			if err := ctl.Crash(res.Runner.Now()); err != nil {
 				return fmt.Errorf("schemes crash(%v, %s): %w", s, wl, err)
 			}
-			rep, err := recovery.Recover(cfg, res.Controller.Device())
+			rep, err := recovery.Recover(cfg, ctl.Device())
 			if err != nil {
 				return fmt.Errorf("schemes recovery(%v, %s): %w", s, wl, err)
 			}

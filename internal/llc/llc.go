@@ -15,6 +15,8 @@ type LLC struct {
 	c *cache.Cache
 	// HitLatency is charged for every access that hits.
 	HitLatency int64
+	// hits and misses count Load and Store lookups.
+	hits, misses int64
 }
 
 // New builds an LLC. onDirtyEvict is called when a dirty victim leaves
@@ -33,8 +35,10 @@ func New(totalBytes, blockSize, ways int, hitLatency int64, onDirtyEvict func(ad
 // (the caller performs the actual memory read).
 func (l *LLC) Load(addr int64) bool {
 	if l.c.Lookup(addr) != nil {
+		l.hits++
 		return true
 	}
+	l.misses++
 	l.c.Insert(addr, nil)
 	return false
 }
@@ -45,8 +49,10 @@ func (l *LLC) Load(addr int64) bool {
 func (l *LLC) Store(addr int64) bool {
 	if ln := l.c.Lookup(addr); ln != nil {
 		ln.Dirty = true
+		l.hits++
 		return true
 	}
+	l.misses++
 	l.c.Insert(addr, nil).Dirty = true
 	return false
 }
@@ -84,7 +90,7 @@ func (l *LLC) FlushDirty(fn func(addr int64)) int {
 }
 
 // Stats returns hit and miss counts.
-func (l *LLC) Stats() (hits, misses int64) { return l.c.Hits, l.c.Misses }
+func (l *LLC) Stats() (hits, misses int64) { return l.hits, l.misses }
 
 // DirtyLines returns the number of dirty lines (used by tests and by the
 // crash model to quantify what plain ADR loses versus eADR).

@@ -65,7 +65,6 @@ func (t *ControllerTarget) Now() int64 { return t.now }
 // Stats snapshots the controller statistics, Cycles stamped to the
 // target clock (the same protocol as System.Stats).
 func (t *ControllerTarget) Stats() stats.Stats {
-	t.ctl.SyncStats()
 	snap := *t.ctl.Stats()
 	snap.Cycles = t.now
 	return snap

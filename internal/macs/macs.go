@@ -44,14 +44,6 @@ func Equal(block []byte, slot, macSize int, mac []byte) bool {
 	return true
 }
 
-// Slots returns the number of MAC slots a block holds.
-func Slots(blockSize, macSize int) int {
-	if macSize <= 0 {
-		panic("macs: MAC size must be positive")
-	}
-	return blockSize / macSize
-}
-
 func bounds(block []byte, slot, macSize int) (int, int) {
 	if macSize <= 0 || slot < 0 || (slot+1)*macSize > len(block) {
 		panic(fmt.Sprintf("macs: slot %d (size %d) out of range for %dB block", slot, macSize, len(block)))

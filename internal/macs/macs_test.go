@@ -6,15 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSlots(t *testing.T) {
-	if got := Slots(128, 16); got != 8 {
-		t.Errorf("Slots(128,16) = %d, want 8", got)
-	}
-	if got := Slots(256, 32); got != 8 {
-		t.Errorf("Slots(256,32) = %d, want 8", got)
-	}
-}
-
 func TestSetGetRoundTrip(t *testing.T) {
 	block := make([]byte, 128)
 	mac := bytes.Repeat([]byte{0xAB}, 16)
@@ -61,7 +52,6 @@ func TestPanics(t *testing.T) {
 		func() { Get(block, -1, 16) },                 // negative slot
 		func() { Get(block, 0, 0) },                   // zero size
 		func() { Set(block, 0, 16, make([]byte, 8)) }, // short mac
-		func() { Slots(128, 0) },                      // zero size
 	}
 	for i, f := range cases {
 		func() {

@@ -67,12 +67,6 @@ const (
 	// what was merged ("ctr+mac", "ctr", "mac", "noop") or why the entry
 	// was skipped ("stale", "out-of-range").
 	KindRecoveryMerge
-	// KindRecoveryPhase: a recovery phase started or finished. Part is
-	// the phase name (PhaseScan, PhaseMerge, PhaseRebuild, PhaseVerify),
-	// Detail is PhaseBegin or PhaseEnd, Cycle is the modeled recovery
-	// cycle at the boundary, and Aux selects the span: 0 for the whole
-	// phase, shard+1 for a per-shard span of the parallel engine.
-	KindRecoveryPhase
 	numKinds
 )
 
@@ -93,8 +87,6 @@ func (k Kind) String() string {
 		return "tree-update"
 	case KindRecoveryMerge:
 		return "recovery-merge"
-	case KindRecoveryPhase:
-		return "recovery-phase"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -127,26 +119,6 @@ func Kinds() []Kind {
 // values at or beyond the end of the enum are invalid; validators use
 // this to reject events whose Kind no Kind constant declares.
 func ValidKind(k Kind) bool { return k > KindNone && k < numKinds }
-
-// Recovery phase names (Event.Part for KindRecoveryPhase).
-const (
-	// PhaseScan: reading the PUB ring and unpacking its entries.
-	PhaseScan = "scan"
-	// PhaseMerge: verify-then-merge of the unpacked partial updates.
-	PhaseMerge = "merge"
-	// PhaseRebuild: bottom-up reconstruction of the integrity tree.
-	PhaseRebuild = "rebuild"
-	// PhaseVerify: comparing the rebuilt root against the persisted one.
-	PhaseVerify = "verify"
-)
-
-// Recovery phase boundaries (Event.Detail for KindRecoveryPhase).
-const (
-	// PhaseBegin marks the start of a phase span.
-	PhaseBegin = "begin"
-	// PhaseEnd marks the end of a phase span.
-	PhaseEnd = "end"
-)
 
 // WPQ drain reasons (Event.Detail for KindWPQDrain).
 const (

@@ -143,9 +143,3 @@ func (c *Cursor) Charge(st Stage, upto int64) {
 	c.span.Stages[st] += upto - c.at
 	c.at = upto
 }
-
-// At returns the cursor's current cycle (the last charged boundary).
-func (c *Cursor) At() int64 { return c.at }
-
-// Enabled reports whether the cursor charges into a span.
-func (c *Cursor) Enabled() bool { return c.span != nil }

@@ -3,9 +3,9 @@ package obs
 // The attribution hot path runs once per operation on every write and
 // read when spans are enabled, and the nil-span disabled path is one
 // branch per boundary on EVERY op always. Both must stay
-// zero-allocation: the Test funcs assert the 0 (wired into `make
-// bench-alloc`), the benchmark reports it and feeds the
-// micro/span_record BENCH.json baseline.
+// zero-allocation: the Test funcs assert the 0 (`make test` runs
+// them), the benchmark reports it and feeds the micro/span_record
+// BENCH.json baseline.
 
 import "testing"
 

@@ -29,11 +29,6 @@ type PCB struct {
 	// free recycles entry slices whose packed block has been posted, so
 	// steady-state posting allocates nothing.
 	free [][]Entry
-
-	// Merged and Inserted count partial updates that coalesced into an
-	// existing entry versus consumed a new one (Table III).
-	Merged   int64
-	Inserted int64
 }
 
 // NewPCB builds a PCB with the given number of reserved WPQ slots and
@@ -47,9 +42,6 @@ func NewPCB(slots, entriesPerBlock int) *PCB {
 	}
 	return &PCB{slots: slots, perBlock: entriesPerBlock, watermark: slots / 2}
 }
-
-// Slots returns the total reserved WPQ entries.
-func (p *PCB) Slots() int { return p.slots }
 
 // Occupancy returns slots in use: unposted blocks plus in-flight posts.
 func (p *PCB) Occupancy() int { return len(p.unposted) + p.pending }
@@ -79,7 +71,6 @@ func (p *PCB) TryMerge(e Entry) bool {
 				blk[i].MAC2 = e.MAC2
 				blk[i].Minor = e.Minor
 				blk[i].Status &= e.Status
-				p.Merged++
 				return true
 			}
 		}
@@ -119,7 +110,6 @@ func (p *PCB) Append(e Entry) {
 	}
 	n := len(p.unposted)
 	p.unposted[n-1] = append(p.unposted[n-1], e)
-	p.Inserted++
 }
 
 // OverWatermark reports whether enough full blocks have accumulated that
@@ -187,14 +177,4 @@ func (p *PCB) UnpostedEntries() []Entry {
 		out = append(out, blk...)
 	}
 	return out
-}
-
-// MergeRate returns the fraction of partial updates that merged
-// (Table III), or 0 when no updates were inserted.
-func (p *PCB) MergeRate() float64 {
-	n := p.Merged + p.Inserted
-	if n == 0 {
-		return 0
-	}
-	return float64(p.Merged) / float64(n)
 }

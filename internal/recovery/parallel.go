@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/nvm"
-	"repro/internal/obs"
 )
 
 // RecoverOpts configures RecoverParallel.
@@ -78,22 +77,6 @@ func shardOf(group int64, workers int) int {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return int(h % uint64(workers))
-}
-
-// emitPhase emits the begin/end pair of one recovery phase span. shard
-// is 0 for the whole-phase span, s+1 for shard s's slice of it.
-func emitPhase(cfg config.Config, phase string, shard int64, begin, end int64) {
-	if cfg.Tracer == nil {
-		return
-	}
-	cfg.Tracer.Emit(obs.Event{
-		Kind: obs.KindRecoveryPhase, Cycle: begin, Aux: shard,
-		Scheme: cfg.Scheme.String(), Part: phase, Detail: obs.PhaseBegin,
-	})
-	cfg.Tracer.Emit(obs.Event{
-		Kind: obs.KindRecoveryPhase, Cycle: end, Aux: shard,
-		Scheme: cfg.Scheme.String(), Part: phase, Detail: obs.PhaseEnd,
-	})
 }
 
 // RecoverParallel restores a crashed device image in place like Recover,

@@ -69,7 +69,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/macs"
 	"repro/internal/nvm"
-	"repro/internal/obs"
 	"repro/internal/pub"
 )
 
@@ -192,8 +191,7 @@ func Recover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 // recoverPass is the recovery pass: workers mergers replay the PUB in
 // windows of at most size ring entries (Thoth schemes only), then the
 // caller rebuilds the tree, compares its root with the persisted one
-// and fills every phase field. Each phase emits its whole-phase span
-// when the run is traced.
+// and fills every phase field.
 func recoverPass(cfg config.Config, dev *nvm.Device, workers, size int) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -229,16 +227,12 @@ func recoverPass(cfg config.Config, dev *nvm.Device, workers, size int) (*Report
 	hash := int64(cfg.HashLatencyCycles)
 	levels := int64(lay.TreeLevels())
 	rep.RebuildCycles = (leaves*(read+levels*hash) + int64(workers) - 1) / int64(workers)
-	mergeEnd := rep.ScanCycles + rep.MergeCycles
-	emitPhase(cfg, obs.PhaseRebuild, 0, mergeEnd, mergeEnd+rep.RebuildCycles)
 
 	// Verify: the root join and comparison are sequential.
 	start = time.Now()
 	rep.RootVerified = root == savedRoot
 	rep.VerifyWallNS = time.Since(start).Nanoseconds()
 	rep.VerifyCycles = levels * hash
-	rebuildEnd := mergeEnd + rep.RebuildCycles
-	emitPhase(cfg, obs.PhaseVerify, 0, rebuildEnd, rebuildEnd+rep.VerifyCycles)
 
 	rep.EstimatedCycles = recoveryCycles(cfg, rep.PUBBlocks, leaves, workers)
 	rep.EstimatedSeconds = float64(rep.EstimatedCycles) / (cfg.CPUFreqGHz * 1e9)
@@ -250,8 +244,7 @@ func recoverPass(cfg config.Config, dev *nvm.Device, workers, size int) (*Report
 
 // replay merges the PUB ring through ms window by window: a producer
 // goroutine scans and sorts the next window while the caller merges
-// the current one. It fills the scan and merge phase fields of rep and
-// emits their spans.
+// the current one. It fills the scan and merge phase fields of rep.
 func replay(cfg config.Config, lay *layout.Layout, dev *nvm.Device, ms []merger, size int, rep *Report) error {
 	start := time.Now()
 	ring, err := openPUB(lay, dev, rep)
@@ -259,7 +252,6 @@ func replay(cfg config.Config, lay *layout.Layout, dev *nvm.Device, ms []merger,
 		return err
 	}
 	rep.ScanCycles = rep.PUBBlocks * cfg.ReadLatencyCycles()
-	emitPhase(cfg, obs.PhaseScan, 0, 0, rep.ScanCycles)
 
 	p := newPipeline(size, rep.PUBBlocks*int64(cfg.PartialsPerBlock()))
 	setup := time.Since(start).Nanoseconds()
@@ -288,11 +280,8 @@ func replay(cfg config.Config, lay *layout.Layout, dev *nvm.Device, ms []merger,
 		rep.Shards = make([]ShardReport, len(ms))
 		for s := range ms {
 			rep.Shards[s] = ms[s].sr
-			emitPhase(cfg, obs.PhaseMerge, int64(s)+1,
-				rep.ScanCycles, rep.ScanCycles+ms[s].sr.MergeCycles)
 		}
 	}
-	emitPhase(cfg, obs.PhaseMerge, 0, rep.ScanCycles, rep.ScanCycles+rep.MergeCycles)
 	return nil
 }
 

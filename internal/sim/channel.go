@@ -58,9 +58,6 @@ func NewChannel() *Channel { return &Channel{} }
 // Pending returns the number of backlog items not yet executed.
 func (ch *Channel) Pending() int { return len(ch.backlog) - ch.head }
 
-// FreeAt returns the cycle at which the in-flight operation completes.
-func (ch *Channel) FreeAt() int64 { return ch.free }
-
 // Post queues a low-priority occupancy item.
 func (ch *Channel) Post(it Item) {
 	if it.Dur <= 0 {

@@ -35,9 +35,6 @@ func NewMemoryRW(banks, blockSize, readWaits int) *Memory {
 	return m
 }
 
-// Banks returns the bank count.
-func (m *Memory) Banks() int { return len(m.banks) }
-
 // bank routes a block address to its bank. Higher address bits are
 // hashed into the index (as real controllers do) so that power-of-two
 // strides — per-core heap slices, metadata regions — do not all collide
@@ -117,11 +114,4 @@ func (m *Memory) BusyCycles() int64 {
 		n += b.BusyCycles
 	}
 	return n
-}
-
-// ResetBusy zeroes bank occupancy counters.
-func (m *Memory) ResetBusy() {
-	for _, b := range m.banks {
-		b.BusyCycles = 0
-	}
 }

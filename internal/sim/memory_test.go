@@ -72,10 +72,6 @@ func TestBusyCyclesAcrossBanks(t *testing.T) {
 	if m.BusyCycles() != 2600 {
 		t.Fatalf("BusyCycles = %d, want 2600", m.BusyCycles())
 	}
-	m.ResetBusy()
-	if m.BusyCycles() != 0 {
-		t.Fatal("ResetBusy must zero counters")
-	}
 }
 
 func TestNewMemoryPanics(t *testing.T) {

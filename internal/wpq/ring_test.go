@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // counters collects every statistic a queue and its memory report.
@@ -19,9 +20,11 @@ type counters struct {
 	MemBusy                                 int64
 }
 
-func ringCounters(w *WPQ, m *sim.Memory) counters {
-	return counters{w.Occupancy(), w.Suppressed, w.IssuedByAge, w.IssuedByWatermark, w.IssuedByStall,
-		w.Coalesced, w.Inserted, w.StallCycles, m.Pending(), m.BusyCycles()}
+// ringCounters reads the ring's counters from its ledger st, plus the
+// suppressions and slot-taking inserts the caller counted itself.
+func ringCounters(w *WPQ, m *sim.Memory, st *stats.Stats, suppressed, inserted int64) counters {
+	return counters{w.Occupancy(), suppressed, st.WPQIssuedByAge, st.WPQIssuedByWatermark, st.WPQIssuedByStall,
+		st.WPQCoalesced, inserted, st.WPQStallCycles, m.Pending(), m.BusyCycles()}
 }
 
 func refCounters(w *refWPQ, m *sim.Memory) counters {
@@ -34,7 +37,10 @@ func refCounters(w *refWPQ, m *sim.Memory) counters {
 // from 1 to 64, watermarks from 1 to the capacity, time steps that
 // range from stalling bursts to age-outs, OnIssue suppressing every
 // third block or none — and requires identical Results, counters,
-// membership and drain-event sequences after every call.
+// membership and drain-event sequences after every call. The ring
+// counts into a stats.Stats and keeps no suppression or insert count,
+// so the stream counts those itself: suppressions in the ring's OnIssue
+// hook, inserts from Result.Coalesced.
 func TestRingMatchesReference(t *testing.T) {
 	var total counters
 	for capacity := 1; capacity <= 64; capacity++ {
@@ -65,14 +71,23 @@ func diffStream(t *testing.T, capacity, drainAt int, suppress bool, seed int64) 
 	rng := rand.New(rand.NewSource(seed))
 	banks := 1 + rng.Intn(3)
 	mRing, mRef := sim.NewMemory(banks, 64), sim.NewMemory(banks, 64)
-	ring, ref := New(mRing, capacity, drainAt, lat), refNew(mRef, capacity, drainAt, lat)
+	var st stats.Stats
+	var suppressed, inserted int64
+	ring, ref := New(mRing, capacity, drainAt, lat, &st), refNew(mRef, capacity, drainAt, lat)
 	var evRing, evRef []obs.Event
 	ring.Tracer = obs.Func(func(e obs.Event) { evRing = append(evRing, e) })
 	ref.Tracer = obs.Func(func(e obs.Event) { evRef = append(evRef, e) })
 	ring.Scheme, ref.Scheme = "s", "s"
 	if suppress {
 		onIssue := func(addr int64) bool { return (addr/64)%3 == 0 }
-		ring.OnIssue, ref.OnIssue = onIssue, onIssue
+		ring.OnIssue = func(addr int64) bool {
+			if onIssue(addr) {
+				suppressed++
+				return true
+			}
+			return false
+		}
+		ref.OnIssue = onIssue
 	}
 	blocks := int64(2 + rng.Intn(2*capacity+8))
 	var now int64
@@ -94,9 +109,12 @@ func diffStream(t *testing.T, capacity, drainAt int, suppress bool, seed int64) 
 			if got != want {
 				t.Fatalf("%s step %d: Insert(%d, %#x) = %+v, reference %+v", name, step, now, addr, got, want)
 			}
+			if !got.Coalesced {
+				inserted++
+			}
 			now = max(now, got.When)
 		}
-		if got, want := ringCounters(ring, mRing), refCounters(ref, mRef); got != want {
+		if got, want := ringCounters(ring, mRing, &st, suppressed, inserted), refCounters(ref, mRef); got != want {
 			t.Fatalf("%s step %d: counters %+v, reference %+v", name, step, got, want)
 		}
 		for a := int64(0); a < blocks; a++ {
@@ -110,7 +128,7 @@ func diffStream(t *testing.T, capacity, drainAt int, suppress bool, seed int64) 
 	if len(evRing) == 0 || !reflect.DeepEqual(evRing, evRef) {
 		t.Fatalf("%s: %d drain events, reference %d, or their contents differ", name, len(evRing), len(evRef))
 	}
-	return ringCounters(ring, mRing)
+	return ringCounters(ring, mRing, &st, suppressed, inserted)
 }
 
 // TestSaturatedStretchZeroAlloc drives a queue that stays full for
@@ -120,7 +138,8 @@ func diffStream(t *testing.T, capacity, drainAt int, suppress bool, seed int64) 
 // rewinds once every recorded completion has been consumed.
 func TestSaturatedStretchZeroAlloc(t *testing.T) {
 	m := sim.NewMemory(4, 64)
-	w := New(m, 64, 32, lat)
+	var st stats.Stats
+	w := New(m, 64, 32, lat, &st)
 	var now, addr int64
 	stretch := func() {
 		for range 20000 {
@@ -132,7 +151,7 @@ func TestSaturatedStretchZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1, stretch); n != 0 {
 		t.Fatalf("%v allocations over a saturated stretch of 20000 inserts, want 0", n)
 	}
-	if w.StallCycles == 0 {
+	if st.WPQStallCycles == 0 {
 		t.Fatal("test premise: the queue never stalled")
 	}
 }

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Result describes the outcome of one Insert.
@@ -112,25 +113,15 @@ type WPQ struct {
 	Tracer obs.Tracer
 	Scheme string
 
-	// Suppressed counts entries whose write OnIssue suppressed.
-	Suppressed int64
-
-	// IssuedByAge/IssuedByWatermark/IssuedByStall break down why pending
-	// entries were handed to the banks (diagnostics).
-	IssuedByAge, IssuedByWatermark, IssuedByStall int64
-
-	// Coalesced counts inserts that merged into a pending entry.
-	Coalesced int64
-	// Inserted counts inserts that consumed a slot.
-	Inserted int64
-	// StallCycles accumulates front-end stall time on a full queue.
-	StallCycles int64
+	// st receives the queue's counts: coalesced inserts, front-end
+	// stall cycles and why each entry left the coalescing window.
+	st *stats.Stats
 }
 
 // New builds a WPQ of the given capacity that keeps at most drainAt
 // entries as its coalescing window, issuing block writes of writeLat
-// cycles on mem.
-func New(mem *sim.Memory, capacity, drainAt int, writeLat int64) *WPQ {
+// cycles on mem and counting into st.
+func New(mem *sim.Memory, capacity, drainAt int, writeLat int64, st *stats.Stats) *WPQ {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("wpq: capacity %d must be positive", capacity))
 	}
@@ -145,6 +136,7 @@ func New(mem *sim.Memory, capacity, drainAt int, writeLat int64) *WPQ {
 		capacity: capacity,
 		drainAt:  drainAt,
 		writeLat: writeLat,
+		st:       st,
 		addrs:    make([]int64, capacity),
 		ats:      make([]int64, capacity),
 		frees:    make([]int64, capacity),
@@ -229,7 +221,6 @@ func (w *WPQ) issueOldest(t int64, reason string) {
 		})
 	}
 	if w.OnIssue != nil && w.OnIssue(addr) {
-		w.Suppressed++
 		return
 	}
 	w.inFlight++
@@ -244,12 +235,12 @@ func (w *WPQ) issueOldest(t int64, reason string) {
 // entries older than the age limit.
 func (w *WPQ) drainExcess(t int64) {
 	for w.count > w.drainAt {
-		w.IssuedByWatermark++
+		w.st.WPQIssuedByWatermark++
 		w.issueOldest(t, obs.DrainWatermark)
 	}
 	for n := 0; n < maxAgeIssuesPerCall && w.count > 0 &&
 		w.ats[w.head]+ageLimitFor(w.addrs[w.head]) <= t; n++ {
-		w.IssuedByAge++
+		w.st.WPQIssuedByAge++
 		w.issueOldest(t, obs.DrainAge)
 	}
 }
@@ -267,7 +258,7 @@ func (w *WPQ) Insert(t int64, addr int64) Result {
 		// Coalesce into the existing entry. Its first-arrival time is
 		// kept: coalescing is only for writes arriving close in time,
 		// not a way to pin hot blocks in the queue forever.
-		w.Coalesced++
+		w.st.WPQCoalesced++
 		return Result{When: t, Coalesced: true}
 	}
 
@@ -288,7 +279,7 @@ func (w *WPQ) Insert(t int64, addr int64) Result {
 			continue
 		}
 		if w.count > 0 {
-			w.IssuedByStall++
+			w.st.WPQIssuedByStall++
 			w.issueOldest(when, obs.DrainStall)
 			continue
 		}
@@ -296,7 +287,7 @@ func (w *WPQ) Insert(t int64, addr int64) Result {
 	}
 	if when > t {
 		stall = when - t
-		w.StallCycles += stall
+		w.st.WPQStallCycles += stall
 	}
 
 	tail := w.head + w.count
@@ -305,7 +296,6 @@ func (w *WPQ) Insert(t int64, addr int64) Result {
 	}
 	w.addrs[tail], w.ats[tail] = addr, when
 	w.count++
-	w.Inserted++
 	w.drainExcess(when)
 	return Result{When: when, Stall: stall}
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 const lat = 2000
@@ -15,7 +16,7 @@ func mem1() *sim.Memory { return sim.NewMemory(1, 64) }
 
 func TestInsertBelowWatermarkDoesNotDrain(t *testing.T) {
 	m := mem1()
-	w := New(m, 8, 4, lat)
+	w := New(m, 8, 4, lat, new(stats.Stats))
 	for i := 0; i < 4; i++ {
 		res := w.Insert(int64(i), int64(i*64))
 		if res.Stall != 0 || res.Coalesced {
@@ -32,7 +33,7 @@ func TestInsertBelowWatermarkDoesNotDrain(t *testing.T) {
 
 func TestDrainExcessBeyondWatermark(t *testing.T) {
 	m := mem1()
-	w := New(m, 8, 4, lat)
+	w := New(m, 8, 4, lat, new(stats.Stats))
 	for i := 0; i < 6; i++ {
 		w.Insert(0, int64(i*64))
 	}
@@ -50,8 +51,11 @@ func TestDrainExcessBeyondWatermark(t *testing.T) {
 }
 
 func TestCoalescingSameAddress(t *testing.T) {
-	w := New(mem1(), 8, 8, lat)
-	w.Insert(0, 64)
+	var st stats.Stats
+	w := New(mem1(), 8, 8, lat, &st)
+	if w.Insert(0, 64).Coalesced {
+		t.Fatal("first write to an address must take a slot")
+	}
 	res := w.Insert(1, 64)
 	if !res.Coalesced {
 		t.Fatal("write to pending address must coalesce")
@@ -59,14 +63,15 @@ func TestCoalescingSameAddress(t *testing.T) {
 	if w.Occupancy() != 1 {
 		t.Fatalf("occupancy = %d, want 1", w.Occupancy())
 	}
-	if w.Coalesced != 1 || w.Inserted != 1 {
-		t.Fatalf("counters = %d/%d, want 1/1", w.Coalesced, w.Inserted)
+	if st.WPQCoalesced != 1 {
+		t.Fatalf("WPQCoalesced = %d, want 1", st.WPQCoalesced)
 	}
 }
 
 func TestFullQueueStalls(t *testing.T) {
 	m := mem1()
-	w := New(m, 2, 2, lat)
+	var st stats.Stats
+	w := New(m, 2, 2, lat, &st)
 	w.Insert(0, 0)
 	w.Insert(0, 64)
 	res := w.Insert(0, 128)
@@ -75,14 +80,14 @@ func TestFullQueueStalls(t *testing.T) {
 	if res.Stall == 0 || res.When != 2000 {
 		t.Fatalf("expected stall until 2000, got %+v", res)
 	}
-	if w.StallCycles != res.Stall {
-		t.Fatalf("StallCycles = %d, want %d", w.StallCycles, res.Stall)
+	if st.WPQStallCycles != res.Stall {
+		t.Fatalf("WPQStallCycles = %d, want %d", st.WPQStallCycles, res.Stall)
 	}
 }
 
 func TestSlotsFreeOverTime(t *testing.T) {
 	m := mem1()
-	w := New(m, 2, 1, lat) // watermark 1: second insert issues the first
+	w := New(m, 2, 1, lat, new(stats.Stats)) // watermark 1: second insert issues the first
 	w.Insert(0, 0)
 	w.Insert(0, 64)
 	// By t=10000 issued writes retired; queue has room without stalling.
@@ -94,7 +99,7 @@ func TestSlotsFreeOverTime(t *testing.T) {
 
 func TestFlushIssuesEverything(t *testing.T) {
 	m := mem1()
-	w := New(m, 8, 8, lat)
+	w := New(m, 8, 8, lat, new(stats.Stats))
 	w.Insert(0, 0)
 	w.Insert(0, 64)
 	w.Flush(100)
@@ -111,10 +116,10 @@ func TestFlushIssuesEverything(t *testing.T) {
 func TestConstructorPanics(t *testing.T) {
 	m := mem1()
 	cases := []func(){
-		func() { New(m, 0, 1, lat) },
-		func() { New(m, 8, 0, lat) },
-		func() { New(m, 8, 9, lat) },
-		func() { New(m, 8, 4, 0) },
+		func() { New(m, 0, 1, lat, new(stats.Stats)) },
+		func() { New(m, 8, 0, lat, new(stats.Stats)) },
+		func() { New(m, 8, 9, lat, new(stats.Stats)) },
+		func() { New(m, 8, 4, 0, new(stats.Stats)) },
 	}
 	for i, f := range cases {
 		func() {
@@ -130,7 +135,7 @@ func TestConstructorPanics(t *testing.T) {
 
 func TestAgeLimitDrainsStaleEntries(t *testing.T) {
 	m := mem1()
-	w := New(m, 16, 8, lat)
+	w := New(m, 16, 8, lat, new(stats.Stats))
 	w.Insert(0, 0)
 	if !w.Contains(0) {
 		t.Fatal("fresh entry must be pending")
@@ -148,16 +153,18 @@ func TestAgeLimitDrainsStaleEntries(t *testing.T) {
 
 func TestCoalesceKeepsArrivalAge(t *testing.T) {
 	m := mem1()
-	w := New(m, 16, 8, lat)
-	w.Insert(0, 0)
+	w := New(m, 16, 8, lat, new(stats.Stats))
 	// Continuous coalescing must not extend the entry's lifetime: after
 	// the age limit the entry is issued and the next write to the block
 	// consumes a fresh slot instead of coalescing.
-	for tm := int64(1000); tm < AgeLimitCycles*3; tm += 1000 {
-		w.Insert(tm, 0)
+	inserted := 0
+	for tm := int64(0); tm < AgeLimitCycles*3; tm += 1000 {
+		if !w.Insert(tm, 0).Coalesced {
+			inserted++
+		}
 	}
-	if w.Inserted < 2 {
-		t.Fatalf("Inserted = %d, want >=2 (aged entry must drain and be re-inserted)", w.Inserted)
+	if inserted < 2 {
+		t.Fatalf("%d inserts took a slot, want >=2 (aged entry must drain and be re-inserted)", inserted)
 	}
 }
 
@@ -169,7 +176,7 @@ func TestOccupancyBoundProperty(t *testing.T) {
 		drainAt := int(drainRaw)%capacity + 1
 		banks := int(banksRaw)%4 + 1
 		m := sim.NewMemory(banks, 64)
-		w := New(m, capacity, drainAt, lat)
+		w := New(m, capacity, drainAt, lat, new(stats.Stats))
 		var now int64
 		for _, a := range addrs {
 			res := w.Insert(now, int64(a%32)*64)
@@ -192,16 +199,22 @@ func TestOccupancyBoundProperty(t *testing.T) {
 	}
 }
 
-// Property: total inserts + coalesces equals the number of Insert calls.
+// Property: the ledger counts exactly the coalesces and stall cycles
+// that Insert's Results report.
 func TestInsertAccountingProperty(t *testing.T) {
 	f := func(addrs []uint8) bool {
-		w := New(sim.NewMemory(2, 64), 8, 4, lat)
-		var now int64
+		var st stats.Stats
+		w := New(sim.NewMemory(2, 64), 8, 4, lat, &st)
+		var now, coalesced, stall int64
 		for _, a := range addrs {
 			res := w.Insert(now, int64(a%8)*64)
+			if res.Coalesced {
+				coalesced++
+			}
+			stall += res.Stall
 			now = res.When + 1
 		}
-		return w.Inserted+w.Coalesced == int64(len(addrs))
+		return st.WPQCoalesced == coalesced && st.WPQStallCycles == stall
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -213,13 +226,14 @@ func TestInsertAccountingProperty(t *testing.T) {
 func TestWindowMonotoneCoalescingProperty(t *testing.T) {
 	f := func(addrs []uint8) bool {
 		runWith := func(drainAt int) int64 {
-			w := New(sim.NewMemory(1, 64), 16, drainAt, lat)
+			var st stats.Stats
+			w := New(sim.NewMemory(1, 64), 16, drainAt, lat, &st)
 			var now int64
 			for _, a := range addrs {
 				res := w.Insert(now, int64(a%8)*64)
 				now = res.When + 5
 			}
-			return w.Coalesced
+			return st.WPQCoalesced
 		}
 		return runWith(12) >= runWith(2)
 	}

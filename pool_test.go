@@ -162,7 +162,6 @@ func TestPoolOneShardMatchesSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.SyncStats()
 	cst := *ctl.Stats()
 	cst.Cycles = now
 	if pst != cst {

@@ -53,6 +53,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Sentinel errors for the three access-failure classes. They are
@@ -191,10 +192,6 @@ const (
 	// TraceRecoveryMerge: recovery processed one PUB entry. Detail says
 	// what merged (ctr+mac, ctr, mac, noop, stale, out-of-range).
 	TraceRecoveryMerge = obs.KindRecoveryMerge
-	// TraceRecoveryPhase: a recovery phase boundary (Part is scan, merge,
-	// rebuild or verify; Detail is begin or end; Aux is 0 for the whole
-	// phase, shard+1 for a parallel worker's slice).
-	TraceRecoveryPhase = obs.KindRecoveryPhase
 )
 
 // TraceRing is a bounded in-memory tracer keeping the most recent
@@ -511,9 +508,7 @@ type RunResult = harness.Result
 func RunWorkload(rc RunConfig) (*RunResult, error) { return harness.Run(rc) }
 
 // WorkloadNames lists the available benchmarks.
-func WorkloadNames() []string {
-	return []string{"btree", "ctree", "hashmap", "rbtree", "swap"}
-}
+func WorkloadNames() []string { return workload.Names() }
 
 // Sharded multi-controller pool. A Pool address-partitions one logical
 // protected data region across N independent controller shards — each

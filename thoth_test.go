@@ -272,7 +272,7 @@ func TestRunWorkloadAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles <= 0 || res.Stats.TotalWrites() == 0 {
+	if res.Stats.Cycles <= 0 || res.Stats.TotalWrites() == 0 {
 		t.Fatal("workload run produced no measurements")
 	}
 }
